@@ -218,22 +218,19 @@ def bht_decide(
     return BhtDecision(stopped, chosen, loss0, loss1)
 
 
-def _check_counts(c: int, n: int, label: str) -> None:
-    if n < 0 or not 0 <= c <= n:
-        raise ValueError(f"need 0 <= conversions <= trials for {label}, got {c}/{n}")
-
-
-def log_bayes_factor(c0: int, n0: int, c1: int, n1: int, cfg: BfConfig) -> float:
-    """Log posterior odds of per-arm rates versus a single shared rate."""
-    _check_counts(c0, n0, "arm 0")
-    _check_counts(c1, n1, "arm 1")
+def log_bayes_factor(c0, n0, c1, n1, cfg: BfConfig):
+    """Log posterior odds of per-arm rates versus a single shared rate; counts may be arrays."""
+    c0, n0, c1, n1 = (np.asarray(x, dtype=float) for x in (c0, n0, c1, n1))
+    if np.any((c0 < 0) | (c0 > n0) | (c1 < 0) | (c1 > n1)):
+        raise ValueError("need 0 <= conversions <= trials in both arms")
     a, b = cfg.prior_a, cfg.prior_b
-    return float(
+    out = (
         betaln(a + c0, b + n0 - c0)
         + betaln(a + c1, b + n1 - c1)
         - betaln(a, b)
         - betaln(a + c0 + c1, b + n0 + n1 - c0 - c1)
     )
+    return float(out) if out.ndim == 0 else out
 
 
 def bayes_factor(c0: int, n0: int, c1: int, n1: int, cfg: BfConfig) -> float:

@@ -15,12 +15,12 @@ the stopping rule used throughout is "first n whose current interval
 excludes the null".
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import StreamingMoments
+from .special import normal_quantile
 
 DEFAULT_RHO2 = 1e-3
 
@@ -119,66 +119,175 @@ def radius_beta(n, alpha: float, rho2: float):
     return out
 
 
-def asympcs_ate(state: TwoArmState, params: ConfSeqParams) -> Interval:
-    """Anytime-valid interval for the average treatment effect mu1 - mu0.
+def _summary(state: TwoArmState) -> tuple:
+    """(n0, n1, mu0, mu1, v0, v1) of one state; an empty arm has variance 0."""
+    a0, a1 = state.arm0, state.arm1
+    return (
+        float(a0.count), float(a1.count), a0.mean, a1.mean,
+        a0.m2 / max(a0.count, 1), a1.m2 / max(a1.count, 1),
+    )
 
-    Centered at the difference of running means with half-width
 
-        radius_beta(n, alpha, rho2) *
-        sqrt( n/(n-1) * [ (n/n0)(v0 + mu0^2) + (n/n1)(v1 + mu1^2)
-                          - (mu1 - mu0)^2 ] )
+def summaries(states) -> tuple:
+    """Columns (n0, n1, mu0, mu1, v0, v1) of a sequence of states, as the kernels below take them."""
+    return tuple(np.array([_summary(s) for s in states], dtype=float).reshape(-1, 6).T)
 
-    where v0, v1 are the biased per-arm variances. The bracketed term is
-    the running variance of the allocation-weighted influence values and
-    is clamped at zero when float round-off on constant data pushes it
-    slightly negative.
+
+# Kernels: each rule once, over per-arm (count, mean, biased variance) arrays,
+# or Python floats where both arms are nonempty. Entries failing a rule's
+# preconditions are invalid, with infinite half-width or -inf log lambda.
+
+
+def ate_interval(n0, n1, mu0, mu1, v0, v1, alpha: float, rho2: float):
+    """Center, half-width and validity of the two-sample interval for mu1 - mu0.
+
+    The bracket is the running variance of the allocation-weighted
+    influence values. Float round-off on constant data can push it
+    slightly negative, so it is clamped at zero; a valid entry more
+    negative than that raises VarianceGuardError. Valid where both arms
+    are nonempty and n >= 2.
     """
-    arm0, arm1 = state.arm0, state.arm1
-    if arm0.count < 1 or arm1.count < 1 or state.n < 2:
-        raise InsufficientDataError(
-            f"ATE interval needs both arms nonempty and n >= 2, got n0={arm0.count}, n1={arm1.count}"
-        )
-    n, n0, n1 = float(state.n), float(arm0.count), float(arm1.count)
-    mu0, mu1 = arm0.mean, arm1.mean
-    v0, v1 = arm0.biased_variance, arm1.biased_variance
+    n = n0 + n1
+    valid = (n0 >= 1) & (n1 >= 1) & (n >= 2)
     center = mu1 - mu0
-    bracket = (n / n0) * (v0 + mu0 * mu0) + (n / n1) * (v1 + mu1 * mu1) - center * center
-    if bracket < -_VARIANCE_SLACK:
-        raise VarianceGuardError(f"variance bracket is {bracket}; accumulators look corrupt")
-    var_f = n / (n - 1.0) * max(bracket, 0.0)
-    hw = radius_beta(state.n, params.alpha, params.rho2) * math.sqrt(var_f)
-    return Interval(center - hw, center + hw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = (n / n0) * (v0 + mu0 * mu0) + (n / n1) * (v1 + mu1 * mu1) - center * center
+        if np.any(valid & (bracket < -_VARIANCE_SLACK)):
+            raise VarianceGuardError("variance bracket is negative; accumulators look corrupt")
+        var_f = n / (n - 1.0) * np.maximum(bracket, 0.0)
+        hw = np.where(valid, radius_beta(np.maximum(n, 1.0), alpha, rho2) * np.sqrt(var_f), np.inf)
+    return center, hw, valid
 
 
-def asympcs_mean(arm: StreamingMoments, params: ConfSeqParams) -> Interval:
-    """One-sample anytime-valid interval: mean +/- biased std * radius."""
-    if arm.count < 2:
-        raise InsufficientDataError(f"mean interval needs count >= 2, got {arm.count}")
-    hw = arm.biased_std * radius_beta(arm.count, params.alpha, params.rho2)
-    return Interval(arm.mean - hw, arm.mean + hw)
+def mean_interval(n, mu, v, alpha: float, rho2: float):
+    """Center, half-width and validity (n >= 2) of the one-sample interval mu +/- sqrt(v) * radius."""
+    valid = n >= 2
+    with np.errstate(invalid="ignore"):
+        hw = np.where(valid, np.sqrt(v) * radius_beta(np.maximum(n, 1.0), alpha, rho2), np.inf)
+    return mu, hw, valid
+
+
+def lift_interval(n0, n1, mu0, mu1, v0, v1, arm_level: float, rho2: float):
+    """Lower bound, upper bound and validity of the interval for mu1/mu0 - 1.
+
+    Composes the one-sample interval of each arm at ``arm_level``: the
+    lower bound is l1/u0 - 1, or -1 (a nonnegative metric cannot lose
+    more than everything) when l1 <= 0; the upper bound is u1/l0 - 1, or
+    +inf when l0 <= 0. Valid where both arms have at least two
+    observations and positive means.
+    """
+    valid = (n0 >= 2) & (n1 >= 2) & (mu0 > 0.0) & (mu1 > 0.0)
+    _, hw0, _ = mean_interval(n0, mu0, v0, arm_level, rho2)
+    _, hw1, _ = mean_interval(n1, mu1, v1, arm_level, rho2)
+    l0, u0 = mu0 - hw0, mu0 + hw0
+    l1, u1 = mu1 - hw1, mu1 + hw1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = np.where(l1 > 0.0, l1 / u0 - 1.0, -1.0)
+        upper = np.where(l0 > 0.0, u1 / l0 - 1.0, np.inf)
+    return lower, upper, valid
+
+
+def two_sample_scale(n0, n1, mu0, mu1, v0, v1):
+    """(n, effect estimate, variance of sqrt(n) * estimate) for the mixture kernels.
+
+    The variance n * (v0/n0 + v1/n1) is 2(v0 + v1) at a 50/50 split; it
+    is NaN, so invalid, where an arm is empty.
+    """
+    n = n0 + n1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma2 = np.where((n0 >= 1) & (n1 >= 1), n * (v0 / n0 + v1 / n1), np.nan)
+    return n, mu1 - mu0, sigma2
+
+
+def msprt_log_lambda(n, estimate, sigma2, rho2: float, theta0=0.0):
+    """Log Gaussian-mixture likelihood ratio at theta0, and validity (n >= 2, sigma2 > 0).
+
+    One-sample form over (n, mean, biased variance); feed it
+    ``two_sample_scale`` for the difference of means.
+    """
+    valid = (n >= 2) & (sigma2 > 0)
+    s2 = np.where(valid, sigma2, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nr = n * rho2
+        loglam = 0.5 * np.log(s2 / (nr + s2)) + (
+            n * n * rho2 * (estimate - theta0) ** 2
+        ) / (2.0 * s2 * (nr + s2))
+    return np.where(valid, loglam, -np.inf), valid
+
+
+def msprt_interval(n, estimate, sigma2, alpha: float, rho2: float):
+    """Center, half-width and validity of the interval inverting lambda >= 1/alpha (inputs as ``msprt_log_lambda``)."""
+    valid = (n >= 2) & (sigma2 > 0)
+    s2 = np.where(valid, sigma2, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.maximum(n, 2.0)
+        nr = n * rho2
+        inner = 0.5 * np.log((nr + s2) / s2) + np.log(1.0 / alpha)
+        hw = np.sqrt(s2) * np.sqrt(2.0 * (nr + s2) / (n * n * rho2) * inner)
+    return estimate, np.where(valid, hw, np.inf), valid
+
+
+def _z_scale(n0, n1, v0, v1):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(v0 / n0 + v1 / n1), (n0 >= 1) & (n1 >= 1)
+
+
+def z_statistic(n0, n1, mu0, mu1, v0, v1, theta0=0.0):
+    """Two-sample z statistic for mu1 - mu0 - theta0 and validity.
+
+    Infinite, with the sign of the difference, where the difference has
+    no noise. Valid where both arms are nonempty.
+    """
+    se, valid = _z_scale(n0, n1, v0, v1)
+    diff = mu1 - mu0 - theta0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, diff / se, np.where(diff != 0, np.copysign(np.inf, diff), 0.0))
+    return z, valid
+
+
+def z_interval(n0, n1, mu0, mu1, v0, v1, alpha: float):
+    """Center, half-width and validity of the fixed-horizon z interval for mu1 - mu0."""
+    se, valid = _z_scale(n0, n1, v0, v1)
+    return mu1 - mu0, normal_quantile(1.0 - alpha / 2.0) * se, valid
+
+
+# Scalar API: precondition checks with typed errors, then the kernels.
+
+
+def _require_both_arms(state: TwoArmState, what: str) -> None:
+    if state.arm0.count < 1 or state.arm1.count < 1 or state.n < 2:
+        raise InsufficientDataError(
+            f"{what} needs both arms nonempty and n >= 2, got n0={state.arm0.count}, n1={state.arm1.count}"
+        )
+
+
+def asympcs_ate(state: TwoArmState, params: ConfSeqParams) -> Interval:
+    """Anytime-valid interval for the average treatment effect mu1 - mu0 (see ``ate_interval``)."""
+    _require_both_arms(state, "ATE interval")
+    center, hw, _ = ate_interval(*_summary(state), params.alpha, params.rho2)
+    return Interval(float(center - hw), float(center + hw))
 
 
 def arm_bounds(arm: StreamingMoments, level: float, rho2: float) -> tuple[float, float]:
     """Per-arm lower/upper anytime bounds at the given level."""
     if arm.count < 2:
         raise InsufficientDataError(f"arm bounds need count >= 2, got {arm.count}")
-    hw = arm.biased_std * radius_beta(arm.count, level, rho2)
-    return arm.mean - hw, arm.mean + hw
+    mu, hw, _ = mean_interval(float(arm.count), arm.mean, arm.biased_variance, level, rho2)
+    return float(mu - hw), float(mu + hw)
+
+
+def asympcs_mean(arm: StreamingMoments, params: ConfSeqParams) -> Interval:
+    """One-sample anytime-valid interval: mean +/- biased std * radius."""
+    return Interval(*arm_bounds(arm, params.alpha, params.rho2))
 
 
 def asympcs_lift(state: TwoArmState, params: ConfSeqParams, arm_level: float | None = None) -> Interval:
-    """Anytime-valid interval for the relative lift mu1/mu0 - 1.
+    """Anytime-valid interval for the relative lift mu1/mu0 - 1 (see ``lift_interval``).
 
-    Built by composing per-arm bounds: take per-arm intervals for each
-    mean, push them through log, take worst-case differences, and map
-    back through exp. Defined only for positive-mean metrics. When the
-    control's lower bound is nonpositive the upper endpoint is +inf, and
-    when the treatment's lower bound is nonpositive the lower endpoint is
-    -1 (a nonnegative metric cannot lose more than everything).
-
-    ``arm_level`` is the level used for each per-arm interval and
-    defaults to ``params.alpha``; pass ``params.alpha / 2`` for strict
-    union-bound accounting across the two arms.
+    Defined only for positive-mean metrics. ``arm_level`` is the level
+    used for each per-arm interval and defaults to ``params.alpha``; pass
+    ``params.alpha / 2`` for strict union-bound accounting across the
+    two arms.
     """
     if arm_level is None:
         arm_level = params.alpha
@@ -186,53 +295,22 @@ def asympcs_lift(state: TwoArmState, params: ConfSeqParams, arm_level: float | N
         raise InsufficientDataError("lift interval needs at least two observations per arm")
     if state.arm0.mean <= 0.0 or state.arm1.mean <= 0.0:
         raise ValueError("lift is defined for positive-mean metrics only")
-    l0, u0 = arm_bounds(state.arm0, arm_level, params.rho2)
-    l1, u1 = arm_bounds(state.arm1, arm_level, params.rho2)
-    lower = l1 / u0 - 1.0 if l1 > 0.0 else -1.0
-    upper = u1 / l0 - 1.0 if l0 > 0.0 else math.inf
-    return Interval(lower, upper)
+    lower, upper, _ = lift_interval(*_summary(state), arm_level, params.rho2)
+    return Interval(float(lower), float(upper))
 
 
-def _mixture_log_lambda(theta_hat, theta0, sigma2, n, rho2):
-    """log of the Gaussian-mixture likelihood ratio; array friendly."""
-    nr = n * rho2
-    return 0.5 * np.log(sigma2 / (nr + sigma2)) + (
-        n * n * rho2 * (theta_hat - theta0) ** 2
-    ) / (2.0 * sigma2 * (nr + sigma2))
-
-
-def _mixture_halfwidth(sigma2, n, rho2, alpha):
-    """Half-width of the interval obtained by inverting lambda >= 1/alpha."""
-    nr = n * rho2
-    inner = 0.5 * np.log((nr + sigma2) / sigma2) + np.log(1.0 / alpha)
-    return np.sqrt(sigma2) * np.sqrt(2.0 * (nr + sigma2) / (n * n * rho2) * inner)
-
-
-def _two_sample_scale(state: TwoArmState) -> tuple[float, float, float]:
-    """Effect estimate and the variance of sqrt(n) * estimate.
-
-    The returned variance is n * (v0/n0 + v1/n1) with biased per-arm
-    variances, i.e. the per-observation variance of the effect on the
-    paired-difference scale; at a 50/50 split it equals 2(v0 + v1).
-    """
-    arm0, arm1 = state.arm0, state.arm1
-    if arm0.count < 1 or arm1.count < 1 or state.n < 2:
-        raise InsufficientDataError(
-            f"mixture test needs both arms nonempty and n >= 2, got n0={arm0.count}, n1={arm1.count}"
-        )
-    n = float(state.n)
-    sigma2 = n * (
-        arm0.biased_variance / arm0.count + arm1.biased_variance / arm1.count
-    )
-    if sigma2 <= 0.0:
+def _mixture_scale(state: TwoArmState) -> tuple:
+    _require_both_arms(state, "mixture test")
+    n, estimate, sigma2 = two_sample_scale(*_summary(state))
+    if not sigma2 > 0.0:
         raise ZeroVarianceError("pooled variance is zero; mixture test undefined")
-    return arm1.mean - arm0.mean, sigma2, n
+    return n, estimate, sigma2
 
 
 def msprt_lambda(state: TwoArmState, params: ConfSeqParams, theta0: float = 0.0) -> float:
     """Two-sample mixture likelihood ratio for the difference of means."""
-    theta_hat, sigma2, n = _two_sample_scale(state)
-    return float(np.exp(_mixture_log_lambda(theta_hat, theta0, sigma2, n, params.rho2)))
+    loglam, _ = msprt_log_lambda(*_mixture_scale(state), params.rho2, theta0)
+    return float(np.exp(loglam))
 
 
 def msprt_cs(state: TwoArmState, params: ConfSeqParams) -> Interval:
@@ -242,9 +320,8 @@ def msprt_cs(state: TwoArmState, params: ConfSeqParams) -> Interval:
     point reaches 1/alpha, so the induced stopping rule agrees with the
     p-process reaching alpha.
     """
-    theta_hat, sigma2, n = _two_sample_scale(state)
-    hw = float(_mixture_halfwidth(sigma2, n, params.rho2, params.alpha))
-    return Interval(theta_hat - hw, theta_hat + hw)
+    center, hw, _ = msprt_interval(*_mixture_scale(state), params.alpha, params.rho2)
+    return Interval(float(center - hw), float(center + hw))
 
 
 def msprt_p_step(prev_p: float, state: TwoArmState, params: ConfSeqParams, theta0: float = 0.0) -> float:
@@ -258,22 +335,11 @@ def msprt_p_step(prev_p: float, state: TwoArmState, params: ConfSeqParams, theta
     return min(prev_p, 1.0 / lam)
 
 
-def msprt_lambda_mean(arm: StreamingMoments, params: ConfSeqParams, theta0: float) -> float:
-    """One-sample mixture likelihood ratio for the mean."""
-    if arm.count < 2:
-        raise InsufficientDataError(f"mixture test needs count >= 2, got {arm.count}")
-    sigma2 = arm.biased_variance
-    if sigma2 <= 0.0:
-        raise ZeroVarianceError("sample variance is zero; mixture test undefined")
-    return float(np.exp(_mixture_log_lambda(arm.mean, theta0, sigma2, float(arm.count), params.rho2)))
-
-
 def msprt_cs_mean(arm: StreamingMoments, params: ConfSeqParams) -> Interval:
     """One-sample interval obtained by inverting the mixture test."""
     if arm.count < 2:
         raise InsufficientDataError(f"mixture test needs count >= 2, got {arm.count}")
-    sigma2 = arm.biased_variance
-    if sigma2 <= 0.0:
+    if arm.biased_variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero; mixture test undefined")
-    hw = float(_mixture_halfwidth(sigma2, float(arm.count), params.rho2, params.alpha))
-    return Interval(arm.mean - hw, arm.mean + hw)
+    center, hw, _ = msprt_interval(float(arm.count), arm.mean, arm.biased_variance, params.alpha, params.rho2)
+    return Interval(float(center - hw), float(center + hw))

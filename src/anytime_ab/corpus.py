@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confseq import ConfSeqParams
 from .simlab import methods
 
 CATEGORIES = ("both-sig", "fht-only-sig", "cs-only-sig", "neither-sig")
@@ -122,7 +121,3 @@ def generate_corpus(out_dir: str, spec: CorpusSpec, max_candidates: int = 20000)
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return manifest
-
-
-def corpus_params(manifest: dict) -> ConfSeqParams:
-    return ConfSeqParams(manifest["spec"]["alpha"], manifest["spec"]["rho2"])

@@ -15,21 +15,24 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 
-from .bayes import BfConfig, BhtConfig, bayes_factor, bht_decide, binary_counts
+import numpy as np
+
+from .bayes import BfConfig, BhtConfig, bht_decide, binary_counts, log_bayes_factor
 from .confseq import (
     ConfSeqParams,
-    Interval,
-    InsufficientDataError,
     TwoArmState,
-    ZeroVarianceError,
-    asympcs_ate,
-    asympcs_lift,
-    msprt_cs,
-    msprt_p_step,
+    asympcs_ate,  # not called here; perfbench's tracer patches this attribute
+    ate_interval,
+    lift_interval,
+    msprt_interval,
+    msprt_log_lambda,
+    summaries,
+    two_sample_scale,
+    z_interval,
+    z_statistic,
 )
 from .gst import SpendingSchedule
 from .moments import StreamingMoments
-from .special import normal_quantile
 
 ANALYZE_METHODS = ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf", "bht", "ldm")
 
@@ -81,16 +84,23 @@ class DecisionRecord:
         return cls(**obj)
 
 
+# Arms are the integers 0 and 1 or their strings (CSV); the type test
+# rejects booleans and floats, which compare equal to 0 and 1.
+_ARMS = {0: 0, 1: 1, "0": 0, "1": 1}
+_ARM_TYPES = (int, str)
+
+
 def _coerce_event(obj: dict, line_no: int) -> EventRecord:
     try:
         ts = int(obj["ts"])
         unit = str(obj["unit"])
-        arm = int(obj["arm"])
+        raw_arm = obj["arm"]
         value = float(obj["value"])
     except (KeyError, TypeError, ValueError) as exc:
         raise LogParseError(line_no, f"bad event fields: {exc}") from None
-    if arm not in (0, 1):
-        raise LogParseError(line_no, f"arm must be 0 or 1, got {arm}")
+    arm = _ARMS.get(raw_arm) if type(raw_arm) in _ARM_TYPES else None
+    if arm is None:
+        raise LogParseError(line_no, f"arm must be 0 or 1, got {raw_arm!r}")
     if not math.isfinite(value):
         raise LogParseError(line_no, f"value must be finite, got {value}")
     return EventRecord(ts, unit, arm, value)
@@ -113,6 +123,8 @@ def parse_events(path: str):
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise LogParseError(line_no, f"invalid JSON: {exc.msg}") from None
+                except RecursionError:
+                    raise LogParseError(line_no, "invalid JSON: nested too deeply") from None
                 yield line_no, _coerce_event(obj, line_no)
 
 
@@ -159,33 +171,6 @@ def ingest(events, snapshot_every: int = 100, dedup: bool = False) -> IngestResu
     return IngestResult(state, snapshots, seen, used)
 
 
-def _z_stat(state: TwoArmState) -> float:
-    if state.arm0.count < 1 or state.arm1.count < 1:
-        raise InsufficientDataError("z statistic needs both arms nonempty")
-    se2 = (
-        state.arm0.biased_variance / state.arm0.count
-        + state.arm1.biased_variance / state.arm1.count
-    )
-    center = state.arm1.mean - state.arm0.mean
-    if se2 == 0.0:
-        return math.inf if center > 0 else (-math.inf if center < 0 else 0.0)
-    return center / math.sqrt(se2)
-
-
-def _z_interval(state: TwoArmState, alpha: float) -> Interval:
-    if state.arm0.count < 1 or state.arm1.count < 1:
-        raise InsufficientDataError("z interval needs both arms nonempty")
-    se2 = (
-        state.arm0.biased_variance / state.arm0.count
-        + state.arm1.biased_variance / state.arm1.count
-    )
-    center = state.arm1.mean - state.arm0.mean
-    hw = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(se2)
-    if se2 == 0.0 and center != 0.0:
-        hw = 0.0
-    return Interval(center - hw, center + hw)
-
-
 @dataclass
 class TrajectoryRow:
     n: int
@@ -226,63 +211,71 @@ def analyze_snapshots(
             raise ScheduleMismatchError(
                 f"log has {len(snapshots)} snapshots, schedule has {schedule.n_peeks} peeks"
             )
-    rows: list[TrajectoryRow] = []
-    crossed_at: int | None = None
-    statistic: float | None = None
-    p_running = 1.0
-    run_lo, run_hi = -math.inf, math.inf
-    ldm_bounds = list(schedule.boundaries) if schedule is not None else []
-    for peek_index, (n_events, state) in enumerate(snapshots):
-        n0, n1 = state.arm0.count, state.arm1.count
-        center = state.arm1.mean - state.arm0.mean if n0 >= 1 and n1 >= 1 else None
-        interval: Interval | None = None
-        stat_here: float | None = None
-        crossed_here = False
-        try:
-            if method == "asympcs":
-                interval = asympcs_ate(state, params)
-            elif method == "asympcs-lift":
-                if n0 >= 1 and n1 >= 1 and (state.arm0.mean <= 0.0 or state.arm1.mean <= 0.0):
-                    center = None  # lift undefined until both means are positive
-                else:
-                    interval = asympcs_lift(state, params)
-                    center = state.arm1.mean / state.arm0.mean - 1.0
-            elif method == "msprt":
-                interval = msprt_cs(state, params)
-                p_running = msprt_p_step(p_running, state, params, theta0)
-                stat_here = p_running
-            elif method == "fht-peeking":
-                interval = _z_interval(state, params.alpha)
-            elif method == "ldm":
-                z = _z_stat(state)
-                stat_here = z
-                crossed_here = abs(z) >= ldm_bounds[peek_index]
-            elif method == "bf":
-                cfg = bf_config or BfConfig()
-                c0, n0_b, c1, n1_b = binary_counts(state)
-                stat_here = bayes_factor(c0, n0_b, c1, n1_b, cfg)
-                crossed_here = stat_here >= cfg.odds_threshold
-            elif method == "bht":
-                cfg = bht_config or BhtConfig()
-                decision = bht_decide(state, cfg, backend="exact")
-                stat_here = min(decision.loss_arm0, decision.loss_arm1)
-                crossed_here = decision.stopped
-        except (InsufficientDataError, ZeroVarianceError):
-            interval = None
-        lo = hi = None
-        if interval is not None:
-            lo, hi = interval.lower, interval.upper
-            if intersect:
-                run_lo, run_hi = max(run_lo, lo), min(run_hi, hi)
-                lo, hi = run_lo, run_hi
-            null_value = theta0 if method != "asympcs-lift" else 0.0
-            crossed_here = not (lo <= null_value <= hi)
-        if crossed_at is None and crossed_here:
-            crossed_at = n_events
-            statistic = stat_here
-        verdict = VERDICT_SIGNIFICANT if crossed_at is not None else VERDICT_RUNNING
-        rows.append(TrajectoryRow(n_events, n0, n1, center, lo, hi, verdict))
+    states = [state for _, state in snapshots]
+    arms = summaries(states)
+    n0, n1, mu0, mu1 = arms[:4]
+    center = np.where((n0 >= 1) & (n1 >= 1), mu1 - mu0, np.nan)
+    hw = lower = upper = stat = None
+    null_value = theta0
+    if method == "asympcs":
+        _, hw, valid = ate_interval(*arms, params.alpha, params.rho2)
+    elif method == "asympcs-lift":
+        lower, upper, valid = lift_interval(*arms, params.alpha, params.rho2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            center = np.where((n0 >= 1) & (n1 >= 1) & (mu0 > 0.0) & (mu1 > 0.0), mu1 / mu0 - 1.0, np.nan)
+        null_value = 0.0
+    elif method == "msprt":
+        scale = two_sample_scale(*arms)
+        _, hw, valid = msprt_interval(*scale, params.alpha, params.rho2)
+        loglam, _ = msprt_log_lambda(*scale, params.rho2, theta0)
+        # The always-valid p-process: running minimum of 1/lambda from p = 1.
+        with np.errstate(over="ignore", divide="ignore"):
+            stat = np.minimum.accumulate(np.where(valid, 1.0 / np.exp(loglam), 1.0))
+    elif method == "fht-peeking":
+        _, hw, valid = z_interval(*arms, params.alpha)
+    elif method == "ldm":
+        stat, valid = z_statistic(*arms, theta0)
+        crossed = valid & (np.abs(stat) >= np.asarray(schedule.boundaries))
+    elif method == "bf":
+        cfg = bf_config or BfConfig()
+        c0, b0, c1, b1 = np.array([binary_counts(state) for state in states], dtype=float).reshape(-1, 4).T
+        stat = log_bayes_factor(c0, b0, c1, b1, cfg)
+        crossed = stat >= np.log(cfg.odds_threshold)
+    else:  # bht: the exact two-arm loss is evaluated one snapshot at a time
+        cfg = bht_config or BhtConfig()
+        decisions = [bht_decide(state, cfg, backend="exact") for state in states]
+        stat = np.array([min(d.loss_arm0, d.loss_arm1) for d in decisions])
+        crossed = np.array([d.stopped for d in decisions], dtype=bool)
+    if hw is not None:
+        lower, upper = center - hw, center + hw
+    if lower is not None:
+        if intersect:
+            lower = np.maximum.accumulate(np.where(valid, lower, -np.inf))
+            upper = np.minimum.accumulate(np.where(valid, upper, np.inf))
+        crossed = valid & ~((lower <= null_value) & (null_value <= upper))
+        lower, upper = (np.where(valid, bound, np.nan) for bound in (lower, upper))
+    hits = np.flatnonzero(crossed)
+    first = int(hits[0]) if hits.size else len(snapshots)
+    crossed_at = snapshots[first][0] if hits.size else None
+    statistic = None
+    if hits.size and stat is not None:
+        statistic = math.exp(stat[first]) if method == "bf" else float(stat[first])
+    columns = [_optional(c, len(snapshots)) for c in (center, lower, upper)]
+    rows = [
+        TrajectoryRow(
+            n_events, state.arm0.count, state.arm1.count, c, lo, hi,
+            VERDICT_SIGNIFICANT if i >= first else VERDICT_RUNNING,
+        )
+        for i, ((n_events, state), c, lo, hi) in enumerate(zip(snapshots, *columns))
+    ]
     return rows, crossed_at, statistic
+
+
+def _optional(column, size: int) -> list:
+    """Python floats for the trajectory rows, with NaN or a missing column as None."""
+    if column is None:
+        return [None] * size
+    return [None if math.isnan(x) else x for x in column.tolist()]
 
 
 def analyze(

@@ -8,7 +8,6 @@ Updates are O(1) and merges are associative and commutative, so per-shard
 accumulators can be combined map-reduce style before evaluation.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -62,7 +61,3 @@ class StreamingMoments:
         if self.count < 2:
             raise ValueError("unbiased variance needs at least two observations")
         return self.m2 / (self.count - 1)
-
-    @property
-    def biased_std(self) -> float:
-        return math.sqrt(self.biased_variance)

@@ -1,48 +1,38 @@
-"""Vectorized stopping-rule evaluators over peek-grid count matrices.
+"""Stopping rules over peek-grid count matrices of Bernoulli streams.
 
-These mirror the scalar interval functions in ``confseq`` and the rules
-in ``bayes`` and ``gst``, restated over (replications x peeks) matrices
-of Bernoulli sufficient statistics. The arithmetic is kept in lockstep
-with the scalar versions and the test suite pins the two paths to each
-other, so there is one source of truth for what each rule does.
+Each rule is the array kernel from ``confseq`` (or ``bayes``), fed the
+per-arm means and biased variances that ``bernoulli_summaries`` derives
+from (replications x peeks) count matrices, plus the comparison that
+turns it into a "rejects at this peek" matrix. The engine calls the same
+kernels on its snapshot moments, so the service and the studies share
+each rule's arithmetic.
 
-All evaluators return boolean "rejects at this peek" matrices plus a
-validity mask; entries where a rule's preconditions fail never reject.
+Evaluators return boolean reject matrices, or statistics with a validity
+mask; entries where a rule's preconditions fail never reject.
 """
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import betainc
 
-from ..confseq import _mixture_halfwidth, _mixture_log_lambda, radius_beta
+from .. import confseq
+from ..bayes import BfConfig, log_bayes_factor
 from ..special import normal_quantile
 
 
-def _safe_div(num, den):
-    return np.divide(num, den, out=np.zeros_like(num, dtype=float), where=den > 0)
+def _bernoulli_arm(n, s):
+    mu = np.divide(s, n, out=np.zeros_like(s, dtype=float), where=n > 0)
+    return mu, mu * (1.0 - mu)
 
 
 def bernoulli_summaries(n0, n1, s0, s1):
-    """Means and biased variances per arm from count matrices."""
-    mu0 = _safe_div(s0, n0)
-    mu1 = _safe_div(s1, n1)
-    return mu0, mu1, mu0 * (1.0 - mu0), mu1 * (1.0 - mu1)
+    """Per-arm (count, mean, biased variance) from count matrices, in kernel argument order."""
+    (mu0, v0), (mu1, v1) = _bernoulli_arm(n0, s0), _bernoulli_arm(n1, s1)
+    return n0, n1, mu0, mu1, v0, v1
 
 
 def ate_interval_arrays(n0, n1, s0, s1, alpha, rho2):
-    """Center and half-width of the two-sample interval; invalid -> inf width."""
-    n = n0 + n1
-    valid = (n0 >= 1) & (n1 >= 1) & (n >= 2)
-    mu0, mu1, v0, v1 = bernoulli_summaries(n0, n1, s0, s1)
-    center = mu1 - mu0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bracket = (
-            _safe_div(n, n0) * (v0 + mu0 * mu0)
-            + _safe_div(n, n1) * (v1 + mu1 * mu1)
-            - center * center
-        )
-        var_f = np.where(valid, n / np.maximum(n - 1.0, 1.0), 0.0) * np.maximum(bracket, 0.0)
-        hw = np.where(valid, radius_beta(np.maximum(n, 1.0), alpha, rho2) * np.sqrt(var_f), np.inf)
-    return center, hw, valid
+    """Center, half-width and validity of the two-sample interval; invalid -> inf width."""
+    return confseq.ate_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2)
 
 
 def ate_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
@@ -52,16 +42,7 @@ def ate_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
 
 def lift_interval_arrays(n0, n1, s0, s1, arm_level, rho2):
     """Lower/upper lift bounds; valid only where both means are positive."""
-    valid = (n0 >= 2) & (n1 >= 2) & (s0 >= 1) & (s1 >= 1)
-    mu0, mu1, v0, v1 = bernoulli_summaries(n0, n1, s0, s1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hw0 = np.sqrt(v0) * radius_beta(np.maximum(n0, 1.0), arm_level, rho2)
-        hw1 = np.sqrt(v1) * radius_beta(np.maximum(n1, 1.0), arm_level, rho2)
-        l0, u0 = mu0 - hw0, mu0 + hw0
-        l1, u1 = mu1 - hw1, mu1 + hw1
-        lower = np.where(l1 > 0.0, _safe_div(l1, u0) - 1.0, -1.0)
-        upper = np.where(l0 > 0.0, np.divide(u1, l0, out=np.full_like(u1, np.inf), where=l0 > 0.0) - 1.0, np.inf)
-    return lower, upper, valid
+    return confseq.lift_interval(*bernoulli_summaries(n0, n1, s0, s1), arm_level, rho2)
 
 
 def lift_reject(n0, n1, s0, s1, arm_level, rho2, lift0=0.0):
@@ -71,13 +52,8 @@ def lift_reject(n0, n1, s0, s1, arm_level, rho2, lift0=0.0):
 
 def msprt_log_lambda_arrays(n0, n1, s0, s1, rho2, theta0=0.0):
     """Two-sample mixture log likelihood ratio over count matrices."""
-    n = n0 + n1
-    mu0, mu1, v0, v1 = bernoulli_summaries(n0, n1, s0, s1)
-    sigma2 = n * (_safe_div(v0, n0) + _safe_div(v1, n1))
-    valid = (n0 >= 1) & (n1 >= 1) & (n >= 2) & (sigma2 > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loglam = _mixture_log_lambda(mu1 - mu0, theta0, np.where(valid, sigma2, 1.0), n, rho2)
-    return np.where(valid, loglam, -np.inf), valid
+    scale = confseq.two_sample_scale(*bernoulli_summaries(n0, n1, s0, s1))
+    return confseq.msprt_log_lambda(*scale, rho2, theta0)
 
 
 def msprt_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
@@ -85,31 +61,19 @@ def msprt_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
     return valid & (loglam >= np.log(1.0 / alpha))
 
 
-def z_statistic_arrays(n0, n1, s0, s1):
-    """Two-sample z statistic; infinite when the difference has no noise."""
-    valid = (n0 >= 1) & (n1 >= 1) & (n0 + n1 >= 2)
-    mu0, mu1, v0, v1 = bernoulli_summaries(n0, n1, s0, s1)
-    se = np.sqrt(_safe_div(v0, n0) + _safe_div(v1, n1))
-    diff = mu1 - mu0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, diff / np.where(se > 0, se, 1.0), np.where(diff != 0, np.inf, 0.0))
-    return z, valid
+def z_statistic_arrays(n0, n1, s0, s1, theta0=0.0):
+    """Two-sample z statistic for the difference minus theta0; infinite when it has no noise."""
+    return confseq.z_statistic(*bernoulli_summaries(n0, n1, s0, s1), theta0)
 
 
-def z_reject(n0, n1, s0, s1, alpha):
+def z_reject(n0, n1, s0, s1, alpha, theta0=0.0):
     # Strict inequality to match the interval-exclusion reading of the rule.
-    z, valid = z_statistic_arrays(n0, n1, s0, s1)
+    z, valid = z_statistic_arrays(n0, n1, s0, s1, theta0)
     return valid & (np.abs(z) > normal_quantile(1.0 - alpha / 2.0))
 
 
 def log_bayes_factor_arrays(n0, n1, s0, s1, prior_a, prior_b):
-    a, b = prior_a, prior_b
-    return (
-        betaln(a + s0, b + n0 - s0)
-        + betaln(a + s1, b + n1 - s1)
-        - betaln(a, b)
-        - betaln(a + s0 + s1, b + n0 + n1 - s0 - s1)
-    )
+    return log_bayes_factor(s0, n0, s1, n1, BfConfig(prior_a, prior_b))
 
 
 def bf_reject(n0, n1, s0, s1, prior_a, prior_b, odds_threshold):
@@ -119,36 +83,17 @@ def bf_reject(n0, n1, s0, s1, prior_a, prior_b, odds_threshold):
 
 def mean_interval_arrays(n, s, alpha, rho2):
     """One-sample interval parts over cumulative Bernoulli counts."""
-    valid = n >= 2
-    mu = _safe_div(s, n)
-    v = mu * (1.0 - mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hw = np.where(valid, np.sqrt(v) * radius_beta(np.maximum(n, 1.0), alpha, rho2), np.inf)
-    return mu, hw, valid
+    return confseq.mean_interval(n, *_bernoulli_arm(n, s), alpha, rho2)
 
 
 def msprt1_log_lambda_arrays(n, s, rho2, theta0):
     """One-sample mixture log likelihood ratio over cumulative counts."""
-    mu = _safe_div(s, n)
-    sigma2 = mu * (1.0 - mu)
-    valid = (n >= 2) & (sigma2 > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loglam = _mixture_log_lambda(mu, theta0, np.where(valid, sigma2, 1.0), n, rho2)
-    return np.where(valid, loglam, -np.inf), valid
+    return confseq.msprt_log_lambda(n, *_bernoulli_arm(n, s), rho2, theta0)
 
 
 def msprt1_interval_arrays(n, s, alpha, rho2):
     """One-sample mixture-inversion interval parts over cumulative counts."""
-    mu = _safe_div(s, n)
-    sigma2 = mu * (1.0 - mu)
-    valid = (n >= 2) & (sigma2 > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hw = np.where(
-            valid,
-            _mixture_halfwidth(np.where(valid, sigma2, 1.0), np.maximum(n, 2.0), rho2, alpha),
-            np.inf,
-        )
-    return mu, hw, valid
+    return confseq.msprt_interval(n, *_bernoulli_arm(n, s), alpha, rho2)
 
 
 def bht_single_losses(n, s, prior_a, prior_b, theta0):

@@ -142,9 +142,9 @@ def _reject_matrix(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int
         p = _confseq_params(cfg)
         return methods.msprt_reject(n0, n1, s0, s1, p.alpha, p.rho2, cfg.theta0)
     if method == "FHT-peeking":
-        return methods.z_reject(n0, n1, s0, s1, _alpha(cfg))
+        return methods.z_reject(n0, n1, s0, s1, _alpha(cfg), cfg.theta0)
     if method == "FHT":
-        reject = methods.z_reject(n0, n1, s0, s1, _alpha(cfg))
+        reject = methods.z_reject(n0, n1, s0, s1, _alpha(cfg), cfg.theta0)
         look = np.searchsorted(grid, min(fht_total, grid[-1]))
         mask = np.zeros_like(reject)
         mask[:, look] = reject[:, look]
@@ -162,7 +162,7 @@ def _reject_matrix(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int
         cols = np.searchsorted(grid, ldm_ns)
         if np.any(cols >= grid.size) or np.any(grid[cols] != ldm_ns):
             raise ValueError("schedule peeks are not on the study grid")
-        z, valid = methods.z_statistic_arrays(n0, n1, s0, s1)
+        z, valid = methods.z_statistic_arrays(n0, n1, s0, s1, cfg.theta0)
         mask = np.zeros(z.shape, dtype=bool)
         bounds = np.asarray(schedule.boundaries)
         mask[:, cols] = valid[:, cols] & (np.abs(z[:, cols]) >= bounds[None, :])

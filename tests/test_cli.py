@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 
 import numpy as np
+import pytest
 
 from anytime_ab.cli import main
 
@@ -142,6 +144,44 @@ class TestSimulateCommand:
             with open(os.path.join(here, "configs", f"{name}.json"), encoding="utf-8") as fh:
                 conf = json.load(fh)
             assert "methods" in conf
+
+
+# sha256 of report.json at 20 replications for every bundled config, plus a
+# flat-prior BHT stop-quality run: reports stay byte-identical at fixed seeds.
+# Recorded with numpy 2.4.6 and scipy 1.17.1; other library versions may
+# legitimately move the last bits of a float.
+GOLDEN_REPORTS = {
+    "type1": ("type1", "cd2233044f706c022b3b0b29fb1ba1b778ba1e0e79722e9327d79d95da7491ec"),
+    "power": ("power", "93cfde4a6f793422b0b0ca2eeeb0b5b8305c4ace6eaf6377b28d98db4b6ef7bf"),
+    "lift_power": ("lift-power", "50d5118bf6dcd930578116fafbd8a3b9324b1faa941ebff0064064732ecd2584"),
+    "rho2_sweep": ("rho2-sweep", "e151e0f1fcfb87014df7a49330d25ced96c6e659a26a2faacbde80b13433bcf7"),
+    "mde_misspec": ("mde-misspec", "f43bd483e3833195ae2047a2c3fc04bbe0fcce0d21e0eb6e23c4c8f3792cd938"),
+    "stop_quality": ("stop-quality", "996a2fabb5984b1c88cb064008ec6ff96dd1f322e9e11ba2620dcc859c8cd3f6"),
+    "stop_quality_bht": ("stop-quality", "957a0393ead3efcdf5f92b42f2a66b5b01f3665c7d4514f4610e2ff252a67fe3"),
+}
+BHT_STOP_CONFIG = {
+    "methods": ["BHT-uninformed"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 200_000,
+    "num_peeks": 200, "epsilon": 1e-3, "master_seed": 20240508,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_digest_pinned(tmp_path, capsys, name):
+    study, digest = GOLDEN_REPORTS[name]
+    if name == "stop_quality_bht":
+        conf = dict(BHT_STOP_CONFIG)
+    else:
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(here, "configs", f"{name}.json"), encoding="utf-8") as fh:
+            conf = json.load(fh)
+    conf["replications"] = 20
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(conf))
+    code, _, _ = run_cli(
+        ["simulate", "--study", study, "--config", str(config), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == digest
 
 
 class TestReportCommand:

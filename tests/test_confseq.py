@@ -102,13 +102,9 @@ class TestAteInterval:
             oracle = np.mean(f**2) - theta**2
             arm0 = StreamingMoments.from_values(ys[arms == 0])
             arm1 = StreamingMoments.from_values(ys[arms == 1])
-            nn, nn0, nn1 = float(n), float(n0), float(n1)
-            bracket = (
-                (nn / nn0) * (arm0.biased_variance + arm0.mean**2)
-                + (nn / nn1) * (arm1.biased_variance + arm1.mean**2)
-                - theta**2
-            )
-            assert bracket == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+            iv = asympcs_ate(TwoArmState(arm0, arm1), PARAMS)
+            half_width = radius_beta(int(n), 0.05, 1e-3) * math.sqrt(n / (n - 1) * oracle)
+            assert iv.width / 2 == pytest.approx(half_width, rel=1e-9, abs=1e-12)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from anytime_ab.bayes import NonBinaryOutcomeError
-from anytime_ab.confseq import ConfSeqParams, TwoArmState
+from anytime_ab.confseq import (
+    ConfSeqParams,
+    InsufficientDataError,
+    TwoArmState,
+    ZeroVarianceError,
+    msprt_p_step,
+)
 from anytime_ab.engine import (
     CrossTab,
     DecisionRecord,
@@ -63,16 +69,19 @@ class TestParse:
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        path.write_text('{"ts": 1, "unit": "a", "arm": 0, "value": 1.0}\nnot json\n')
-        with pytest.raises(LogParseError) as err:
-            list(parse_events(str(path)))
-        assert err.value.line_no == 2
+        for bad_line in ("not json", "[" * 200_000):
+            path.write_text('{"ts": 1, "unit": "a", "arm": 0, "value": 1.0}\n' + bad_line + "\n")
+            with pytest.raises(LogParseError) as err:
+                list(parse_events(str(path)))
+            assert err.value.line_no == 2
 
     def test_unknown_arm_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        write_jsonl(path, [(1, "a", 2, 1.0)])
-        with pytest.raises(LogParseError):
-            list(parse_events(str(path)))
+        for arm in (2, 1.7, 1.0, True, False, "1.0", " 1", None, [1]):
+            write_jsonl(path, [(1, "a", 0, 1.0), (2, "b", arm, 1.0)])
+            with pytest.raises(LogParseError) as err:
+                list(parse_events(str(path)))
+            assert err.value.line_no == 2, arm
 
     def test_nonfinite_value_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -166,6 +175,17 @@ class TestAnalyze:
         for method in ("msprt", "fht-peeking", "bf", "bht"):
             record, _ = analyze(str(path), method, PARAMS)
             assert record.verdict == "significant", method
+            if method == "msprt":
+                # The statistic is the p-process replayed snapshot by snapshot.
+                p = 1.0
+                for n, state in ingest(parse_events(str(path))).snapshots:
+                    if n > record.n_at_decision:
+                        break
+                    try:
+                        p = msprt_p_step(p, state, PARAMS)
+                    except (InsufficientDataError, ZeroVarianceError):
+                        continue
+                assert record.statistic == p
 
     def test_lift_analysis(self, tmp_path):
         path = tmp_path / "ab.jsonl"
@@ -173,6 +193,12 @@ class TestAnalyze:
         bernoulli_log(path, rng, 6_000, 0.2, 0.4)
         record, rows = analyze(str(path), "asympcs-lift", PARAMS)
         assert record.verdict == "significant"
+        # Constant arm means 2 and 3: the center is the lift 0.5 from the
+        # first row with both arms nonempty, before either arm has two events.
+        path = tmp_path / "constant.jsonl"
+        write_jsonl(path, [(i, f"u{i}", i % 2, 2.0 + i % 2) for i in range(10)])
+        _, rows = analyze(str(path), "asympcs-lift", PARAMS, snapshot_every=1)
+        assert [r.center for r in rows] == [None] + [0.5] * 9
 
     def test_bf_rejects_non_binary(self, tmp_path):
         path = tmp_path / "metric.jsonl"
@@ -213,12 +239,21 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(str(path), "ldm", PARAMS)
 
-    def test_matches_simlab_decisions_on_identical_stream(self):
+    @pytest.mark.parametrize("method", ["asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf"])
+    def test_matches_simlab_decisions_on_identical_stream(self, method):
         # Build an event list whose block statistics equal a harness stream,
-        # then check the scalar replay reaches the same first crossing.
+        # then check the engine replay reaches the same first crossing.
         from anytime_ab.simlab import methods as sim_methods
         from anytime_ab.simlab import streams
 
+        simlab_reject = {
+            "asympcs": lambda *c: sim_methods.ate_reject(*c, 0.05, 1e-3),
+            "asympcs-lift": lambda *c: sim_methods.lift_reject(*c, 0.05, 1e-3),
+            "msprt": lambda *c: sim_methods.msprt_reject(*c, 0.05, 1e-3),
+            "fht-peeking": lambda *c: sim_methods.z_reject(*c, 0.05),
+            "bf": lambda *c: sim_methods.bf_reject(*c, 1.0, 1.0, 20.0),
+        }[method]
+        crossings = 0
         grid = np.arange(100, 4_001, 100)
         blocks = np.diff(grid, prepend=0)
         for rep in range(8):
@@ -235,17 +270,19 @@ class TestAnalyze:
                         ts += 1
                         events.append(EventRecord(ts, f"u{ts}", arm, float(i < conv)))
             result = ingest(events, snapshot_every=100)
-            rows, crossed_at, _ = analyze_snapshots(result.snapshots, "asympcs", PARAMS)
+            rows, crossed_at, _ = analyze_snapshots(result.snapshots, method, PARAMS)
             n1m = np.cumsum(m1).astype(float)[None, :]
             s1m = np.cumsum(c1).astype(float)[None, :]
             s0m = np.cumsum(c0).astype(float)[None, :]
             n0m = grid.astype(float)[None, :] - n1m
-            reject = sim_methods.ate_reject(n0m, n1m, s0m, s1m, 0.05, 1e-3)
+            reject = simlab_reject(n0m, n1m, s0m, s1m)
             stopped, stop_n, _ = sim_methods.first_crossing(reject, grid)
             if stopped[0]:
                 assert crossed_at == int(stop_n[0])
+                crossings += 1
             else:
                 assert crossed_at is None
+        assert crossings > 0
 
 
 class TestCrossTab:

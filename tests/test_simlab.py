@@ -86,7 +86,12 @@ class TestStreams:
 
 
 class TestVectorizedAgainstScalar:
-    """The matrix evaluators must agree with the scalar interval functions."""
+    """Bernoulli count summaries and Welford moments must give the same rule values.
+
+    Both paths share the kernels; what differs is how per-arm means and
+    variances are formed, from counts here and by the scalar API's
+    accumulators.
+    """
 
     def test_ate(self):
         rng = np.random.default_rng(21)
@@ -205,6 +210,13 @@ class TestStudies:
         a = run_type1_study(SimStudyConfig(method="AsympCS", **kwargs))
         b = run_type1_study(SimStudyConfig(method="mSPRT", **kwargs))
         assert a.peek_ns == b.peek_ns
+
+    def test_z_rules_honour_theta0(self):
+        kwargs = dict(arm_means=(0.1, 0.1), design_mde=0.05, replications=20, master_seed=83)
+        for method in ("FHT", "FHT-peeking", "LDM"):
+            at_zero = run_type1_study(SimStudyConfig(method=method, **kwargs))
+            shifted = run_type1_study(SimStudyConfig(method=method, theta0=0.5, **kwargs))
+            assert shifted.cumulative_rejection_by_peek != at_zero.cumulative_rejection_by_peek, method
 
     def test_bf_null_rarely_crosses(self):
         cfg = SimStudyConfig(
