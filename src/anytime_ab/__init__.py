@@ -34,7 +34,7 @@ from .design import (
     variance_guess_binary,
 )
 from .engine import CrossTab, DecisionRecord, EventRecord, analyze, crosstab, ingest
-from .gst import SpendingSchedule, compute_boundaries, ldm_decide, pocock_spend
+from .gst import SpendingSchedule, compute_boundaries, pocock_spend
 from .moments import StreamingMoments
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "fixed_horizon_sample_size",
     "hypothesized_sample_size",
     "ingest",
-    "ldm_decide",
     "msprt_cs",
     "msprt_lambda",
     "msprt_p_step",

@@ -31,7 +31,7 @@ from .confseq import (
     z_interval,
     z_statistic,
 )
-from .gst import SpendingSchedule
+from .gst import ScheduleMismatchError, SpendingSchedule
 from .moments import StreamingMoments
 
 ANALYZE_METHODS = ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf", "bht", "ldm")
@@ -197,7 +197,9 @@ def analyze_snapshots(
     Returns (rows, n at first crossing or None, statistic at decision).
     The decision rule is "first snapshot whose current interval (or
     statistic threshold) excludes the null"; with ``intersect`` the
-    running intersection of intervals is reported and used instead.
+    running intersection of intervals is reported and used instead. The
+    null is mu1 - mu0 = theta0, or for ``asympcs-lift`` a lift
+    mu1 / mu0 - 1 = theta0.
     """
     if method not in ANALYZE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {ANALYZE_METHODS}")
@@ -206,8 +208,6 @@ def analyze_snapshots(
         if schedule is None:
             raise ValueError("ldm analysis needs a spending schedule")
         if len(snapshots) != schedule.n_peeks:
-            from .gst import ScheduleMismatchError
-
             raise ScheduleMismatchError(
                 f"log has {len(snapshots)} snapshots, schedule has {schedule.n_peeks} peeks"
             )
@@ -216,14 +216,12 @@ def analyze_snapshots(
     n0, n1, mu0, mu1 = arms[:4]
     center = np.where((n0 >= 1) & (n1 >= 1), mu1 - mu0, np.nan)
     hw = lower = upper = stat = None
-    null_value = theta0
     if method == "asympcs":
         _, hw, valid = ate_interval(*arms, params.alpha, params.rho2)
     elif method == "asympcs-lift":
         lower, upper, valid = lift_interval(*arms, params.alpha, params.rho2)
         with np.errstate(divide="ignore", invalid="ignore"):
             center = np.where((n0 >= 1) & (n1 >= 1) & (mu0 > 0.0) & (mu1 > 0.0), mu1 / mu0 - 1.0, np.nan)
-        null_value = 0.0
     elif method == "msprt":
         scale = two_sample_scale(*arms)
         _, hw, valid = msprt_interval(*scale, params.alpha, params.rho2)
@@ -252,7 +250,7 @@ def analyze_snapshots(
         if intersect:
             lower = np.maximum.accumulate(np.where(valid, lower, -np.inf))
             upper = np.minimum.accumulate(np.where(valid, upper, np.inf))
-        crossed = valid & ~((lower <= null_value) & (null_value <= upper))
+        crossed = valid & ~((lower <= theta0) & (theta0 <= upper))
         lower, upper = (np.where(valid, bound, np.nan) for bound in (lower, upper))
     hits = np.flatnonzero(crossed)
     first = int(hits[0]) if hits.size else len(snapshots)

@@ -15,9 +15,15 @@ density on a fresh Gauss-Legendre grid spanning that region (capped at
 eight standard deviations), so the integrands stay smooth and the result
 is insensitive to grid size; the solver still verifies this by doubling
 the grid and re-solving until boundaries move by less than 1e-4.
+
+Each boundary is the root of (tail mass beyond it) - (increment), found
+by Newton's method from the previous peek's boundary, with the analytic
+derivative (a Gaussian-density sum over the same nodes) and a bisection
+step whenever Newton would leave the bracket [0, 10].
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,9 @@ _Z_BRACKET_HIGH = 10.0
 _SPAN_SDS = 8.0
 _GRID_STABLE_TOL = 1e-4
 _MAX_GRID = 4096
+_MAX_NEWTON = 100
+_NEWTON_TOL = 1e-12
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class SolverError(RuntimeError):
@@ -118,22 +127,37 @@ def _solve_boundaries(fracs: np.ndarray, spends: np.ndarray, m: int) -> np.ndarr
         else:
             delta = t - fracs[k - 1]
             sd_d = np.sqrt(delta)
+            mass_w = weights * vals
 
-            def tail(c: float) -> float:
-                s = c * sd_t
-                inside = ndtr((s - nodes) / sd_d) - ndtr((-s - nodes) / sd_d)
-                return mass - float(np.sum(weights * vals * inside))
+            def excess(c: float) -> tuple[float, float]:
+                """Tail mass beyond +-c minus the budget, and its derivative in c."""
+                upper = (c * sd_t - nodes) / sd_d
+                lower = (-c * sd_t - nodes) / sd_d
+                inside = ndtr(upper) - ndtr(lower)
+                density = np.exp(-0.5 * upper**2) + np.exp(-0.5 * lower**2)
+                slope = -sd_t / (sd_d * _SQRT_2PI) * float(np.sum(mass_w * density))
+                return mass - float(np.sum(mass_w * inside)) - inc, slope
 
             lo, hi = 0.0, _Z_BRACKET_HIGH
-            if tail(hi) > inc:
+            if excess(hi)[0] > 0.0:
                 raise SolverError(f"boundary at peek {k} does not bracket within z <= {hi}")
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if tail(mid) > inc:
-                    lo = mid
+            c = bounds[k - 1]
+            for _ in range(_MAX_NEWTON):
+                f, slope = excess(c)
+                if f == 0.0:
+                    break
+                if f > 0.0:
+                    lo = c
                 else:
-                    hi = mid
-            c = 0.5 * (lo + hi)
+                    hi = c
+                prev = c
+                c -= f / slope if slope < 0.0 else math.inf
+                if not lo < c < hi:
+                    c = 0.5 * (lo + hi)
+                if abs(c - prev) <= _NEWTON_TOL * c:
+                    break
+            else:
+                raise SolverError(f"boundary at peek {k} did not converge")
         bounds[k] = c
 
         half_span = min(c, _SPAN_SDS) * sd_t
@@ -142,11 +166,13 @@ def _solve_boundaries(fracs: np.ndarray, spends: np.ndarray, m: int) -> np.ndarr
         if k == 0:
             new_vals = np.exp(-new_nodes**2 / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
         else:
-            delta = t - fracs[k - 1]
-            kernel = np.exp(
-                -((new_nodes[:, None] - nodes[None, :]) ** 2) / (2.0 * delta)
-            ) / np.sqrt(2.0 * np.pi * delta)
-            new_vals = kernel @ (weights * vals)
+            # The Gaussian transition kernel, built in one m x m buffer.
+            kernel = np.subtract.outer(new_nodes, nodes)
+            np.square(kernel, out=kernel)
+            np.divide(kernel, -2.0 * delta, out=kernel)
+            np.exp(kernel, out=kernel)
+            np.divide(kernel, np.sqrt(2.0 * np.pi * delta), out=kernel)
+            new_vals = kernel @ mass_w
         nodes, weights, vals = new_nodes, new_weights, new_vals
         mass = float(np.sum(weights * vals))
     return bounds
@@ -182,29 +208,3 @@ def compute_boundaries(peek_fractions, alpha: float, grid_points: int = 512) -> 
         m *= 2
         bounds = finer
     return SpendingSchedule(tuple(fracs.tolist()), tuple(spends.tolist()), tuple(bounds.tolist()))
-
-
-@dataclass(frozen=True)
-class LdmDecision:
-    rejected: bool
-    peek_index: int | None
-    n: int | None
-    z: float | None
-
-
-def ldm_decide(trajectory, schedule: SpendingSchedule) -> LdmDecision:
-    """Apply the schedule to z statistics observed at the registered peeks.
-
-    ``trajectory`` is a sequence of (n, z) pairs, one per peek, in peek
-    order. Rejects at the first peek where ``|z|`` reaches that peek's
-    boundary; otherwise fails to reject at the horizon.
-    """
-    trajectory = list(trajectory)
-    if len(trajectory) != schedule.n_peeks:
-        raise ScheduleMismatchError(
-            f"trajectory has {len(trajectory)} peeks, schedule has {schedule.n_peeks}"
-        )
-    for k, ((n, z), bound) in enumerate(zip(trajectory, schedule.boundaries)):
-        if abs(z) >= bound:
-            return LdmDecision(True, k, int(n), float(z))
-    return LdmDecision(False, None, None, None)

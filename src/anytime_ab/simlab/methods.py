@@ -110,6 +110,54 @@ def bht_single_losses(n, s, prior_a, prior_b, theta0):
     return np.maximum(loss_below, 0.0), np.maximum(loss_above, 0.0)
 
 
+# Peek columns per block in ``blocked_first_crossing``. A replication is
+# evaluated at most this many cells past its crossing; narrower blocks pay
+# numpy's per-call overhead more often. On 3000 x 500 stop-quality runs,
+# 4, 8 and 16 are within 5% for the betainc-bound BHT rule, and 8 beats 4
+# by a quarter for the cheap interval kernels.
+_CROSSING_BLOCK = 8
+
+
+def blocked_first_crossing(rule, reps: int, peeks: int):
+    """First crossing per replication, evaluating ``rule`` no further than needed.
+
+    ``rule(rows, cols)`` evaluates the cells of replications ``rows`` (an
+    index array) at peeks ``cols`` (a slice) and returns ``(reject,
+    *values)``, each of that block's shape. Peeks are visited in column
+    blocks, and a replication is dropped once it has crossed. The rule
+    kernels are elementwise, so every evaluated cell holds the bits the
+    full (replications x peeks) matrix would.
+
+    Returns (stop_idx, values_at_stop): stop_idx is -1 for replications
+    that never cross; each entry of values_at_stop holds one value per
+    replication at its crossing cell, NaN where there is none.
+    """
+    stop_idx = np.full(reps, -1)
+    at_stop = []
+    alive = np.arange(reps)
+    for start in range(0, peeks, _CROSSING_BLOCK):
+        reject, *values = rule(alive, slice(start, start + _CROSSING_BLOCK))
+        if not at_stop:
+            at_stop = [np.full(reps, np.nan) for _ in values]
+        hit = np.flatnonzero(reject.any(axis=1))
+        col = np.argmax(reject[hit], axis=1)
+        stop_idx[alive[hit]] = start + col
+        for out, value in zip(at_stop, values):
+            out[alive[hit]] = value[hit, col]
+        alive = np.delete(alive, hit)
+        if alive.size == 0:
+            break
+    return stop_idx, at_stop
+
+
+def crossing_summary(stop_idx: np.ndarray, grid: np.ndarray):
+    """Stop sizes (+inf if never crossed) and cumulative crossed fraction by peek."""
+    stopped = stop_idx >= 0
+    stop_n = np.where(stopped, np.asarray(grid, dtype=float)[stop_idx], np.inf)
+    curve = np.cumsum(np.bincount(stop_idx[stopped], minlength=len(grid))) / stop_idx.size
+    return stop_n, curve
+
+
 def first_crossing(reject: np.ndarray, grid: np.ndarray):
     """First-peek crossing per replication.
 

@@ -5,7 +5,11 @@ method's stopping rule to every replication, and aggregates first
 crossings. Replication streams are keyed by (master_seed, replication
 index) and the peek grid is a function of the study settings alone, never
 of the method, so runs with different methods but the same seed consume
-identical outcome streams and are directly comparable.
+identical outcome streams and are directly comparable. The last two-arm
+draw is memoized read-only, so a battery of methods over one seed draws
+its stream once. Stop-quality studies need only each replication's first
+crossing, so they evaluate their rule in blocks of peeks and stop
+evaluating a replication once it has crossed.
 
 Default scales are desk sized (thousands of replications, peeks every
 hundred observations); each report's ``meta`` records the scale it ran
@@ -109,6 +113,19 @@ def _fht_total(cfg: SimStudyConfig) -> int:
 @lru_cache(maxsize=32)
 def _cached_schedule(fractions: tuple, alpha: float) -> SpendingSchedule:
     return compute_boundaries(fractions, alpha)
+
+
+@lru_cache(maxsize=1)
+def _cached_two_arm_counts(master_seed: int, reps: int, grid: tuple, p0: float, p1: float) -> tuple:
+    counts = streams.two_arm_count_matrices(master_seed, reps, np.asarray(grid, dtype=np.int64), p0, p1)
+    for matrix in counts:
+        matrix.flags.writeable = False
+    return counts
+
+
+def _two_arm_counts(cfg: SimStudyConfig, grid: np.ndarray, p0: float, p1: float) -> tuple:
+    """Read-only (n0, n1, s0, s1); consecutive studies on the same stream draw it once."""
+    return _cached_two_arm_counts(cfg.master_seed, cfg.replications, tuple(grid.tolist()), p0, p1)
 
 
 def _ldm_peek_ns(fht_total: int) -> np.ndarray:
@@ -236,7 +253,7 @@ def run_type1_study(cfg: SimStudyConfig) -> SimReport:
     fht_total = _fht_total(cfg)
     horizon = cfg.horizon if cfg.horizon is not None else 3 * fht_total
     grid = _study_grid(cfg, horizon, fht_total, markers=[fht_total])
-    counts = streams.two_arm_count_matrices(cfg.master_seed, cfg.replications, grid, p0, p0)
+    counts = _two_arm_counts(cfg, grid, p0, p0)
     reject = _reject_matrix(cfg, grid, counts, fht_total)
     curve = methods.cumulative_fraction(reject)
     _, stop_n, _ = methods.first_crossing(reject, grid)
@@ -261,7 +278,7 @@ def run_power_study(cfg: SimStudyConfig, horizon_multiples=(1.0, 2.0, 3.0)) -> S
     horizon = cfg.horizon if cfg.horizon is not None else max(markers)
     markers = [m for m in markers if m <= horizon]
     grid = _study_grid(cfg, horizon, fht_total, markers=markers)
-    counts = streams.two_arm_count_matrices(cfg.master_seed, cfg.replications, grid, p0, p1)
+    counts = _two_arm_counts(cfg, grid, p0, p1)
     reject = _reject_matrix(cfg, grid, counts, fht_total)
     curve = methods.cumulative_fraction(reject)
     _, stop_n, _ = methods.first_crossing(reject, grid)
@@ -300,7 +317,7 @@ def run_lift_power_study(
     grid = _study_grid(cfg, horizon, fht_total, markers=markers)
 
     def _curves(pa, pb):
-        counts = streams.two_arm_count_matrices(cfg.master_seed, cfg.replications, grid, pa, pb)
+        counts = _two_arm_counts(cfg, grid, pa, pb)
         lift_mask = methods.lift_reject(*counts, p.alpha, p.rho2, 0.0)
         ate_mask = methods.ate_reject(*counts, p.alpha, p.rho2, 0.0)
         return lift_mask, ate_mask
@@ -361,8 +378,8 @@ def run_rho2_sweep(cfg: SimStudyConfig, rho2_grid) -> list[SimReport]:
     horizon = cfg.horizon if cfg.horizon is not None else 3 * fht_total
     power_marker = min(2 * fht_total, horizon)
     grid = _study_grid(cfg, horizon, fht_total, markers=[power_marker])
-    aa = streams.two_arm_count_matrices(cfg.master_seed, cfg.replications, grid, p0, p0)
-    h1 = streams.two_arm_count_matrices(cfg.master_seed, cfg.replications, grid, p0, p1)
+    aa = _two_arm_counts(cfg, grid, p0, p0)
+    h1 = _two_arm_counts(cfg, grid, p0, p1)
     marker_col = np.searchsorted(grid, power_marker)
 
     rejector = methods.ate_reject if cfg.method == "AsympCS" else methods.msprt_reject
@@ -409,7 +426,7 @@ def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfi
         horizon = int(math.ceil(MISSPEC_HORIZON_MULTIPLE * 2 * per_arm_true))
         step = max(1, horizon // MISSPEC_PEEKS)
         grid = np.arange(step, horizon + 1, step, dtype=np.int64)
-        counts = streams.two_arm_count_matrices(cfg.master_seed, cfg.replications, grid, p0, p0 + theta)
+        counts = _two_arm_counts(cfg, grid, p0, p0 + theta)
         reject = methods.ate_reject(*counts, p.alpha, p.rho2, cfg.theta0)
         _, stop_n, _ = methods.first_crossing(reject, grid)
         q80 = float(np.quantile(stop_n, 0.8, method="lower"))
@@ -458,34 +475,42 @@ def run_stop_quality_study(
     theta, s = streams.single_arm_count_matrices(
         cfg.master_seed, cfg.replications, grid, truth_prior=cfg.truth_prior
     )
-    n = np.broadcast_to(grid.astype(float), s.shape)
+    n_grid = grid.astype(float)
     theta0 = cfg.theta0
     mean_loss = None
 
+    def cells(rows, cols):
+        s_block = s[rows, cols]
+        return np.broadcast_to(n_grid[cols], s_block.shape), s_block
+
     if cfg.method in ("AsympCS", "mSPRT"):
         p = _confseq_params(cfg)
-        if cfg.method == "AsympCS":
-            center, hw, valid = methods.mean_interval_arrays(n, s, p.alpha, p.rho2)
-            reject = valid & (np.abs(center - theta0) > hw)
-        else:
-            loglam, valid = methods.msprt1_log_lambda_arrays(n, s, p.rho2, theta0)
-            reject = valid & (loglam >= np.log(1.0 / p.alpha))
-            center, hw, _ = methods.msprt1_interval_arrays(n, s, p.alpha, p.rho2)
-        stopped, stop_n, stop_idx = methods.first_crossing(reject, grid)
-        rows = np.flatnonzero(stopped)
-        cols = stop_idx[rows]
-        miscover = np.abs(center[rows, cols] - theta[rows]) > hw[rows, cols]
-        inferred = center[rows, cols]
+
+        def rule(rows, cols):
+            n_block, s_block = cells(rows, cols)
+            if cfg.method == "AsympCS":
+                center, hw, valid = methods.mean_interval_arrays(n_block, s_block, p.alpha, p.rho2)
+                return valid & (np.abs(center - theta0) > hw), center, hw
+            loglam, valid = methods.msprt1_log_lambda_arrays(n_block, s_block, p.rho2, theta0)
+            center, hw, _ = methods.msprt1_interval_arrays(n_block, s_block, p.alpha, p.rho2)
+            return valid & (loglam >= np.log(1.0 / p.alpha)), center, hw
+
+        stop_idx, (center, hw) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
+        rows = np.flatnonzero(stop_idx >= 0)
+        miscover = np.abs(center[rows] - theta[rows]) > hw[rows]
+        inferred = center[rows]
     elif cfg.method in ("BHT-uninformed", "BHT-matched"):
         bht = cfg.params if isinstance(cfg.params, BhtConfig) else BhtConfig()
-        loss_below, loss_above = methods.bht_single_losses(n, s, bht.prior_a, bht.prior_b, theta0)
-        directional = np.minimum(loss_below, loss_above)
-        reject = directional < bht.epsilon
-        stopped, stop_n, stop_idx = methods.first_crossing(reject, grid)
-        rows = np.flatnonzero(stopped)
-        cols = stop_idx[rows]
-        post_a = bht.prior_a + s[rows, cols]
-        post_b = bht.prior_b + n[rows, cols] - s[rows, cols]
+
+        def rule(rows, cols):
+            loss_below, loss_above = methods.bht_single_losses(*cells(rows, cols), bht.prior_a, bht.prior_b, theta0)
+            return np.minimum(loss_below, loss_above) < bht.epsilon, loss_below, loss_above
+
+        stop_idx, (loss_below, loss_above) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
+        rows = np.flatnonzero(stop_idx >= 0)
+        s_stop = s[rows, stop_idx[rows]]
+        post_a = bht.prior_a + s_stop
+        post_b = bht.prior_b + n_grid[stop_idx[rows]] - s_stop
         from scipy.stats import beta as _beta
 
         level = 0.95
@@ -494,7 +519,7 @@ def run_stop_quality_study(
         hi = _beta.ppf(1.0 - tail, post_a, post_b)
         miscover = (theta[rows] < lo) | (theta[rows] > hi)
         inferred = post_a / (post_a + post_b)
-        declared_above = loss_below[rows, cols] <= loss_above[rows, cols]
+        declared_above = loss_below[rows] <= loss_above[rows]
         realized = np.where(
             declared_above,
             np.maximum(theta0 - theta[rows], 0.0),
@@ -504,7 +529,8 @@ def run_stop_quality_study(
     else:
         raise ValueError(f"stop-quality study does not support method {cfg.method!r}")
 
-    curve = methods.cumulative_fraction(reject)
+    stop_n, curve = methods.crossing_summary(stop_idx, grid)
+    stopped = stop_idx >= 0
     report = _base_report(
         cfg, "stop-quality", grid, curve, stop_n, horizon,
         power=float(stopped.mean()),

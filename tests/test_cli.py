@@ -220,3 +220,26 @@ def test_unknown_subcommand(capsys):
     captured = capsys.readouterr()
     assert code != 0
     assert "usage" in captured.err.lower()
+
+
+def test_type1_battery_draws_one_stream(tmp_path, capsys, monkeypatch):
+    from anytime_ab.simlab import streams, studies
+
+    calls = []
+    draw = streams.two_arm_count_matrices
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(streams, "two_arm_count_matrices", counting)
+    studies._cached_two_arm_counts.cache_clear()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "methods": ["AsympCS", "mSPRT", "FHT-peeking", "BF-uninformed"], "arm_means": [0.1, 0.1],
+        "design_mde": 0.02, "replications": 30, "master_seed": 9,
+    }))
+    code, _, _ = run_cli(["simulate", "--study", "type1", "--config", str(config), "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert len(json.loads((tmp_path / "out" / "report.json").read_text())) == 4

@@ -23,7 +23,9 @@ from anytime_ab.engine import (
     ingest,
     parse_events,
 )
+from anytime_ab.gst import ScheduleMismatchError, compute_boundaries
 from anytime_ab.moments import StreamingMoments
+from anytime_ab.simlab import SimStudyConfig, run_type1_study
 
 PARAMS = ConfSeqParams(0.05, 1e-3)
 
@@ -200,6 +202,16 @@ class TestAnalyze:
         _, rows = analyze(str(path), "asympcs-lift", PARAMS, snapshot_every=1)
         assert [r.center for r in rows] == [None] + [0.5] * 9
 
+    def test_lift_rule_tests_theta0(self, tmp_path):
+        path = tmp_path / "ab.jsonl"
+        bernoulli_log(path, np.random.default_rng(5), 6_000, 0.2, 0.4)
+        at_zero, _ = analyze(str(path), "asympcs-lift", PARAMS)
+        shifted, _ = analyze(str(path), "asympcs-lift", PARAMS, theta0=0.05)
+        # The interval must clear a lift of 0.05, not just 0, so it crosses later.
+        assert at_zero.n_at_decision is not None and shifted.n_at_decision is not None
+        assert shifted.n_at_decision > at_zero.n_at_decision
+        assert shifted.params["theta0"] == 0.05
+
     def test_bf_rejects_non_binary(self, tmp_path):
         path = tmp_path / "metric.jsonl"
         write_jsonl(path, [(i, f"u{i}", i % 2, 0.5 + 0.1 * i) for i in range(300)])
@@ -225,8 +237,6 @@ class TestAnalyze:
             assert q.upper <= p.upper + 1e-15
 
     def test_ldm_analysis_with_schedule(self, tmp_path):
-        from anytime_ab.gst import ScheduleMismatchError, compute_boundaries
-
         path = tmp_path / "ab.jsonl"
         rng = np.random.default_rng(8)
         bernoulli_log(path, rng, 1_000, 0.2, 0.45)
@@ -283,6 +293,56 @@ class TestAnalyze:
             else:
                 assert crossed_at is None
         assert crossings > 0
+
+
+def _ldm_snapshots(differences, per_arm_step=50):
+    """Snapshots of two arms with variance 0.25 and mean difference ``d`` at each peek."""
+    snapshots = []
+    for k, d in enumerate(differences, start=1):
+        n = per_arm_step * k
+        arm0 = StreamingMoments(count=n, mean=0.5, m2=0.25 * n)
+        arm1 = StreamingMoments(count=n, mean=0.5 + d, m2=0.25 * n)
+        snapshots.append((2 * n, TwoArmState(arm0, arm1)))
+    return snapshots
+
+
+class TestLdmDecisions:
+    """The LDM rule |z| >= boundary at the registered peeks, through ``analyze_snapshots`` and simlab."""
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        return compute_boundaries((np.arange(1, 11) / 10.0).tolist(), 0.05)
+
+    def test_zero_statistics_never_cross(self, schedule):
+        rows, crossed_at, statistic = analyze_snapshots(_ldm_snapshots([0.0] * 10), "ldm", PARAMS, schedule=schedule)
+        assert crossed_at is None and statistic is None
+        assert all(row.verdict == "running" for row in rows)
+
+    def test_final_peek_crossing(self, schedule):
+        # z = 0.2 / sqrt(2 * 0.25 / 500) = 6.3 at the last peek, 0 before it.
+        rows, crossed_at, statistic = analyze_snapshots(
+            _ldm_snapshots([0.0] * 9 + [0.2]), "ldm", PARAMS, schedule=schedule
+        )
+        assert crossed_at == 1000 and statistic >= schedule.boundaries[-1]
+        assert [row.verdict for row in rows] == ["running"] * 9 + ["significant"]
+
+    def test_first_crossing_wins(self, schedule):
+        rows, crossed_at, statistic = analyze_snapshots(_ldm_snapshots([0.4] * 10), "ldm", PARAMS, schedule=schedule)
+        assert crossed_at == 100 and statistic >= schedule.boundaries[0]
+        assert all(row.verdict == "significant" for row in rows)
+
+    def test_schedule_mismatch(self, schedule):
+        with pytest.raises(ScheduleMismatchError):
+            analyze_snapshots(_ldm_snapshots([0.0]), "ldm", PARAMS, schedule=schedule)
+
+    def test_null_bernoulli_rejection_rate(self):
+        # simlab's LDM path: null A/B streams, z statistics at the 100
+        # registered peeks of its own schedule.
+        cfg = SimStudyConfig(
+            method="LDM", arm_means=(0.3, 0.3), design_mde=0.03, replications=2_000, master_seed=2718,
+        )
+        report = run_type1_study(cfg)
+        assert report.cumulative_rejection_by_peek[-1] == pytest.approx(0.05, abs=0.015)
 
 
 class TestCrossTab:

@@ -26,6 +26,7 @@ from anytime_ab.simlab import (
     run_stop_quality_study,
     run_type1_study,
     streams,
+    studies,
 )
 
 PARAMS = ConfSeqParams(0.05, 1e-3)
@@ -181,6 +182,148 @@ class TestFirstCrossing:
         reject = rng.random((50, 40)) < 0.02
         curve = methods.cumulative_fraction(reject)
         assert np.all(np.diff(curve) >= 0)
+
+
+def _full_matrix_first_crossing(rejects):
+    """Stand-in for ``blocked_first_crossing`` that evaluates every cell at once."""
+
+    def evaluate(rule, reps, peeks):
+        reject, *values = rule(np.arange(reps), slice(0, peeks))
+        rejects.append(reject)
+        stopped, _, stop_idx = methods.first_crossing(reject, np.arange(peeks))
+        rows = np.flatnonzero(stopped)
+        at_stop = [np.full(reps, np.nan) for _ in values]
+        for out, value in zip(at_stop, values):
+            out[rows] = value[rows, stop_idx[rows]]
+        return stop_idx, at_stop
+
+    return evaluate
+
+
+STOP_PARAMS = {
+    "AsympCS": PARAMS,
+    "mSPRT": PARAMS,
+    "BHT-uninformed": BhtConfig(1.0, 1.0, 1e-4),
+    "BHT-matched": BhtConfig(100.0, 100.0, 1e-4),
+}
+
+
+class TestEarlyExit:
+    """Stop-quality studies evaluate each replication only up to its first crossing."""
+
+    @staticmethod
+    def _reports(monkeypatch, cfg, **kwargs):
+        blocked = run_stop_quality_study(cfg, **kwargs)
+        rejects = []
+        with monkeypatch.context() as m:
+            m.setattr(methods, "blocked_first_crossing", _full_matrix_first_crossing(rejects))
+            full = run_stop_quality_study(cfg, **kwargs)
+        return blocked, full, rejects[0]
+
+    @pytest.mark.parametrize("method", sorted(STOP_PARAMS))
+    @pytest.mark.parametrize("seed", [3, 29, 2024])
+    def test_matches_full_matrix(self, monkeypatch, method, seed):
+        cfg = SimStudyConfig(
+            method=method, truth_prior=(100, 100), theta0=0.5, horizon=50_000,
+            replications=300, master_seed=seed, params=STOP_PARAMS[method],
+        )
+        blocked, full, reject = self._reports(monkeypatch, cfg, num_peeks=61)
+        assert len(blocked.peek_ns) % methods._CROSSING_BLOCK != 0
+        assert 0.0 < blocked.power < 1.0
+        assert blocked.to_json() == full.to_json()
+        assert full.cumulative_rejection_by_peek == methods.cumulative_fraction(reject).tolist()
+
+    @pytest.mark.parametrize("method", sorted(STOP_PARAMS))
+    def test_no_replication_crosses(self, monkeypatch, method):
+        params = STOP_PARAMS[method]
+        if isinstance(params, BhtConfig):
+            params = BhtConfig(params.prior_a, params.prior_b, 1e-12)
+        cfg = SimStudyConfig(
+            method=method, truth_prior=(100, 100), theta0=0.5, horizon=150,
+            replications=200, master_seed=5, params=params,
+        )
+        blocked, full, _ = self._reports(monkeypatch, cfg, num_peeks=20)
+        assert blocked.power == 0.0 and blocked.calibration_pairs == []
+        assert blocked.to_json() == full.to_json()
+
+    @pytest.mark.parametrize("method", sorted(STOP_PARAMS))
+    def test_all_cross_in_first_block(self, monkeypatch, method):
+        cfg = SimStudyConfig(
+            method=method, truth_prior=(100, 100), theta0=0.02, horizon=100_000,
+            replications=200, master_seed=7, params=STOP_PARAMS[method],
+        )
+        calls = []
+        blocked_first_crossing = methods.blocked_first_crossing
+
+        def counting(rule, reps, peeks):
+            return blocked_first_crossing(lambda rows, cols: calls.append(cols) or rule(rows, cols), reps, peeks)
+
+        with monkeypatch.context() as m:
+            m.setattr(methods, "blocked_first_crossing", counting)
+            run_stop_quality_study(cfg, num_peeks=50)
+        blocked, full, _ = self._reports(monkeypatch, cfg, num_peeks=50)
+        assert blocked.power == 1.0
+        assert calls == [slice(0, methods._CROSSING_BLOCK)]
+        assert blocked.to_json() == full.to_json()
+
+    def test_bht_cells_bounded_by_useful_cells(self, monkeypatch):
+        cells = []
+        losses = methods.bht_single_losses
+
+        def counting(n, s, *args):
+            cells.append(s.size)
+            return losses(n, s, *args)
+
+        monkeypatch.setattr(methods, "bht_single_losses", counting)
+        reps = 500
+        cfg = SimStudyConfig(
+            method="BHT-uninformed", truth_prior=(100, 100), theta0=0.5, horizon=100_000,
+            replications=reps, master_seed=11, params=BhtConfig(1.0, 1.0, 1e-3),
+        )
+        report = run_stop_quality_study(cfg, num_peeks=200)
+        curve = report.cumulative_rejection_by_peek
+        # A replication's cells up to and including its first crossing, or all of them.
+        useful = reps * sum(1.0 - c for c in [0.0] + curve[:-1])
+        assert useful < sum(cells) <= useful + reps * methods._CROSSING_BLOCK
+        assert sum(cells) < reps * len(report.peek_ns) / 2
+
+    def test_blocked_first_crossing_returns_values_at_stop(self):
+        reject = np.zeros((4, 19), dtype=bool)
+        reject[0, [3, 10]] = True
+        reject[1, 8] = True
+        reject[3, 18] = True
+        value = np.arange(4 * 19, dtype=float).reshape(4, 19)
+        stop_idx, (at_stop,) = methods.blocked_first_crossing(
+            lambda rows, cols: (reject[rows, cols], value[rows, cols]), 4, 19
+        )
+        np.testing.assert_array_equal(stop_idx, [3, 8, -1, 18])
+        np.testing.assert_array_equal(at_stop, [3.0, 27.0, np.nan, 75.0])
+
+    def test_crossing_summary_matches_full_matrix(self):
+        rng = np.random.default_rng(19)
+        reject = rng.random((300, 45)) < 0.01
+        grid = np.arange(10, 460, 10)
+        _, stop_n, stop_idx = methods.first_crossing(reject, grid)
+        summary_n, curve = methods.crossing_summary(stop_idx, grid)
+        np.testing.assert_array_equal(summary_n, stop_n)
+        assert curve.tolist() == methods.cumulative_fraction(reject).tolist()
+
+
+class TestSharedStreams:
+    def test_streams_are_read_only(self):
+        cfg = SimStudyConfig(method="AsympCS", arm_means=(0.1, 0.1), replications=5, master_seed=2)
+        counts = studies._two_arm_counts(cfg, np.arange(10, 101, 10), 0.1, 0.1)
+        for matrix in counts:
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_fresh_draw_matches_shared_draw(self):
+        cfg = SimStudyConfig(
+            method="AsympCS", arm_means=(0.1, 0.1), design_mde=0.01, replications=100, master_seed=31,
+        )
+        shared = run_type1_study(cfg).to_json()
+        studies._cached_two_arm_counts.cache_clear()
+        assert run_type1_study(cfg).to_json() == shared
 
 
 class TestStudies:
