@@ -12,15 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import betaln
-from scipy.stats import qmc
+from scipy.special import betaincinv, betaln
 
 from .confseq import TwoArmState
 from .special import reg_inc_beta
 
 DEFAULT_EPSILON = 1e-4
-DEFAULT_QMC_PAIRS = 1 << 20
 
 
 class NonBinaryOutcomeError(ValueError):
@@ -52,8 +49,8 @@ class BetaPosterior:
     def credible_interval(self, level: float = 0.95) -> tuple[float, float]:
         tail = (1.0 - level) / 2.0
         return (
-            float(stats.beta.ppf(tail, self.a, self.b)),
-            float(stats.beta.ppf(1.0 - tail, self.a, self.b)),
+            float(betaincinv(self.a, self.b, tail)),
+            float(betaincinv(self.a, self.b, 1.0 - tail)),
         )
 
 
@@ -138,43 +135,29 @@ def two_arm_expected_loss(
     post0: BetaPosterior,
     post1: BetaPosterior,
     choice: str,
-    backend: str = "qmc",
-    pairs: int = DEFAULT_QMC_PAIRS,
-    seed: int = 0,
+    backend: str = "exact",
 ) -> float:
     """Expected linear loss of committing to one arm, E[max(other - chosen, 0)].
 
-    backend "qmc" (default) integrates over a scrambled Sobol grid of at
-    least ``pairs`` posterior draws and is deterministic given ``seed``.
-    backend "exact" uses closed-form Beta tail sums and requires all four
-    posterior parameters to be integers.
+    The only backend, "exact", uses closed-form Beta tail sums and
+    requires all four posterior parameters to be integers.
     """
+    if backend != "exact":
+        raise ValueError(f"unknown backend {backend!r}")
     if choice == "arm0":
         lo, hi = post0, post1
     elif choice == "arm1":
         lo, hi = post1, post0
     else:
         raise ValueError(f"choice must be 'arm0' or 'arm1', got {choice!r}")
-
-    if backend == "exact":
-        params = (post0.a, post0.b, post1.a, post1.b)
-        if not all(_integral(p) for p in params):
-            raise BackendError(f"exact backend needs integer parameters, got {params}")
-        # E[max(hi - lo, 0)] = E[hi; hi > lo] - E[lo; hi > lo], with each
-        # piece a Beta mean times a tail probability of a shifted posterior.
-        term1 = hi.mean * beta_prob_greater(hi.a + 1.0, hi.b, lo.a, lo.b)
-        term2 = lo.mean * beta_prob_greater(hi.a, hi.b, lo.a + 1.0, lo.b)
-        return max(term1 - term2, 0.0)
-
-    if backend == "qmc":
-        bits = max(1, math.ceil(math.log2(max(pairs, 2))))
-        sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
-        u = sampler.random_base2(bits)
-        draws_lo = stats.beta.ppf(u[:, 0], lo.a, lo.b)
-        draws_hi = stats.beta.ppf(u[:, 1], hi.a, hi.b)
-        return float(np.mean(np.maximum(draws_hi - draws_lo, 0.0)))
-
-    raise ValueError(f"unknown backend {backend!r}")
+    params = (post0.a, post0.b, post1.a, post1.b)
+    if not all(_integral(p) for p in params):
+        raise BackendError(f"exact backend needs integer parameters, got {params}")
+    # E[max(hi - lo, 0)] = E[hi; hi > lo] - E[lo; hi > lo], with each
+    # piece a Beta mean times a tail probability of a shifted posterior.
+    term1 = hi.mean * beta_prob_greater(hi.a + 1.0, hi.b, lo.a, lo.b)
+    term2 = lo.mean * beta_prob_greater(hi.a, hi.b, lo.a + 1.0, lo.b)
+    return max(term1 - term2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -203,16 +186,15 @@ def binary_counts(state: TwoArmState) -> tuple[int, int, int, int]:
 def bht_decide(
     state: TwoArmState,
     cfg: BhtConfig,
-    backend: str = "qmc",
-    seed: int = 0,
+    backend: str = "exact",
 ) -> BhtDecision:
     """Stop once the expected loss of the preferred arm is below epsilon."""
     c0, n0, c1, n1 = binary_counts(state)
     prior = BetaPosterior(cfg.prior_a, cfg.prior_b)
     post0 = prior.update(c0, n0)
     post1 = prior.update(c1, n1)
-    loss0 = two_arm_expected_loss(post0, post1, "arm0", backend=backend, seed=seed)
-    loss1 = two_arm_expected_loss(post0, post1, "arm1", backend=backend, seed=seed)
+    loss0 = two_arm_expected_loss(post0, post1, "arm0", backend=backend)
+    loss1 = two_arm_expected_loss(post0, post1, "arm1", backend=backend)
     chosen = 0 if loss0 <= loss1 else 1
     stopped = min(loss0, loss1) < cfg.epsilon
     return BhtDecision(stopped, chosen, loss0, loss1)

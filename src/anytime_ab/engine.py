@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .confseq import (
     z_statistic,
 )
 from .gst import ScheduleMismatchError, SpendingSchedule
-from .moments import StreamingMoments
+from .moments import StreamingMoments, welford_step
 
 ANALYZE_METHODS = ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf", "bht", "ldm")
 
@@ -53,8 +54,7 @@ class UnpairedRecordError(ValueError):
     """Cross-tab input lacking one record per method per experiment."""
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     ts: int
     unit: str
     arm: int
@@ -103,7 +103,8 @@ def _coerce_event(obj: dict, line_no: int) -> EventRecord:
         raise LogParseError(line_no, f"arm must be 0 or 1, got {raw_arm!r}")
     if not math.isfinite(value):
         raise LogParseError(line_no, f"value must be finite, got {value}")
-    return EventRecord(ts, unit, arm, value)
+    # The same record as EventRecord(...), without its Python-level __new__.
+    return tuple.__new__(EventRecord, (ts, unit, arm, value))
 
 
 def parse_events(path: str):
@@ -115,12 +116,21 @@ def parse_events(path: str):
             for line_no, row in enumerate(reader, start=2):
                 yield line_no, _coerce_event(row, line_no)
         else:
+            # One raw_decode per line. A line it cannot take whole (an error,
+            # or text after the object) goes through json.loads, which
+            # raises exactly its usual error for that line.
+            decode = json.JSONDecoder().raw_decode
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    try:
+                        obj, end = decode(line)
+                    except (ValueError, RecursionError):
+                        end = -1
+                    if end != len(line):
+                        obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise LogParseError(line_no, f"invalid JSON: {exc.msg}") from None
                 except RecursionError:
@@ -146,29 +156,34 @@ def ingest(events, snapshot_every: int = 100, dedup: bool = False) -> IngestResu
     """
     if snapshot_every < 1:
         raise ValueError("snapshot cadence must be at least 1")
-    arm0 = StreamingMoments()
-    arm1 = StreamingMoments()
+    # Each arm is a plain (count, mean, m2) tuple while folding; the
+    # accumulator objects are built only for snapshots and the final state.
+    arm0 = arm1 = (0, 0.0, 0.0)
     seen_units: set[str] = set()
     snapshots: list[tuple[int, TwoArmState]] = []
     seen = used = 0
     for item in events:
-        record = item[1] if isinstance(item, tuple) else item
+        record = item if isinstance(item, EventRecord) else item[1]
         seen += 1
         if dedup:
             if record.unit in seen_units:
                 continue
             seen_units.add(record.unit)
         if record.arm == 0:
-            arm0 = arm0.update(record.value)
+            arm0 = welford_step(*arm0, float(record.value))
         else:
-            arm1 = arm1.update(record.value)
+            arm1 = welford_step(*arm1, float(record.value))
         used += 1
         if used % snapshot_every == 0:
-            snapshots.append((used, TwoArmState(arm0, arm1)))
-    state = TwoArmState(arm0, arm1)
+            snapshots.append((used, _two_arm_state(arm0, arm1)))
+    state = _two_arm_state(arm0, arm1)
     if used > 0 and (not snapshots or snapshots[-1][0] != used):
         snapshots.append((used, state))
     return IngestResult(state, snapshots, seen, used)
+
+
+def _two_arm_state(arm0: tuple, arm1: tuple) -> TwoArmState:
+    return TwoArmState(StreamingMoments(*arm0), StreamingMoments(*arm1))
 
 
 @dataclass

@@ -12,6 +12,19 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+def welford_step(count: int, mean: float, m2: float, y: float) -> tuple[int, float, float]:
+    """One Welford update of (count, mean, m2) by the float observation ``y``.
+
+    The single copy of the recurrence: ``StreamingMoments.update`` and
+    the engine's per-event fold both call it.
+    """
+    n = count + 1
+    delta = y - mean
+    mean = mean + delta / n
+    m2 = m2 + delta * (y - mean)
+    return n, mean, max(m2, 0.0)
+
+
 @dataclass(frozen=True)
 class StreamingMoments:
     """Observation count, running mean, and sum of squared deviations."""
@@ -22,12 +35,7 @@ class StreamingMoments:
 
     def update(self, y: float) -> "StreamingMoments":
         """Absorb one observation, returning the new accumulator."""
-        y = float(y)
-        n = self.count + 1
-        delta = y - self.mean
-        mean = self.mean + delta / n
-        m2 = self.m2 + delta * (y - mean)
-        return StreamingMoments(n, mean, max(m2, 0.0))
+        return StreamingMoments(*welford_step(self.count, self.mean, self.m2, float(y)))
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Combine two accumulators as if their streams were concatenated."""

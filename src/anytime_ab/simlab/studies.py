@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .. import design
 from ..bayes import BetaPosterior, BfConfig, BhtConfig, two_arm_expected_loss
@@ -308,6 +309,8 @@ def run_lift_power_study(
     """
     if cfg.arm_means is None:
         raise ValueError("lift study needs arm_means")
+    if cfg.theta0 != 0.0:
+        raise ValueError(f"lift study tests a lift and a difference of 0, got theta0={cfg.theta0}")
     p0, p1 = cfg.arm_means
     p = _confseq_params(cfg)
     fht_total = _fht_total(cfg)
@@ -511,12 +514,10 @@ def run_stop_quality_study(
         s_stop = s[rows, stop_idx[rows]]
         post_a = bht.prior_a + s_stop
         post_b = bht.prior_b + n_grid[stop_idx[rows]] - s_stop
-        from scipy.stats import beta as _beta
-
         level = 0.95
         tail = (1.0 - level) / 2.0
-        lo = _beta.ppf(tail, post_a, post_b)
-        hi = _beta.ppf(1.0 - tail, post_a, post_b)
+        lo = betaincinv(post_a, post_b, tail)
+        hi = betaincinv(post_a, post_b, 1.0 - tail)
         miscover = (theta[rows] < lo) | (theta[rows] > hi)
         inferred = post_a / (post_a + post_b)
         declared_above = loss_below[rows] <= loss_above[rows]

@@ -56,6 +56,13 @@ class TestPosterior:
         lo, hi = post.credible_interval(0.95)
         assert lo < post.mean < hi
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (30.0, 70.0), (2761.0, 22341.0), (0.5, 3.0)])
+    def test_credible_interval_equals_beta_ppf(self, a, b):
+        for level in (0.9, 0.95):
+            tail = (1.0 - level) / 2.0
+            interval = BetaPosterior(a, b).credible_interval(level)
+            assert interval == (stats.beta.ppf(tail, a, b), stats.beta.ppf(1.0 - tail, a, b))
+
 
 class TestSingleArmLoss:
     def test_zero_baseline_below_is_zero(self):
@@ -153,23 +160,14 @@ class TestTwoArmLoss:
         )
         assert val == pytest.approx(oracle, abs=1e-9)
 
-    def test_qmc_matches_quadrature_within_three_se(self):
-        post0 = BetaPosterior(11.0, 91.0)
-        post1 = BetaPosterior(21.0, 81.0)
-        val = two_arm_expected_loss(post0, post1, "arm0", backend="qmc", seed=7)
-        exact = two_arm_expected_loss(post0, post1, "arm0", backend="exact")
-        # Conservative plain-MC standard error at 2^20 pairs.
-        rng = np.random.default_rng(0)
-        draws = np.maximum(rng.beta(21, 81, 4096) - rng.beta(11, 91, 4096), 0.0)
-        se = draws.std() / math.sqrt(1 << 20)
-        assert abs(val - exact) <= 3 * se
-
-    def test_qmc_deterministic_given_seed(self):
-        post0 = BetaPosterior(3.0, 9.0)
-        post1 = BetaPosterior(4.0, 8.0)
-        a = two_arm_expected_loss(post0, post1, "arm0", backend="qmc", seed=11)
-        b = two_arm_expected_loss(post0, post1, "arm0", backend="qmc", seed=11)
-        assert a == b
+    def test_exact_is_the_only_backend(self):
+        post = BetaPosterior(3.0, 9.0)
+        assert two_arm_expected_loss(post, post, "arm0") == two_arm_expected_loss(post, post, "arm0", backend="exact")
+        for backend in ("qmc", "quadrature"):
+            with pytest.raises(ValueError):
+                two_arm_expected_loss(post, post, "arm0", backend=backend)
+            with pytest.raises(ValueError):
+                bht_decide(binary_state(1, 3, 2, 3), BhtConfig(), backend=backend)
 
     def test_exact_backend_integer_guard(self):
         with pytest.raises(BackendError):

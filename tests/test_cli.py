@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anytime_ab.cli import main
 
@@ -131,6 +135,17 @@ class TestSimulateCommand:
             outs.append(json.loads((out_dir / "report.json").read_text()))
         assert outs[0][0]["master_seed"] != outs[1][0]["master_seed"]
 
+    def test_lift_power_rejects_nonzero_theta0(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"methods": ["AsympCS-lift"], "arm_means": [0.1, 0.11], "theta0": 0.05}))
+        out_dir = tmp_path / "study"
+        code, _, err = run_cli(
+            ["simulate", "--study", "lift-power", "--config", str(config), "--out", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert "theta0=0.05" in err
+        assert not out_dir.exists()
+
     def test_unknown_study_rejected(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["simulate", "--study", "nope", "--config", "x.json", "--out", str(tmp_path)],
@@ -243,3 +258,52 @@ def test_type1_battery_draws_one_stream(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert len(json.loads((tmp_path / "out" / "report.json").read_text())) == 4
+
+
+def test_cli_import_and_stop_quality_leave_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs most of a cold start, so nothing on the CLI's path may import it.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(BHT_STOP_CONFIG, replications=20)))
+    script = (
+        "import sys\n"
+        "import anytime_ab.cli\n"
+        "loaded = 'scipy.stats' in sys.modules\n"
+        f"code = anytime_ab.cli.main(['simulate', '--study', 'stop-quality', '--config', {str(config)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, loaded, 'scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["0", "False", "False"]
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+# Arbitrary text, valid events and near-misses of them, one per line.
+_FUZZ_LINES = st.one_of(
+    st.text(max_size=40),
+    st.builds(
+        lambda ts, unit, arm, value: json.dumps({"ts": ts, "unit": unit, "arm": arm, "value": value}),
+        st.integers(-5, 5), st.text(max_size=3), st.sampled_from([0, 1, "0", "1", 2, 1.0, True, None]),
+        st.one_of(st.floats(allow_nan=True), st.sampled_from([0, 1, "1", "x", None])),
+    ),
+    st.builds(
+        lambda ts, unit, arm, value: f"{ts},{unit},{arm},{value}",
+        st.integers(-5, 5), st.text(max_size=3), st.sampled_from(["0", "1", "2", "", "1.0"]),
+        st.sampled_from(["0", "1", "0.5", "nan", "inf", "", "x"]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_FUZZ_LINES, max_size=12), fmt=st.sampled_from(["jsonl", "csv"]))
+def test_analyze_fuzzed_log_exits_0_or_2(tmp_path, capsys, lines, fmt):
+    log = tmp_path / f"fuzz.{fmt}"
+    header = "ts,unit,arm,value\n" if fmt == "csv" else ""
+    log.write_text(header + "\n".join(lines) + "\n", encoding="utf-8")
+    # main runs in this process, so an uncaught exception fails the test itself.
+    code, _, _ = run_cli(
+        ["analyze", "--log", str(log), "--method", "asympcs", "--snapshot-every", "3", "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code in (0, 2)

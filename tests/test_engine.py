@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anytime_ab.bayes import NonBinaryOutcomeError
 from anytime_ab.confseq import (
@@ -17,6 +20,7 @@ from anytime_ab.engine import (
     EventRecord,
     LogParseError,
     UnpairedRecordError,
+    _coerce_event,
     analyze,
     analyze_snapshots,
     crosstab,
@@ -45,6 +49,93 @@ def bernoulli_log(path, rng, n_events, p0, p1):
     write_jsonl(path, events)
 
 
+def digest_log(path, seed, p0, p1, n_events=2_000):
+    """A seeded binary log with repeated units, as JSONL or CSV by suffix."""
+    rng = np.random.default_rng(seed)
+    arms = (rng.random(n_events) < 0.5).astype(int)
+    values = (rng.random(n_events) < np.where(arms == 1, p1, p0)).astype(float)
+    units = rng.integers(0, n_events * 3 // 4, n_events)
+    with open(path, "w", encoding="utf-8") as fh:
+        if path.suffix == ".csv":
+            fh.write("ts,unit,arm,value\n")
+            for i, (unit, arm, value) in enumerate(zip(units, arms, values)):
+                fh.write(f"{i},u{unit},{arm},{value}\n")
+        else:
+            for i, (unit, arm, value) in enumerate(zip(units, arms, values)):
+                fh.write(json.dumps({"ts": i, "unit": f"u{unit}", "arm": int(arm), "value": float(value)}) + "\n")
+
+
+# sha256 of trajectory.csv + decision.json, keyed "log-format-method-dedup-cadence",
+# recorded before parsing and ingestion were rewritten to decode each line once
+# and fold plain floats: analyze outputs stay byte-identical. A JSONL log and
+# its CSV twin give the same files.
+DIGEST_LOGS = {"effect": (11, 0.10, 0.16), "null": (29, 0.30, 0.30)}
+ANALYZE_DIGESTS = {
+    "effect-csv-asympcs-all-100": "54dd88069b842c3eb2a55dfb8c37ee73118fd4c5db7c66eb28800b18a94486ec",
+    "effect-csv-bht-all-100": "4b8c5475ef1514376d13e31c89d17d4292237a055d2be7812ece115c5edd1c4a",
+    "effect-csv-msprt-all-100": "37b85fea0aa8f1862d303ed27253e6cceee1d8e8ee49c85393d0e9251bc93157",
+    "effect-jsonl-asympcs-all-100": "54dd88069b842c3eb2a55dfb8c37ee73118fd4c5db7c66eb28800b18a94486ec",
+    "effect-jsonl-bht-all-100": "4b8c5475ef1514376d13e31c89d17d4292237a055d2be7812ece115c5edd1c4a",
+    "effect-jsonl-bht-dedup-7": "cd3332ec5cd3de43cc69010fe6a62f84968f5fe1023edc93dc66af88c201bbeb",
+    "effect-jsonl-msprt-all-100": "37b85fea0aa8f1862d303ed27253e6cceee1d8e8ee49c85393d0e9251bc93157",
+    "null-csv-asympcs-all-100": "39ca0de3890219dac3b1aa2dd18407015a8009d96ea33d53d18056f4b178d38f",
+    "null-csv-bht-all-100": "d9384c0871f9297107cf6cf9f5b5ed80d79dfd94481aeccae5adb0006b0842b5",
+    "null-csv-msprt-all-100": "0d3f95606b97c705fc53c77c92bd5fa2fdf03c6e3910372b96d5e0bf8add97cc",
+    "null-jsonl-asympcs-all-100": "39ca0de3890219dac3b1aa2dd18407015a8009d96ea33d53d18056f4b178d38f",
+    "null-jsonl-bht-all-100": "d9384c0871f9297107cf6cf9f5b5ed80d79dfd94481aeccae5adb0006b0842b5",
+    "null-jsonl-msprt-all-100": "0d3f95606b97c705fc53c77c92bd5fa2fdf03c6e3910372b96d5e0bf8add97cc",
+}
+
+
+def json_loads_error(line):
+    """The LogParseError message for a line, from ``json.loads`` on that line."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        return "invalid JSON: nested too deeply"
+    raise AssertionError(f"{line[:40]!r} is valid JSON")
+
+
+def reference_parse(path):
+    """``parse_events`` as one ``json.loads`` per line: the pairs read, then the error or None."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError):
+                return pairs, f"line {line_no}: {json_loads_error(line)}"
+            try:
+                pairs.append((line_no, _coerce_event(obj, line_no)))
+            except LogParseError as exc:
+                return pairs, str(exc)
+    return pairs, None
+
+
+def program_parse(path):
+    pairs = []
+    try:
+        for pair in parse_events(str(path)):
+            pairs.append(pair)
+    except LogParseError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+VALID_LINE = '{"ts": 1, "unit": "a", "arm": 0, "value": 1.0}'
+# Lines that a bulk "[" + ",".join(lines) + "]" decode reads as three events.
+BULK_JOIN_LINES = [
+    '{"ts": 1, "unit": "a", "arm": 0, "value": 1, "x": "}',
+    '{", "y": 1}',
+    '{"ts": 2, "unit": "b", "arm": 1, "value": 0}, {"ts": 3, "unit": "c", "arm": 0, "value": 1}',
+]
+
+
 class TestParse:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -70,12 +161,22 @@ class TestParse:
         assert result.state.arm0.count == 1 and result.state.arm1.count == 1
 
     def test_parse_error_carries_line_number(self, tmp_path):
+        # The line number, and the message json.loads gives for the line.
         path = tmp_path / "log.jsonl"
-        for bad_line in ("not json", "[" * 200_000):
-            path.write_text('{"ts": 1, "unit": "a", "arm": 0, "value": 1.0}\n' + bad_line + "\n")
+        bad_lines = (
+            "not json",
+            "{} {}",
+            "\ufeff" + VALID_LINE,
+            "[" * 200_000,
+            '{"ts": 1, "unit": "a", "arm": 0, "value": 1,}',
+            VALID_LINE + " x",
+        )
+        for bad_line in bad_lines:
+            path.write_text(VALID_LINE + "\n" + bad_line + "\n", encoding="utf-8")
             with pytest.raises(LogParseError) as err:
                 list(parse_events(str(path)))
             assert err.value.line_no == 2
+            assert str(err.value) == f"line 2: {json_loads_error(bad_line)}", bad_line[:20]
 
     def test_unknown_arm_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -92,7 +193,78 @@ class TestParse:
             list(parse_events(str(path)))
 
 
+class TestDecodeParity:
+    def test_bulk_join_counterexample_fails_at_line_1(self, tmp_path):
+        assert len(json.loads("[" + ",".join(BULK_JOIN_LINES) + "]")) == 3
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join(BULK_JOIN_LINES) + "\n", encoding="utf-8")
+        with pytest.raises(LogParseError) as err:
+            list(parse_events(str(path)))
+        assert str(err.value) == f"line 1: {json_loads_error(BULK_JOIN_LINES[0])}"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.just(VALID_LINE),
+        st.builds(
+            lambda ts, unit, arm, value: json.dumps({"ts": ts, "unit": unit, "arm": arm, "value": value}),
+            st.one_of(st.integers(), st.just("7")), st.text(max_size=4),
+            st.sampled_from([0, 1, "0", "1", 2, 1.0, True, None]),
+            st.one_of(st.floats(), st.integers(-3, 3), st.just("nan")),
+        ),
+        st.builds(lambda head, tail: head + tail, st.just(VALID_LINE), st.text(" \t,}]x{\ufeff", max_size=3)),
+        st.text('{}[]",:0123456789.e-tsunarmvlxy \t\\\ufeff', max_size=30),
+        st.text(max_size=20),
+    ), max_size=10))
+    def test_parse_matches_per_line_json_loads(self, tmp_path, lines):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert program_parse(path) == reference_parse(path)
+
+
 class TestIngest:
+    def test_snapshots_equal_reference_fold(self, tmp_path):
+        rng = np.random.default_rng(99)
+        events = [
+            (i, f"u{rng.integers(400)}", int(rng.random() < 0.5), float(rng.normal(3.0, 2.0)))
+            for i in range(1_000)
+        ]
+        path = tmp_path / "log.jsonl"
+        write_jsonl(path, events)
+        for dedup in (False, True):
+            # Welford's recurrence, written out here rather than taken from the program.
+            arms = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
+            folded = []
+            units = set()
+            for _, unit, arm, y in events:
+                if dedup and unit in units:
+                    continue
+                units.add(unit)
+                n, mean, m2 = arms[arm]
+                n += 1
+                delta = y - mean
+                mean = mean + delta / n
+                m2 = max(m2 + delta * (y - mean), 0.0)
+                arms[arm] = (n, mean, m2)
+                folded.append(tuple(arms))
+            for every in (1, 7, 100):
+                result = ingest(parse_events(str(path)), snapshot_every=every, dedup=dedup)
+                marks = list(range(every, len(folded) + 1, every))
+                if marks[-1] != len(folded):
+                    marks.append(len(folded))
+                expected = [(k, folded[k - 1]) for k in marks]
+                got = [
+                    (n, ((s.arm0.count, s.arm0.mean, s.arm0.m2), (s.arm1.count, s.arm1.mean, s.arm1.m2)))
+                    for n, s in result.snapshots
+                ]
+                assert got == expected
+
+    def test_accepts_records_or_pairs(self):
+        records = [EventRecord(i, f"u{i}", i % 2, float(i)) for i in range(20)]
+        assert isinstance(records[0], tuple)
+        bare = ingest(records, snapshot_every=3)
+        paired = ingest(enumerate(records, start=1), snapshot_every=3)
+        assert bare.snapshots == paired.snapshots and bare.state == paired.state
+
     def test_dedup_first_event_wins(self):
         events = [
             EventRecord(1, "u1", 0, 1.0),
@@ -248,6 +420,16 @@ class TestAnalyze:
             analyze(str(path), "ldm", PARAMS, schedule=schedule, snapshot_every=50)
         with pytest.raises(ValueError):
             analyze(str(path), "ldm", PARAMS)
+
+    @pytest.mark.parametrize("case", sorted(ANALYZE_DIGESTS))
+    def test_analyze_digest_pinned(self, tmp_path, case):
+        log, fmt, method, dedup, every = case.split("-")
+        path = tmp_path / f"{log}.{fmt}"
+        digest_log(path, *DIGEST_LOGS[log])
+        out = tmp_path / "out"
+        analyze(str(path), method, PARAMS, out_dir=str(out), snapshot_every=int(every), dedup=dedup == "dedup")
+        files = (out / "trajectory.csv").read_bytes() + (out / "decision.json").read_bytes()
+        assert hashlib.sha256(files).hexdigest() == ANALYZE_DIGESTS[case]
 
     @pytest.mark.parametrize("method", ["asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf"])
     def test_matches_simlab_decisions_on_identical_stream(self, method):
