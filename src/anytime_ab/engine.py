@@ -108,13 +108,24 @@ def _coerce_event(obj: dict, line_no: int) -> EventRecord:
 
 
 def parse_events(path: str):
-    """Yield (line_no, EventRecord) from a JSONL or CSV log file."""
+    """Yield (line_no, EventRecord) from a JSONL or CSV log file.
+
+    A JSONL line number is the line holding the event. A CSV line number
+    is the file line where the row ends (``csv.reader.line_num``), so
+    blank lines and quoted fields spanning lines are counted; a row the
+    CSV reader rejects is a ``LogParseError`` at that line.
+    """
     fmt = "csv" if str(path).endswith(".csv") else "jsonl"
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "csv":
             reader = csv.DictReader(fh)
-            for line_no, row in enumerate(reader, start=2):
-                yield line_no, _coerce_event(row, line_no)
+            try:
+                for row in reader:
+                    line_no = reader.line_num
+                    yield line_no, _coerce_event(row, line_no)
+            except csv.Error as exc:
+                # DictReader updates its line_num only after a good row.
+                raise LogParseError(reader.reader.line_num, f"invalid CSV: {exc}") from None
         else:
             # One raw_decode per line. A line it cannot take whole (an error,
             # or text after the object) goes through json.loads, which

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anytime_ab.bayes import NonBinaryOutcomeError
+from anytime_ab.cli import main as cli_main
 from anytime_ab.confseq import (
     ConfSeqParams,
     InsufficientDataError,
@@ -177,6 +178,37 @@ class TestParse:
                 list(parse_events(str(path)))
             assert err.value.line_no == 2
             assert str(err.value) == f"line 2: {json_loads_error(bad_line)}", bad_line[:20]
+
+    def test_csv_line_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("ts,unit,arm,value\n1,a,0,1\n\n\n2,b,7,0\n")
+        with pytest.raises(LogParseError) as err:
+            list(parse_events(str(path)))
+        assert err.value.line_no == 5
+
+    def test_csv_line_number_counts_quoted_newlines(self, tmp_path):
+        # A row's number is the file line where it ends.
+        path = tmp_path / "log.csv"
+        path.write_text('ts,unit,arm,value\n1,"a\nb",0,1\n2,"c\n\nd",1,0\n3,e,2,0\n')
+        with pytest.raises(LogParseError) as err:
+            list(parse_events(str(path)))
+        assert err.value.line_no == 7
+        path.write_text('ts,unit,arm,value\n1,"a\nb",0,1\n2,"c\n\nd",1,0\n')
+        pairs = list(parse_events(str(path)))
+        assert [n for n, _ in pairs] == [3, 6]
+        assert [rec.unit for _, rec in pairs] == ["a\nb", "c\n\nd"]
+
+    def test_csv_oversized_field_exits_2_with_line_number(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("ts,unit,arm,value\n1,a,0,1\n2," + "x" * 200_000 + ",1,0\n3,c,0,1\n")
+        with pytest.raises(LogParseError) as err:
+            list(parse_events(str(path)))
+        assert err.value.line_no == 3
+        code = cli_main(["analyze", "--log", str(path), "--method", "asympcs", "--out", str(tmp_path / "out")])
+        err_text = capsys.readouterr().err
+        assert code == 2
+        assert err_text.startswith("error: line 3: invalid CSV:")
+        assert "Traceback" not in err_text
 
     def test_unknown_arm_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
