@@ -118,13 +118,12 @@ def _cmd_design(args) -> int:
 
 
 def _study_config(conf: dict, method: str, seed: int | None) -> SimStudyConfig:
-    params_kind = conf.get("params", "confseq")
     alpha = conf.get("alpha", 0.05)
     rho2 = conf.get("rho2", 1e-3)
-    if method in ("BHT-uninformed", "BHT-matched") or params_kind == "bht":
+    if method in ("BHT-uninformed", "BHT-matched"):
         prior = conf.get("prior", [1.0, 1.0])
         params = BhtConfig(prior[0], prior[1], conf.get("epsilon", 1e-4))
-    elif method == "BF-uninformed" or params_kind == "bf":
+    elif method == "BF-uninformed":
         prior = conf.get("prior", [1.0, 1.0])
         params = BfConfig(prior[0], prior[1], conf.get("odds_threshold", 1.0 / alpha))
     else:
@@ -155,11 +154,11 @@ def _cmd_simulate(args) -> int:
         if args.study == "type1":
             reports.append(simlab.run_type1_study(cfg))
         elif args.study == "power":
-            reports.append(simlab.run_power_study(cfg, tuple(conf.get("horizon_multiples", (1.0, 2.0, 3.0)))))
+            reports.append(simlab.run_power_study(cfg, conf.get("horizon_multiples", (1.0, 2.0, 3.0))))
         elif args.study == "lift-power":
             out = simlab.run_lift_power_study(
                 cfg,
-                tuple(conf.get("horizon_multiples", (1.0, 2.0, 3.0))),
+                conf.get("horizon_multiples", (1.0, 2.0, 3.0)),
                 conf.get("lift_grid"),
             )
             reports.extend(out.values())

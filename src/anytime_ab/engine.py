@@ -267,7 +267,7 @@ def analyze_snapshots(
         crossed = stat >= np.log(cfg.odds_threshold)
     else:  # bht: the exact two-arm loss is evaluated one snapshot at a time
         cfg = bht_config or BhtConfig()
-        decisions = [bht_decide(state, cfg, backend="exact") for state in states]
+        decisions = [bht_decide(state, cfg) for state in states]
         stat = np.array([min(d.loss_arm0, d.loss_arm1) for d in decisions])
         crossed = np.array([d.stopped for d in decisions], dtype=bool)
     if hw is not None:

@@ -19,45 +19,31 @@ from ..bayes import BfConfig, log_bayes_factor
 from ..special import normal_quantile
 
 
-def _bernoulli_arm(n, s):
+def bernoulli_arm(n, s):
+    """Mean and biased variance of one arm from its counts; zero where n is zero."""
     mu = np.divide(s, n, out=np.zeros_like(s, dtype=float), where=n > 0)
     return mu, mu * (1.0 - mu)
 
 
 def bernoulli_summaries(n0, n1, s0, s1):
     """Per-arm (count, mean, biased variance) from count matrices, in kernel argument order."""
-    (mu0, v0), (mu1, v1) = _bernoulli_arm(n0, s0), _bernoulli_arm(n1, s1)
+    (mu0, v0), (mu1, v1) = bernoulli_arm(n0, s0), bernoulli_arm(n1, s1)
     return n0, n1, mu0, mu1, v0, v1
 
 
-def ate_interval_arrays(n0, n1, s0, s1, alpha, rho2):
-    """Center, half-width and validity of the two-sample interval; invalid -> inf width."""
-    return confseq.ate_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2)
-
-
 def ate_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
-    center, hw, valid = ate_interval_arrays(n0, n1, s0, s1, alpha, rho2)
+    center, hw, valid = confseq.ate_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2)
     return valid & (np.abs(center - theta0) > hw)
 
 
-def lift_interval_arrays(n0, n1, s0, s1, arm_level, rho2):
-    """Lower/upper lift bounds; valid only where both means are positive."""
-    return confseq.lift_interval(*bernoulli_summaries(n0, n1, s0, s1), arm_level, rho2)
-
-
 def lift_reject(n0, n1, s0, s1, arm_level, rho2, lift0=0.0):
-    lower, upper, valid = lift_interval_arrays(n0, n1, s0, s1, arm_level, rho2)
+    lower, upper, valid = confseq.lift_interval(*bernoulli_summaries(n0, n1, s0, s1), arm_level, rho2)
     return valid & ((lower > lift0) | (upper < lift0))
 
 
-def msprt_log_lambda_arrays(n0, n1, s0, s1, rho2, theta0=0.0):
-    """Two-sample mixture log likelihood ratio over count matrices."""
-    scale = confseq.two_sample_scale(*bernoulli_summaries(n0, n1, s0, s1))
-    return confseq.msprt_log_lambda(*scale, rho2, theta0)
-
-
 def msprt_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
-    loglam, valid = msprt_log_lambda_arrays(n0, n1, s0, s1, rho2, theta0)
+    scale = confseq.two_sample_scale(*bernoulli_summaries(n0, n1, s0, s1))
+    loglam, valid = confseq.msprt_log_lambda(*scale, rho2, theta0)
     return valid & (loglam >= np.log(1.0 / alpha))
 
 
@@ -72,28 +58,9 @@ def z_reject(n0, n1, s0, s1, alpha, theta0=0.0):
     return valid & (np.abs(z) > normal_quantile(1.0 - alpha / 2.0))
 
 
-def log_bayes_factor_arrays(n0, n1, s0, s1, prior_a, prior_b):
-    return log_bayes_factor(s0, n0, s1, n1, BfConfig(prior_a, prior_b))
-
-
 def bf_reject(n0, n1, s0, s1, prior_a, prior_b, odds_threshold):
     valid = (n0 + n1) >= 1
-    return valid & (log_bayes_factor_arrays(n0, n1, s0, s1, prior_a, prior_b) >= np.log(odds_threshold))
-
-
-def mean_interval_arrays(n, s, alpha, rho2):
-    """One-sample interval parts over cumulative Bernoulli counts."""
-    return confseq.mean_interval(n, *_bernoulli_arm(n, s), alpha, rho2)
-
-
-def msprt1_log_lambda_arrays(n, s, rho2, theta0):
-    """One-sample mixture log likelihood ratio over cumulative counts."""
-    return confseq.msprt_log_lambda(n, *_bernoulli_arm(n, s), rho2, theta0)
-
-
-def msprt1_interval_arrays(n, s, alpha, rho2):
-    """One-sample mixture-inversion interval parts over cumulative counts."""
-    return confseq.msprt_interval(n, *_bernoulli_arm(n, s), alpha, rho2)
+    return valid & (log_bayes_factor(s0, n0, s1, n1, BfConfig(prior_a, prior_b)) >= np.log(odds_threshold))
 
 
 def bht_single_losses(n, s, prior_a, prior_b, theta0):

@@ -51,17 +51,14 @@ def single_arm_count_matrices(
     master_seed: int,
     reps: int,
     grid: np.ndarray,
-    truth_prior: tuple[float, float] | None = None,
-    p: float | None = None,
+    truth_prior: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replication true rates and cumulative conversion counts.
 
-    The rate is drawn from Beta(truth_prior) per replication, or fixed at
-    ``p``. Returns (theta, s) with theta shape (reps,) and s shape
-    (reps, len(grid)).
+    Each replication draws its rate from Beta(truth_prior), then its
+    conversions at that rate. Returns (theta, s) with theta shape (reps,)
+    and s shape (reps, len(grid)).
     """
-    if (truth_prior is None) == (p is None):
-        raise ValueError("exactly one of truth_prior and p must be given")
     grid = np.asarray(grid, dtype=np.int64)
     blocks = np.diff(grid, prepend=0)
     if np.any(blocks <= 0):
@@ -70,7 +67,7 @@ def single_arm_count_matrices(
     s = np.empty((reps, grid.size), dtype=np.float64)
     for r in range(reps):
         rng = replication_rng(master_seed, r)
-        th = rng.beta(truth_prior[0], truth_prior[1]) if truth_prior is not None else float(p)
+        th = rng.beta(truth_prior[0], truth_prior[1])
         theta[r] = th
         s[r] = np.cumsum(rng.binomial(blocks, th))
     return theta, s

@@ -25,7 +25,7 @@ from scipy.special import betaincinv
 
 from .. import design
 from ..bayes import BetaPosterior, BfConfig, BhtConfig, two_arm_expected_loss
-from ..confseq import ConfSeqParams
+from ..confseq import ConfSeqParams, mean_interval, msprt_interval, msprt_log_lambda
 from ..gst import SpendingSchedule, compute_boundaries
 from . import methods, streams
 from .report import SimReport
@@ -53,11 +53,11 @@ class SimStudyConfig:
     """Declarative description of one study run.
 
     ``params`` carries the method's own knobs: ConfSeqParams for the
-    interval methods, a SpendingSchedule (or ConfSeqParams, from which a
-    100-peek schedule is built) for LDM, BhtConfig or BfConfig for the
-    Bayesian rules. ``design_mde`` anchors the fixed-horizon sample size
-    that peek schedules and horizon multiples refer to; it defaults to
-    the true difference of ``arm_means`` when they differ.
+    interval methods and for LDM (whose alpha sets the 100-peek spending
+    schedule), BhtConfig or BfConfig for the Bayesian rules.
+    ``design_mde`` anchors the fixed-horizon sample size that peek
+    schedules and horizon multiples refer to; it defaults to the true
+    difference of ``arm_means`` when they differ.
     """
 
     method: str
@@ -72,7 +72,6 @@ class SimStudyConfig:
     design_mde: float | None = None
     design_alpha: float = 0.05
     design_power: float = 0.8
-    mde_misspecification_factor: float = 1.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -83,8 +82,6 @@ class SimStudyConfig:
             raise ValueError("peek_every must be at least 1")
         if self.horizon is not None and self.horizon < self.peek_every:
             raise ValueError("horizon must be at least peek_every")
-        if self.mde_misspecification_factor <= 0.0:
-            raise ValueError("misspecification factor must be positive")
 
 
 def _confseq_params(cfg: SimStudyConfig) -> ConfSeqParams:
@@ -147,18 +144,25 @@ def _study_grid(cfg: SimStudyConfig, horizon: int, fht_total: int, markers=()) -
     return grid[grid >= 1]
 
 
+def _marker_grid(cfg: SimStudyConfig, fht_total: int, horizon_multiples):
+    """Horizon, peek grid, and (multiple, grid column) for each multiple of ``fht_total``."""
+    if not (isinstance(horizon_multiples, (list, tuple)) and horizon_multiples
+            and all(isinstance(m, (int, float)) and 0.0 < m < math.inf for m in horizon_multiples)):
+        raise ValueError(f"horizon_multiples must be a nonempty list of positive numbers, got {horizon_multiples!r}")
+    marker_ns = [min(max(int(round(m * fht_total)), 1), 10**12) for m in horizon_multiples]
+    horizon = cfg.horizon if cfg.horizon is not None else max(marker_ns)
+    grid = _study_grid(cfg, horizon, fht_total, markers=marker_ns)
+    columns = [int(np.searchsorted(grid, min(n, horizon))) for n in marker_ns]
+    return horizon, grid, [(float(m), col) for m, col in zip(horizon_multiples, columns)]
+
+
 def _reject_matrix(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int) -> np.ndarray:
     n0, n1, s0, s1 = counts
     method = cfg.method
-    if method == "AsympCS":
+    if method in ("AsympCS", "AsympCS-lift", "mSPRT"):
         p = _confseq_params(cfg)
-        return methods.ate_reject(n0, n1, s0, s1, p.alpha, p.rho2, cfg.theta0)
-    if method == "AsympCS-lift":
-        p = _confseq_params(cfg)
-        return methods.lift_reject(n0, n1, s0, s1, p.alpha, p.rho2, cfg.theta0)
-    if method == "mSPRT":
-        p = _confseq_params(cfg)
-        return methods.msprt_reject(n0, n1, s0, s1, p.alpha, p.rho2, cfg.theta0)
+        rule = {"AsympCS": methods.ate_reject, "AsympCS-lift": methods.lift_reject, "mSPRT": methods.msprt_reject}
+        return rule[method](n0, n1, s0, s1, p.alpha, p.rho2, cfg.theta0)
     if method == "FHT-peeking":
         return methods.z_reject(n0, n1, s0, s1, _alpha(cfg), cfg.theta0)
     if method == "FHT":
@@ -168,15 +172,8 @@ def _reject_matrix(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int
         mask[:, look] = reject[:, look]
         return mask
     if method == "LDM":
-        if isinstance(cfg.params, SpendingSchedule):
-            schedule = cfg.params
-            ldm_ns = np.maximum(
-                np.round(np.asarray(schedule.peek_fractions) * fht_total), 1.0
-            ).astype(np.int64)
-        else:
-            ldm_ns = _ldm_peek_ns(fht_total)
-            fractions = tuple((ldm_ns / fht_total).tolist())
-            schedule = _cached_schedule(fractions, _alpha(cfg))
+        ldm_ns = _ldm_peek_ns(fht_total)
+        schedule = _cached_schedule(tuple((ldm_ns / fht_total).tolist()), _alpha(cfg))
         cols = np.searchsorted(grid, ldm_ns)
         if np.any(cols >= grid.size) or np.any(grid[cols] != ldm_ns):
             raise ValueError("schedule peeks are not on the study grid")
@@ -208,7 +205,7 @@ def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
                 continue
             post0 = BetaPosterior(cfg.prior_a + s0[r, j], cfg.prior_b + n0[r, j] - s0[r, j])
             post1 = BetaPosterior(cfg.prior_a + s1[r, j], cfg.prior_b + n1[r, j] - s1[r, j])
-            loss0 = two_arm_expected_loss(post0, post1, "arm0", backend="exact")
+            loss0 = two_arm_expected_loss(post0, post1, "arm0")
             loss1 = max(loss0 - (post1.mean - post0.mean), 0.0)
             if min(loss0, loss1) < cfg.epsilon:
                 reject[r, j] = True
@@ -216,12 +213,18 @@ def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
     return reject
 
 
-def _quantiles(stop_n: np.ndarray, qs=(0.5, 0.8, 0.9)) -> dict[str, float | None]:
+def _quantiles(stop_n: np.ndarray) -> dict[str, float | None]:
     out = {}
-    for q in qs:
+    for q in (0.5, 0.8, 0.9):
         v = float(np.quantile(stop_n, q, method="lower"))
         out[f"{q}"] = v if math.isfinite(v) else None
     return out
+
+
+def _crossings(reject: np.ndarray, grid: np.ndarray):
+    """Cumulative crossed fraction by peek, and stop sizes (+inf if never crossed)."""
+    _, stop_n, _ = methods.first_crossing(reject, grid)
+    return methods.cumulative_fraction(reject), stop_n
 
 
 def _base_report(cfg: SimStudyConfig, study: str, grid, curve, stop_n, horizon: int, **extra) -> SimReport:
@@ -246,6 +249,18 @@ def _base_report(cfg: SimStudyConfig, study: str, grid, curve, stop_n, horizon: 
     )
 
 
+def _power_report(cfg: SimStudyConfig, study: str, reject, horizon: int, grid, markers, fht_total: int) -> SimReport:
+    """Report of one reject matrix with its rate at each (multiple, grid column) marker."""
+    curve, stop_n = _crossings(reject, grid)
+    by_multiple = [(m, float(curve[col])) for m, col in markers]
+    return _base_report(
+        cfg, study, grid, curve, stop_n, horizon,
+        power=by_multiple[-1][1],
+        power_by_multiple=by_multiple,
+        meta={"fht_total": fht_total},
+    )
+
+
 def run_type1_study(cfg: SimStudyConfig) -> SimReport:
     """Cumulative first-rejection frequency under equal arm means."""
     if cfg.arm_means is None or cfg.arm_means[0] != cfg.arm_means[1]:
@@ -254,10 +269,8 @@ def run_type1_study(cfg: SimStudyConfig) -> SimReport:
     fht_total = _fht_total(cfg)
     horizon = cfg.horizon if cfg.horizon is not None else 3 * fht_total
     grid = _study_grid(cfg, horizon, fht_total, markers=[fht_total])
-    counts = _two_arm_counts(cfg, grid, p0, p0)
-    reject = _reject_matrix(cfg, grid, counts, fht_total)
-    curve = methods.cumulative_fraction(reject)
-    _, stop_n, _ = methods.first_crossing(reject, grid)
+    reject = _reject_matrix(cfg, grid, _two_arm_counts(cfg, grid, p0, p0), fht_total)
+    curve, stop_n = _crossings(reject, grid)
     return _base_report(
         cfg, "type1", grid, curve, stop_n, horizon,
         power=float(curve[-1]),
@@ -275,24 +288,9 @@ def run_power_study(cfg: SimStudyConfig, horizon_multiples=(1.0, 2.0, 3.0)) -> S
         raise ValueError("power study needs arm_means")
     p0, p1 = cfg.arm_means
     fht_total = _fht_total(cfg)
-    markers = sorted({min(int(round(m * fht_total)), 10**12) for m in horizon_multiples})
-    horizon = cfg.horizon if cfg.horizon is not None else max(markers)
-    markers = [m for m in markers if m <= horizon]
-    grid = _study_grid(cfg, horizon, fht_total, markers=markers)
-    counts = _two_arm_counts(cfg, grid, p0, p1)
-    reject = _reject_matrix(cfg, grid, counts, fht_total)
-    curve = methods.cumulative_fraction(reject)
-    _, stop_n, _ = methods.first_crossing(reject, grid)
-    by_multiple = []
-    for m in horizon_multiples:
-        marker = min(int(round(m * fht_total)), horizon)
-        by_multiple.append((float(m), float(curve[np.searchsorted(grid, marker)])))
-    return _base_report(
-        cfg, "power", grid, curve, stop_n, horizon,
-        power=by_multiple[-1][1],
-        power_by_multiple=by_multiple,
-        meta={"fht_total": fht_total},
-    )
+    horizon, grid, markers = _marker_grid(cfg, fht_total, horizon_multiples)
+    reject = _reject_matrix(cfg, grid, _two_arm_counts(cfg, grid, p0, p1), fht_total)
+    return _power_report(cfg, "power", reject, horizon, grid, markers, fht_total)
 
 
 def run_lift_power_study(
@@ -314,10 +312,7 @@ def run_lift_power_study(
     p0, p1 = cfg.arm_means
     p = _confseq_params(cfg)
     fht_total = _fht_total(cfg)
-    markers = sorted({int(round(m * fht_total)) for m in horizon_multiples})
-    horizon = cfg.horizon if cfg.horizon is not None else max(markers)
-    markers = [m for m in markers if m <= horizon]
-    grid = _study_grid(cfg, horizon, fht_total, markers=markers)
+    horizon, grid, markers = _marker_grid(cfg, fht_total, horizon_multiples)
 
     def _curves(pa, pb):
         counts = _two_arm_counts(cfg, grid, pa, pb)
@@ -327,26 +322,10 @@ def run_lift_power_study(
 
     lift_mask, ate_mask = _curves(p0, p1)
     aa_lift_mask, _ = _curves(p0, p0)
-
-    def _power_by_multiple(curve):
-        out = []
-        for m in horizon_multiples:
-            marker = min(int(round(m * fht_total)), horizon)
-            out.append((float(m), float(curve[np.searchsorted(grid, marker)])))
-        return out
-
-    reports = {}
-    for key, mask in (("lift", lift_mask), ("ate", ate_mask), ("lift-aa", aa_lift_mask)):
-        curve = methods.cumulative_fraction(mask)
-        _, stop_n, _ = methods.first_crossing(mask, grid)
-        by_multiple = _power_by_multiple(curve)
-        label_cfg = cfg
-        reports[key] = _base_report(
-            label_cfg, f"lift-power:{key}", grid, curve, stop_n, horizon,
-            power=by_multiple[-1][1],
-            power_by_multiple=by_multiple,
-            meta={"fht_total": fht_total},
-        )
+    reports = {
+        key: _power_report(cfg, f"lift-power:{key}", mask, horizon, grid, markers, fht_total)
+        for key, mask in (("lift", lift_mask), ("ate", ate_mask), ("lift-aa", aa_lift_mask))
+    }
 
     if lift_grid:
         rows = []
@@ -390,9 +369,8 @@ def run_rho2_sweep(cfg: SimStudyConfig, rho2_grid) -> list[SimReport]:
     for rho2 in rho2_grid:
         aa_mask = rejector(*aa, p.alpha, rho2, cfg.theta0)
         h1_mask = rejector(*h1, p.alpha, rho2, cfg.theta0)
-        curve = methods.cumulative_fraction(aa_mask)
+        curve, stop_n = _crossings(aa_mask, grid)
         power_curve = methods.cumulative_fraction(h1_mask)
-        _, stop_n, _ = methods.first_crossing(aa_mask, grid)
         reports.append(
             _base_report(
                 cfg, "rho2-sweep", grid, curve, stop_n, horizon,
@@ -475,9 +453,7 @@ def run_stop_quality_study(
         raise ValueError("stop-quality study needs an explicit horizon")
     horizon = cfg.horizon
     grid = np.unique(np.round(np.geomspace(grid_start, horizon, num_peeks)).astype(np.int64))
-    theta, s = streams.single_arm_count_matrices(
-        cfg.master_seed, cfg.replications, grid, truth_prior=cfg.truth_prior
-    )
+    theta, s = streams.single_arm_count_matrices(cfg.master_seed, cfg.replications, grid, cfg.truth_prior)
     n_grid = grid.astype(float)
     theta0 = cfg.theta0
     mean_loss = None
@@ -491,11 +467,12 @@ def run_stop_quality_study(
 
         def rule(rows, cols):
             n_block, s_block = cells(rows, cols)
+            arm = methods.bernoulli_arm(n_block, s_block)
             if cfg.method == "AsympCS":
-                center, hw, valid = methods.mean_interval_arrays(n_block, s_block, p.alpha, p.rho2)
+                center, hw, valid = mean_interval(n_block, *arm, p.alpha, p.rho2)
                 return valid & (np.abs(center - theta0) > hw), center, hw
-            loglam, valid = methods.msprt1_log_lambda_arrays(n_block, s_block, p.rho2, theta0)
-            center, hw, _ = methods.msprt1_interval_arrays(n_block, s_block, p.alpha, p.rho2)
+            loglam, valid = msprt_log_lambda(n_block, *arm, p.rho2, theta0)
+            center, hw, _ = msprt_interval(n_block, *arm, p.alpha, p.rho2)
             return valid & (loglam >= np.log(1.0 / p.alpha)), center, hw
 
         stop_idx, (center, hw) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)

@@ -8,20 +8,10 @@ probabilities here are good to well below 1e-9 absolute.
 from scipy import special as _sp
 
 
-def normal_cdf(x: float) -> float:
-    return float(_sp.ndtr(x))
-
-
 def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires p in (0, 1), got {p}")
     return float(_sp.ndtri(p))
-
-
-def log_beta(a: float, b: float) -> float:
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"log_beta requires a, b > 0, got a={a}, b={b}")
-    return float(_sp.betaln(a, b))
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

@@ -146,6 +146,30 @@ class TestSimulateCommand:
         assert "theta0=0.05" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("study", ["power", "lift-power"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"horizon_multiples": [], "horizon": 6000},
+            {"horizon_multiples": []},
+            {"horizon_multiples": [-1.0]},
+            {"horizon_multiples": [0.0]},
+            {"horizon_multiples": [0.0, 1.0]},
+        ],
+        ids=["empty-with-horizon", "empty", "negative", "zero", "zero-and-one"],
+    )
+    def test_bad_horizon_multiples_rejected(self, tmp_path, capsys, study, extra):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"methods": ["AsympCS-lift"], "arm_means": [0.1, 0.12], "replications": 5, **extra}))
+        out_dir = tmp_path / "study"
+        code, _, err = run_cli(
+            ["simulate", "--study", study, "--config", str(config), "--out", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert "horizon_multiples must be a nonempty list of positive numbers" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_unknown_study_rejected(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["simulate", "--study", "nope", "--config", "x.json", "--out", str(tmp_path)],
@@ -162,7 +186,8 @@ class TestSimulateCommand:
 
 
 # sha256 of report.json at 20 replications for every bundled config, plus a
-# flat-prior BHT stop-quality run: reports stay byte-identical at fixed seeds.
+# flat-prior BHT stop-quality run and two-arm BHT type1 and power runs:
+# reports stay byte-identical at fixed seeds.
 # Recorded with numpy 2.4.6 and scipy 1.17.1; other library versions may
 # legitimately move the last bits of a float.
 GOLDEN_REPORTS = {
@@ -173,18 +198,30 @@ GOLDEN_REPORTS = {
     "mde_misspec": ("mde-misspec", "f43bd483e3833195ae2047a2c3fc04bbe0fcce0d21e0eb6e23c4c8f3792cd938"),
     "stop_quality": ("stop-quality", "996a2fabb5984b1c88cb064008ec6ff96dd1f322e9e11ba2620dcc859c8cd3f6"),
     "stop_quality_bht": ("stop-quality", "957a0393ead3efcdf5f92b42f2a66b5b01f3665c7d4514f4610e2ff252a67fe3"),
+    "type1_bht": ("type1", "701fc71ad3fdb4aac043a92315d67e0d5d292a3f59a37119f8a25fa2f4e22530"),
+    "power_bht": ("power", "2cbe919120904ab6049d69c515f7bc88b2ed26c77ba18fdc5af2ca97655affb0"),
 }
-BHT_STOP_CONFIG = {
-    "methods": ["BHT-uninformed"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 200_000,
-    "num_peeks": 200, "epsilon": 1e-3, "master_seed": 20240508,
+INLINE_CONFIGS = {
+    "stop_quality_bht": {
+        "methods": ["BHT-uninformed"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 200_000,
+        "num_peeks": 200, "epsilon": 1e-3, "master_seed": 20240508,
+    },
+    "type1_bht": {
+        "methods": ["BHT-uninformed"], "arm_means": [0.1, 0.1], "design_mde": 0.02, "peek_every": 100,
+        "epsilon": 1e-4, "master_seed": 7,
+    },
+    "power_bht": {
+        "methods": ["BHT-uninformed"], "arm_means": [0.1, 0.12], "peek_every": 100, "epsilon": 1e-3,
+        "master_seed": 8, "horizon_multiples": [1.0, 2.0],
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
 def test_report_digest_pinned(tmp_path, capsys, name):
     study, digest = GOLDEN_REPORTS[name]
-    if name == "stop_quality_bht":
-        conf = dict(BHT_STOP_CONFIG)
+    if name in INLINE_CONFIGS:
+        conf = dict(INLINE_CONFIGS[name])
     else:
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(here, "configs", f"{name}.json"), encoding="utf-8") as fh:
@@ -263,7 +300,7 @@ def test_type1_battery_draws_one_stream(tmp_path, capsys, monkeypatch):
 def test_cli_import_and_stop_quality_leave_scipy_stats_unloaded(tmp_path):
     # scipy.stats costs most of a cold start, so nothing on the CLI's path may import it.
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(dict(BHT_STOP_CONFIG, replications=20)))
+    config.write_text(json.dumps(dict(INLINE_CONFIGS["stop_quality_bht"], replications=20)))
     script = (
         "import sys\n"
         "import anytime_ab.cli\n"

@@ -10,9 +10,15 @@ from anytime_ab.confseq import (
     asympcs_ate,
     asympcs_lift,
     asympcs_mean,
+    ate_interval,
+    lift_interval,
+    mean_interval,
     msprt_cs,
     msprt_cs_mean,
+    msprt_interval,
     msprt_lambda,
+    msprt_log_lambda,
+    two_sample_scale,
 )
 from anytime_ab.moments import StreamingMoments
 from anytime_ab.simlab import (
@@ -78,13 +84,6 @@ class TestStreams:
         assert np.all((theta > 0) & (theta < 1))
         assert np.all(s <= grid[None, :])
 
-    def test_single_arm_requires_one_source(self):
-        grid = np.array([10, 20])
-        with pytest.raises(ValueError):
-            streams.single_arm_count_matrices(0, 2, grid)
-        with pytest.raises(ValueError):
-            streams.single_arm_count_matrices(0, 2, grid, truth_prior=(1, 1), p=0.5)
-
 
 class TestVectorizedAgainstScalar:
     """Bernoulli count summaries and Welford moments must give the same rule values.
@@ -97,7 +96,7 @@ class TestVectorizedAgainstScalar:
     def test_ate(self):
         rng = np.random.default_rng(21)
         n0, n1, s0, s1 = random_counts(rng, 300)
-        center, hw, valid = methods.ate_interval_arrays(n0, n1, s0, s1, 0.05, 1e-3)
+        center, hw, valid = ate_interval(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
         assert valid.all()
         for i in range(300):
             iv = asympcs_ate(binary_state(s0[i], n0[i], s1[i], n1[i]), PARAMS)
@@ -107,7 +106,7 @@ class TestVectorizedAgainstScalar:
     def test_lift(self):
         rng = np.random.default_rng(22)
         n0, n1, s0, s1 = random_counts(rng, 300)
-        lower, upper, valid = methods.lift_interval_arrays(n0, n1, s0, s1, 0.05, 1e-3)
+        lower, upper, valid = lift_interval(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
         for i in range(300):
             if not valid[i]:
                 continue
@@ -121,7 +120,7 @@ class TestVectorizedAgainstScalar:
     def test_msprt(self):
         rng = np.random.default_rng(23)
         n0, n1, s0, s1 = random_counts(rng, 300)
-        loglam, valid = methods.msprt_log_lambda_arrays(n0, n1, s0, s1, 1e-3, 0.0)
+        loglam, valid = msprt_log_lambda(*two_sample_scale(*methods.bernoulli_summaries(n0, n1, s0, s1)), 1e-3, 0.0)
         for i in range(300):
             if not valid[i]:
                 continue
@@ -149,7 +148,7 @@ class TestVectorizedAgainstScalar:
 
         rng = np.random.default_rng(25)
         n0, n1, s0, s1 = random_counts(rng, 50)
-        mat = methods.log_bayes_factor_arrays(n0, n1, s0, s1, 1.0, 1.0)
+        mat = log_bayes_factor(s0, n0, s1, n1, BfConfig(1.0, 1.0))
         for i in range(50):
             expected = log_bayes_factor(int(s0[i]), int(n0[i]), int(s1[i]), int(n1[i]), BfConfig())
             assert mat[i] == pytest.approx(expected, rel=1e-10, abs=1e-12)
@@ -158,8 +157,9 @@ class TestVectorizedAgainstScalar:
         rng = np.random.default_rng(26)
         n = rng.integers(5, 500, size=80).astype(float)
         s = np.clip(rng.binomial(n.astype(int), 0.4), 1, n - 1).astype(float)
-        center, hw, valid = methods.mean_interval_arrays(n, s, 0.05, 1e-3)
-        mcenter, mhw, mvalid = methods.msprt1_interval_arrays(n, s, 0.05, 1e-3)
+        arm = methods.bernoulli_arm(n, s)
+        center, hw, valid = mean_interval(n, *arm, 0.05, 1e-3)
+        mcenter, mhw, mvalid = msprt_interval(n, *arm, 0.05, 1e-3)
         for i in range(80):
             arm = StreamingMoments(count=int(n[i]), mean=s[i] / n[i], m2=s[i] - s[i] ** 2 / n[i])
             iv = asympcs_mean(arm, PARAMS)
@@ -404,6 +404,13 @@ class TestStudies:
         )
         assert ldm.power >= cs.power - 0.05
         assert cs.power >= bf.power - 0.05
+
+    def test_tiny_horizon_multiple_reads_its_own_peek(self):
+        # 1e-9 x fht_total rounds to 0; the marker is clamped to n = 1, not read off the first peek.
+        cfg = SimStudyConfig(method="AsympCS", arm_means=(0.1, 0.12), replications=20, master_seed=5)
+        report = run_power_study(cfg, horizon_multiples=(1e-9, 1.0))
+        assert report.peek_ns[0] == 1
+        assert report.power_by_multiple[0] == (1e-9, 0.0)
 
     def test_lift_study_pairs_and_orders(self):
         cfg = SimStudyConfig(method="AsympCS-lift", arm_means=(0.1, 0.11), replications=200, master_seed=23)

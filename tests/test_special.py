@@ -1,16 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import ndtr
 
-from anytime_ab.special import log_beta, normal_cdf, normal_quantile, reg_inc_beta
-
-
-def test_cdf_at_zero():
-    assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+from anytime_ab.special import normal_quantile, reg_inc_beta
 
 
 def test_quantile_golden():
@@ -19,28 +14,13 @@ def test_quantile_golden():
 
 def test_cdf_quantile_roundtrip():
     for p in np.linspace(0.001, 0.999, 57):
-        assert abs(normal_cdf(normal_quantile(p)) - p) <= 1e-10
-
-
-def test_cdf_symmetry():
-    for x in np.linspace(-6, 6, 41):
-        assert normal_cdf(-x) + normal_cdf(x) == pytest.approx(1.0, abs=1e-12)
+        assert abs(ndtr(normal_quantile(p)) - p) <= 1e-10
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
 def test_quantile_domain(p):
     with pytest.raises(ValueError):
         normal_quantile(p)
-
-
-def test_log_beta_simple():
-    assert log_beta(1.0, 2.0) == pytest.approx(math.log(0.5), abs=1e-14)
-
-
-@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0)])
-def test_log_beta_domain(a, b):
-    with pytest.raises(ValueError):
-        log_beta(a, b)
 
 
 def test_reg_inc_beta_uniform_is_identity():
