@@ -12,7 +12,6 @@ from .bayes import (
     BhtConfig,
     bayes_factor,
     bht_decide,
-    single_arm_expected_loss,
     two_arm_expected_loss,
 )
 from .confseq import (
@@ -68,7 +67,6 @@ __all__ = [
     "msprt_p_step",
     "pocock_spend",
     "radius_beta",
-    "single_arm_expected_loss",
     "two_arm_expected_loss",
     "variance_guess_binary",
 ]

@@ -5,7 +5,8 @@ expected-loss rule penalizes a wrong choice linearly (the regret of
 picking the worse arm) and stops once the posterior expected loss of the
 preferred decision drops below a threshold of caring. The Bayes-factor
 rule stops once the posterior odds in favor of distinct arm rates exceed
-a threshold.
+a threshold. The one-arm loss against a fixed baseline rate is
+``simlab.methods.bht_single_losses``.
 """
 
 import math
@@ -15,7 +16,6 @@ import numpy as np
 from scipy.special import betaincinv, betaln
 
 from .confseq import TwoArmState
-from .special import reg_inc_beta
 
 DEFAULT_EPSILON = 1e-4
 
@@ -82,30 +82,6 @@ class BfConfig:
             raise ValueError("prior parameters must be positive")
         if self.odds_threshold <= 1.0:
             raise ValueError("odds threshold must exceed 1")
-
-
-def single_arm_expected_loss(post: BetaPosterior, theta0: float, direction: str) -> float:
-    """Posterior expected linear loss against a fixed baseline rate.
-
-    direction "below": E[max(theta0 - theta, 0)], the regret of declaring
-    the arm above baseline when it is not; "above" is the mirror image.
-    Closed form in the regularized incomplete beta:
-
-        below: theta0 * I(theta0; a, b) - a/(a+b) * I(theta0; a+1, b)
-        above: a/(a+b) * I(1-theta0; b, a+1) - theta0 * I(1-theta0; b, a)
-    """
-    if not 0.0 <= theta0 <= 1.0:
-        raise ValueError(f"theta0 must be in [0, 1], got {theta0}")
-    a, b = post.a, post.b
-    mean = post.mean
-    if direction == "below":
-        val = theta0 * reg_inc_beta(theta0, a, b) - mean * reg_inc_beta(theta0, a + 1.0, b)
-    elif direction == "above":
-        val = mean * reg_inc_beta(1.0 - theta0, b, a + 1.0) - theta0 * reg_inc_beta(1.0 - theta0, b, a)
-    else:
-        raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
-    # Exact value is nonnegative; subtraction can leave a tiny negative.
-    return max(val, 0.0)
 
 
 def beta_prob_greater(a1: float, b1: float, a0: float, b0: float) -> float:
@@ -183,18 +159,14 @@ def binary_counts(state: TwoArmState) -> tuple[int, int, int, int]:
     return out[0], out[1], out[2], out[3]
 
 
-def bht_decide(
-    state: TwoArmState,
-    cfg: BhtConfig,
-    backend: str = "exact",
-) -> BhtDecision:
+def bht_decide(state: TwoArmState, cfg: BhtConfig) -> BhtDecision:
     """Stop once the expected loss of the preferred arm is below epsilon."""
     c0, n0, c1, n1 = binary_counts(state)
     prior = BetaPosterior(cfg.prior_a, cfg.prior_b)
     post0 = prior.update(c0, n0)
     post1 = prior.update(c1, n1)
-    loss0 = two_arm_expected_loss(post0, post1, "arm0", backend=backend)
-    loss1 = two_arm_expected_loss(post0, post1, "arm1", backend=backend)
+    loss0 = two_arm_expected_loss(post0, post1, "arm0")
+    loss1 = two_arm_expected_loss(post0, post1, "arm1")
     chosen = 0 if loss0 <= loss1 else 1
     stopped = min(loss0, loss1) < cfg.epsilon
     return BhtDecision(stopped, chosen, loss0, loss1)

@@ -20,6 +20,12 @@ from .gst import SpendingSchedule
 from .simlab import SimStudyConfig
 
 STUDIES = ("type1", "power", "lift-power", "rho2-sweep", "mde-misspec", "stop-quality")
+# Every key that _study_config or _cmd_simulate reads; any other key is an error.
+CONFIG_KEYS = frozenset((
+    "alpha", "arm_means", "design_mde", "effects", "epsilon", "factors", "horizon", "horizon_multiples",
+    "lift_grid", "master_seed", "method", "methods", "num_peeks", "odds_threshold", "peek_every", "prior",
+    "replications", "rho2", "rho2_grid", "theta0", "truth_prior",
+))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,14 +145,18 @@ def _study_config(conf: dict, method: str, seed: int | None) -> SimStudyConfig:
         params=params,
         theta0=conf.get("theta0", 0.0),
         design_mde=conf.get("design_mde"),
-        design_alpha=conf.get("design_alpha", alpha),
-        design_power=conf.get("design_power", 0.8),
+        design_alpha=alpha,
     )
 
 
 def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError(f"config must be a JSON object, got {type(conf).__name__}")
+    unknown = sorted(set(conf) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     methods_list = conf.get("methods") or [conf["method"]]
     reports = []
     for method in methods_list:
@@ -168,13 +178,7 @@ def _cmd_simulate(args) -> int:
             for factor in conf.get("factors", [1.0]):
                 reports.append(simlab.run_mde_misspec_study(conf["effects"], factor, cfg))
         elif args.study == "stop-quality":
-            reports.append(
-                simlab.run_stop_quality_study(
-                    cfg,
-                    grid_start=conf.get("grid_start", 100),
-                    num_peeks=conf.get("num_peeks", 400),
-                )
-            )
+            reports.append(simlab.run_stop_quality_study(cfg, num_peeks=conf.get("num_peeks", 400)))
     os.makedirs(args.out, exist_ok=True)
     simlab.write_json(reports, os.path.join(args.out, "report.json"))
     simlab.write_csv(reports, os.path.join(args.out, "report.csv"))

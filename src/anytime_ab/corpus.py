@@ -16,6 +16,7 @@ import numpy as np
 from .simlab import methods
 
 CATEGORIES = ("both-sig", "fht-only-sig", "cs-only-sig", "neither-sig")
+MAX_CANDIDATES = 20000
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def _write_log(path: str, blocks, m1, c1, c0) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def generate_corpus(out_dir: str, spec: CorpusSpec, max_candidates: int = 20000) -> dict:
+def generate_corpus(out_dir: str, spec: CorpusSpec) -> dict:
     """Fill the per-category quotas and write logs plus a manifest.
 
     Null experiments feed the fht-only / cs-only / neither buckets;
@@ -87,7 +88,7 @@ def generate_corpus(out_dir: str, spec: CorpusSpec, max_candidates: int = 20000)
     assignments: dict[str, str] = {}
     log_index = 0
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    for candidate in range(max_candidates):
+    for candidate in range(MAX_CANDIDATES):
         if not any(remaining.values()):
             break
         want_effect = remaining["both-sig"] > 0
@@ -103,7 +104,7 @@ def generate_corpus(out_dir: str, spec: CorpusSpec, max_candidates: int = 20000)
         log_index += 1
     unfilled = {cat: k for cat, k in remaining.items() if k > 0}
     if unfilled:
-        raise RuntimeError(f"could not fill quotas within {max_candidates} candidates: {unfilled}")
+        raise RuntimeError(f"could not fill quotas within {MAX_CANDIDATES} candidates: {unfilled}")
     manifest = {
         "spec": {
             "p0": spec.p0,

@@ -36,13 +36,12 @@ class DesignSpec:
 
     theta_h1: float
     sigma2_guess: float
-    theta_h0: float = 0.0
     alpha: float = 0.05
     power: float = 0.8
     population_cap: int = DEFAULT_POPULATION_CAP
 
     def __post_init__(self):
-        if abs(self.theta_h1 - self.theta_h0) <= 0.0:
+        if self.theta_h1 == 0.0:
             raise ValueError("alternative effect must differ from the null")
         if self.sigma2_guess <= 0.0:
             raise ValueError("variance guess must be positive")
@@ -52,25 +51,17 @@ class DesignSpec:
             raise ValueError("population cap must be at least 1")
 
 
-def hypothesized_sample_size(
-    spec: DesignSpec,
-    params: ConfSeqParams,
-    one_sided: bool = False,
-) -> int | None:
+def hypothesized_sample_size(spec: DesignSpec, params: ConfSeqParams) -> int | None:
     """Smallest total n at which the anytime test rejects with the target power.
 
     Returns None when the crossing does not happen within the population
     cap. Levels come from ``spec``; only the tuning ``rho2`` is read from
-    ``params``. With ``one_sided`` the per-tail levels are doubled, a
-    slight refinement over the symmetric default.
+    ``params``.
     """
-    effect = abs(spec.theta_h1 - spec.theta_h0)
+    effect = abs(spec.theta_h1)
     s = math.sqrt(spec.sigma2_guess)
     alpha = spec.alpha
     beta_err = 1.0 - spec.power
-    if one_sided:
-        alpha = min(2.0 * alpha, 1.0 - 1e-12)
-        beta_err = min(2.0 * beta_err, 1.0 - 1e-12)
     rho2 = params.rho2
 
     def crosses(n: int) -> bool:

@@ -214,7 +214,6 @@ def analyze_snapshots(
     params: ConfSeqParams,
     theta0: float = 0.0,
     bht_config: BhtConfig | None = None,
-    bf_config: BfConfig | None = None,
     schedule: SpendingSchedule | None = None,
     intersect: bool = False,
 ) -> tuple[list[TrajectoryRow], int | None, float | None]:
@@ -261,7 +260,7 @@ def analyze_snapshots(
         stat, valid = z_statistic(*arms, theta0)
         crossed = valid & (np.abs(stat) >= np.asarray(schedule.boundaries))
     elif method == "bf":
-        cfg = bf_config or BfConfig()
+        cfg = BfConfig()
         c0, b0, c1, b1 = np.array([binary_counts(state) for state in states], dtype=float).reshape(-1, 4).T
         stat = log_bayes_factor(c0, b0, c1, b1, cfg)
         crossed = stat >= np.log(cfg.odds_threshold)
@@ -313,7 +312,6 @@ def analyze(
     partial: bool = False,
     experiment_id: str | None = None,
     bht_config: BhtConfig | None = None,
-    bf_config: BfConfig | None = None,
     schedule: SpendingSchedule | None = None,
     intersect: bool = False,
 ) -> tuple[DecisionRecord, list[TrajectoryRow]]:
@@ -327,7 +325,7 @@ def analyze(
     result = ingest(parse_events(log_path), snapshot_every=snapshot_every, dedup=dedup)
     rows, crossed_at, statistic = analyze_snapshots(
         result.snapshots, method, params, theta0,
-        bht_config=bht_config, bf_config=bf_config, schedule=schedule, intersect=intersect,
+        bht_config=bht_config, schedule=schedule, intersect=intersect,
     )
     if crossed_at is not None:
         verdict = VERDICT_SIGNIFICANT
@@ -449,21 +447,18 @@ def _format_pct(count: int, total: int) -> str:
     return f"{round(pct):.0f}%"
 
 
-_FHT_SIDE = ("fht-peeking", "fht")
-_CS_SIDE = ("asympcs",)
-
-
 def crosstab(records) -> CrossTab:
     """Pair decision records by experiment and tabulate verdict agreement.
 
-    Each experiment must contribute exactly one fixed-horizon record and
-    one anytime record, both with final (non-running) verdicts.
+    Each experiment must contribute exactly one fixed-horizon
+    (``fht-peeking``) record and one anytime (``asympcs``) record, both
+    with final (non-running) verdicts.
     """
     by_experiment: dict[str, dict[str, str]] = {}
     for record in records:
-        if record.method in _FHT_SIDE:
+        if record.method == "fht-peeking":
             side = "fht"
-        elif record.method in _CS_SIDE:
+        elif record.method == "asympcs":
             side = "cs"
         else:
             raise UnpairedRecordError(f"method {record.method!r} does not belong to either side")

@@ -44,6 +44,7 @@ _SPAN_SDS = 8.0
 _BAND_SDS = 12.0
 _ROW_BLOCK = 128
 _GRID_STABLE_TOL = 1e-4
+_START_GRID = 512
 _MAX_GRID = 4096
 _MAX_NEWTON = 100
 _NEWTON_TOL = 1e-12
@@ -202,12 +203,13 @@ def _solve_boundaries(fracs: np.ndarray, spends: np.ndarray, m: int) -> np.ndarr
     return bounds
 
 
-def compute_boundaries(peek_fractions, alpha: float, grid_points: int = 512) -> SpendingSchedule:
+def compute_boundaries(peek_fractions, alpha: float) -> SpendingSchedule:
     """Two-sided symmetric boundaries for the given peek fractions.
 
     Fractions must be strictly increasing and end at 1; at most 1000
-    peeks. The grid is doubled and the recursion re-run until consecutive
-    solutions agree to 1e-4 on every boundary.
+    peeks. Starting from 512 points, the grid is doubled and the
+    recursion re-run until consecutive solutions agree to 1e-4 on every
+    boundary.
     """
     fracs = np.asarray(peek_fractions, dtype=float)
     if fracs.ndim != 1 or len(fracs) == 0:
@@ -220,7 +222,7 @@ def compute_boundaries(peek_fractions, alpha: float, grid_points: int = 512) -> 
         raise ValueError("final peek fraction must be exactly 1")
 
     spends = pocock_spend(fracs, alpha)
-    m = grid_points
+    m = _START_GRID
     bounds = _solve_boundaries(fracs, spends, m)
     while True:
         if 2 * m > _MAX_GRID:

@@ -64,10 +64,16 @@ def bf_reject(n0, n1, s0, s1, prior_a, prior_b, odds_threshold):
 
 
 def bht_single_losses(n, s, prior_a, prior_b, theta0):
-    """Directional expected losses for the one-arm rule, vectorized.
+    """Directional expected linear losses of one arm against a baseline rate.
 
-    Returns (loss_below, loss_above): the expected regret of declaring
-    the arm above (resp. below) the baseline when it is not.
+    The posterior is Beta(prior_a + s, prior_b + n - s), the prior itself
+    when n = s = 0. Returns (loss_below, loss_above): loss_below =
+    E[max(theta0 - theta, 0)] is the regret of declaring the arm above
+    theta0 when it is not; loss_above is its mirror image. In the
+    regularized incomplete beta I, with theta0 in [0, 1]:
+
+        below: theta0 * I(theta0; a, b) - a/(a+b) * I(theta0; a+1, b)
+        above: a/(a+b) * I(1-theta0; b, a+1) - theta0 * I(1-theta0; b, a)
     """
     a = prior_a + s
     b = prior_b + (n - s)

@@ -43,6 +43,8 @@ METHODS = (
 )
 
 LDM_PEEK_COUNT = 100
+DESIGN_POWER = 0.8
+STOP_QUALITY_START = 100
 STOP_QUALITY_PEEKS = 400
 MISSPEC_HORIZON_MULTIPLE = 6.0
 MISSPEC_PEEKS = 500
@@ -56,8 +58,8 @@ class SimStudyConfig:
     interval methods and for LDM (whose alpha sets the 100-peek spending
     schedule), BhtConfig or BfConfig for the Bayesian rules.
     ``design_mde`` anchors the fixed-horizon sample size that peek
-    schedules and horizon multiples refer to; it defaults to the true
-    difference of ``arm_means`` when they differ.
+    schedules and horizon multiples refer to, at ``DESIGN_POWER``; it
+    defaults to the true difference of ``arm_means`` when they differ.
     """
 
     method: str
@@ -71,7 +73,6 @@ class SimStudyConfig:
     theta0: float = 0.0
     design_mde: float | None = None
     design_alpha: float = 0.05
-    design_power: float = 0.8
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -104,7 +105,7 @@ def _fht_total(cfg: SimStudyConfig) -> int:
     mde = cfg.design_mde if cfg.design_mde is not None else p1 - p0
     if mde == 0.0:
         raise ValueError("study needs design_mde when arm means are equal")
-    per_arm = design.fixed_horizon_sample_size(p0, mde, _alpha(cfg), cfg.design_power)
+    per_arm = design.fixed_horizon_sample_size(p0, mde, _alpha(cfg), DESIGN_POWER)
     return 2 * per_arm
 
 
@@ -321,7 +322,7 @@ def run_lift_power_study(
         return lift_mask, ate_mask
 
     lift_mask, ate_mask = _curves(p0, p1)
-    aa_lift_mask, _ = _curves(p0, p0)
+    aa_lift_mask = methods.lift_reject(*_two_arm_counts(cfg, grid, p0, p0), p.alpha, p.rho2, 0.0)
     reports = {
         key: _power_report(cfg, f"lift-power:{key}", mask, horizon, grid, markers, fht_total)
         for key, mask in (("lift", lift_mask), ("ate", ate_mask), ("lift-aa", aa_lift_mask))
@@ -403,7 +404,7 @@ def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfi
     ratios = []
     per_effect = {}
     for theta in effect_distribution:
-        per_arm_true = design.fixed_horizon_sample_size(p0, theta, p.alpha, cfg.design_power)
+        per_arm_true = design.fixed_horizon_sample_size(p0, theta, p.alpha, DESIGN_POWER)
         horizon = int(math.ceil(MISSPEC_HORIZON_MULTIPLE * 2 * per_arm_true))
         step = max(1, horizon // MISSPEC_PEEKS)
         grid = np.arange(step, horizon + 1, step, dtype=np.int64)
@@ -411,7 +412,7 @@ def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfi
         reject = methods.ate_reject(*counts, p.alpha, p.rho2, cfg.theta0)
         _, stop_n, _ = methods.first_crossing(reject, grid)
         q80 = float(np.quantile(stop_n, 0.8, method="lower"))
-        per_arm_assumed = design.fixed_horizon_sample_size(p0, factor * theta, p.alpha, cfg.design_power)
+        per_arm_assumed = design.fixed_horizon_sample_size(p0, factor * theta, p.alpha, DESIGN_POWER)
         ratio = q80 / (2 * per_arm_assumed)
         ratios.append((float(theta), float(ratio)))
         per_effect[f"{theta}"] = {"q80": q80, "fht_total_assumed": 2 * per_arm_assumed}
@@ -435,24 +436,22 @@ def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfi
     )
 
 
-def run_stop_quality_study(
-    cfg: SimStudyConfig,
-    grid_start: int = 100,
-    num_peeks: int = STOP_QUALITY_PEEKS,
-) -> SimReport:
+def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PEEKS) -> SimReport:
     """Single-arm stop-time quality: miscoverage, calibration, loss at stop.
 
     The true rate is drawn per replication from ``truth_prior`` and
-    compared against the fixed baseline ``theta0``. Peeks are log spaced
-    between ``grid_start`` and the horizon. Supports the one-sample
-    interval methods and the expected-loss rule.
+    compared against the fixed baseline ``theta0``, a rate in [0, 1].
+    Peeks are log spaced between ``STOP_QUALITY_START`` and the horizon.
+    Supports the one-sample interval methods and the expected-loss rule.
     """
     if cfg.truth_prior is None:
         raise ValueError("stop-quality study needs truth_prior")
     if cfg.horizon is None:
         raise ValueError("stop-quality study needs an explicit horizon")
+    if not 0.0 <= cfg.theta0 <= 1.0:
+        raise ValueError(f"stop-quality study needs theta0 in [0, 1], got {cfg.theta0}")
     horizon = cfg.horizon
-    grid = np.unique(np.round(np.geomspace(grid_start, horizon, num_peeks)).astype(np.int64))
+    grid = np.unique(np.round(np.geomspace(STOP_QUALITY_START, horizon, num_peeks)).astype(np.int64))
     theta, s = streams.single_arm_count_matrices(cfg.master_seed, cfg.replications, grid, cfg.truth_prior)
     n_grid = grid.astype(float)
     theta0 = cfg.theta0

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from anytime_ab.bayes import (
-    BetaPosterior,
-    BfConfig,
-    BhtConfig,
-    bayes_factor,
-    single_arm_expected_loss,
-)
+from anytime_ab.bayes import BfConfig, BhtConfig, bayes_factor
 from anytime_ab.cli import main as cli_main
 from anytime_ab.confseq import ConfSeqParams, TwoArmState, asympcs_ate, msprt_p_step
 from anytime_ab.corpus import CorpusSpec, generate_corpus
@@ -308,13 +302,19 @@ class TestCriterion08BayesianOracles:
             a = float(rng.integers(2, 200))
             b = float(rng.integers(2, 200))
             theta0 = float(rng.uniform(0.05, 0.95))
-            post = BetaPosterior(a, b)
-            below = single_arm_expected_loss(post, theta0, "below")
-            oracle, _ = integrate.quad(
+            # With no data the kernel evaluates the Beta(a, b) prior itself.
+            below, above = methods.bht_single_losses(0.0, 0.0, a, b, theta0)
+            oracle_below, _ = integrate.quad(
                 lambda t: (theta0 - t) * stats.beta.pdf(t, a, b), 0.0, theta0, epsabs=1e-13, limit=200
             )
-            worst = max(worst, abs(below - oracle))
-        _line("8", worst <= 1e-8, f"closed-form loss vs quadrature on 20-case grid: max err {worst:.2e} <= 1e-8")
+            oracle_above, _ = integrate.quad(
+                lambda t: (t - theta0) * stats.beta.pdf(t, a, b), theta0, 1.0, epsabs=1e-13, limit=200
+            )
+            worst = max(worst, abs(below - oracle_below), abs(above - oracle_above))
+        _line(
+            "8", worst <= 1e-8,
+            f"bht_single_losses below and above vs quadrature on 20-case grid: max err {worst:.2e} <= 1e-8",
+        )
 
     def test_bht_matched_prior_loss_calibration(self):
         cfg = SimStudyConfig(

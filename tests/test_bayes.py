@@ -17,11 +17,11 @@ from anytime_ab.bayes import (
     bht_decide,
     binary_counts,
     log_bayes_factor,
-    single_arm_expected_loss,
     two_arm_expected_loss,
 )
 from anytime_ab.confseq import TwoArmState
 from anytime_ab.moments import StreamingMoments
+from anytime_ab.simlab.methods import bht_single_losses
 
 
 def binary_state(c0, n0, c1, n1):
@@ -65,37 +65,29 @@ class TestPosterior:
 
 
 class TestSingleArmLoss:
+    """``bht_single_losses`` with no data evaluates the Beta(a, b) prior itself."""
+
     def test_zero_baseline_below_is_zero(self):
-        assert single_arm_expected_loss(BetaPosterior(3.0, 4.0), 0.0, "below") == 0.0
+        assert bht_single_losses(0.0, 0.0, 3.0, 4.0, 0.0)[0] == 0.0
 
     def test_difference_identity(self):
-        post = BetaPosterior(13.0, 29.0)
         theta0 = 0.4
-        below = single_arm_expected_loss(post, theta0, "below")
-        above = single_arm_expected_loss(post, theta0, "above")
-        assert below - above == pytest.approx(theta0 - post.mean, abs=1e-12)
+        below, above = bht_single_losses(0.0, 0.0, 13.0, 29.0, theta0)
+        assert below - above == pytest.approx(theta0 - BetaPosterior(13.0, 29.0).mean, abs=1e-12)
 
     def test_closed_form_matches_quadrature(self):
-        post = BetaPosterior(30.0, 70.0)
         theta0 = 0.35
-        val = single_arm_expected_loss(post, theta0, "below")
+        val, above = bht_single_losses(0.0, 0.0, 30.0, 70.0, theta0)
         # Frozen from a 50-digit evaluation: 0.053457262912666901.
         assert val == pytest.approx(0.053457262912666901, abs=1e-12)
         oracle, _ = integrate.quad(
             lambda t: (theta0 - t) * stats.beta.pdf(t, 30, 70), 0.0, theta0, epsabs=1e-12
         )
         assert val == pytest.approx(oracle, abs=1e-8)
-        above = single_arm_expected_loss(post, theta0, "above")
         oracle_above, _ = integrate.quad(
             lambda t: (t - theta0) * stats.beta.pdf(t, 30, 70), theta0, 1.0, epsabs=1e-12
         )
         assert above == pytest.approx(oracle_above, abs=1e-8)
-
-    def test_direction_validation(self):
-        with pytest.raises(ValueError):
-            single_arm_expected_loss(BetaPosterior(1.0, 1.0), 0.5, "sideways")
-        with pytest.raises(ValueError):
-            single_arm_expected_loss(BetaPosterior(1.0, 1.0), 1.5, "below")
 
     @given(
         st.floats(min_value=0.5, max_value=80.0),
@@ -104,9 +96,9 @@ class TestSingleArmLoss:
     )
     @settings(max_examples=200, deadline=None)
     def test_nonnegative(self, a, b, theta0):
-        post = BetaPosterior(a, b)
-        assert single_arm_expected_loss(post, theta0, "below") >= 0.0
-        assert single_arm_expected_loss(post, theta0, "above") >= 0.0
+        below, above = bht_single_losses(0.0, 0.0, a, b, theta0)
+        assert below >= 0.0
+        assert above >= 0.0
 
 
 class TestProbGreater:
@@ -166,8 +158,6 @@ class TestTwoArmLoss:
         for backend in ("qmc", "quadrature"):
             with pytest.raises(ValueError):
                 two_arm_expected_loss(post, post, "arm0", backend=backend)
-            with pytest.raises(ValueError):
-                bht_decide(binary_state(1, 3, 2, 3), BhtConfig(), backend=backend)
 
     def test_exact_backend_integer_guard(self):
         with pytest.raises(BackendError):
@@ -183,13 +173,13 @@ class TestTwoArmLoss:
 class TestBhtDecide:
     def test_no_data_no_stop(self):
         state = binary_state(0, 1, 0, 1)
-        decision = bht_decide(state, BhtConfig(), backend="exact")
+        decision = bht_decide(state, BhtConfig())
         assert not decision.stopped
         assert decision.loss_arm0 == pytest.approx(decision.loss_arm1, rel=1e-9)
 
     def test_overwhelming_data_stops_on_better_arm(self):
         state = binary_state(10_000, 100_000, 20_000, 100_000)
-        decision = bht_decide(state, BhtConfig(), backend="exact")
+        decision = bht_decide(state, BhtConfig())
         assert decision.stopped and decision.chosen_arm == 1
 
     def test_non_binary_rejected(self):

@@ -177,6 +177,43 @@ class TestSimulateCommand:
         )
         assert code != 0
 
+    @pytest.mark.parametrize(
+        "study, conf, message",
+        [
+            (
+                "type1",
+                {"methods": ["AsympCS"], "arm_means": [0.1, 0.1], "design_mde": 0.01, "horizon": 2000,
+                 "peek_every": 500, "replication": 5},
+                "unknown config keys: replication",
+            ),
+            (
+                "stop-quality",
+                {"methods": ["AsympCS"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 2000,
+                 "num_peeks": 20, "replications": 5, "grid_start": 50},
+                "unknown config keys: grid_start",
+            ),
+            ("type1", [{"methods": ["AsympCS"]}], "config must be a JSON object, got list"),
+            (
+                "stop-quality",
+                {"methods": ["BHT-uninformed"], "truth_prior": [100, 100], "theta0": 1.5, "horizon": 2000,
+                 "num_peeks": 20, "replications": 5},
+                "theta0 in [0, 1], got 1.5",
+            ),
+        ],
+        ids=["misspelt-key", "grid_start", "list", "theta0-above-1"],
+    )
+    def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(conf))
+        out_dir = tmp_path / "study"
+        code, _, err = run_cli(
+            ["simulate", "--study", study, "--config", str(config), "--out", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_bundled_configs_parse(self):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         for name in ("type1", "power", "lift_power", "rho2_sweep", "mde_misspec", "stop_quality"):

@@ -102,12 +102,6 @@ class TestHypothesizedSampleSize:
         with pytest.raises(ValueError):
             DesignSpec(theta_h1=0.01, sigma2_guess=1.0, alpha=0.8, power=0.8)
 
-    def test_one_sided_refinement_not_larger(self):
-        spec = DesignSpec(theta_h1=0.01, sigma2_guess=variance_guess_binary(0.1, 0.01))
-        two = hypothesized_sample_size(spec, PARAMS)
-        one = hypothesized_sample_size(spec, PARAMS, one_sided=True)
-        assert one <= two
-
     def test_rejection_frequency_at_n_star(self):
         # Smaller-scale version of the full-grid acceptance check.
         mde, p0 = 0.02, 0.1

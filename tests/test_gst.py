@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from anytime_ab.design import fixed_horizon_sample_size
-from anytime_ab.gst import SolverError, SpendingSchedule, compute_boundaries, pocock_spend
+from anytime_ab.gst import SolverError, SpendingSchedule, _solve_boundaries, compute_boundaries, pocock_spend
 from anytime_ab.simlab.studies import _ldm_peek_ns
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -140,10 +140,11 @@ class TestBoundaries:
         assert sched.cumulative_spend[-1] == pytest.approx(0.05, abs=1e-12)
 
     def test_grid_doubling_invariance(self):
-        fr = (np.arange(1, 21) / 20.0).tolist()
-        a = compute_boundaries(fr, 0.05, grid_points=512)
-        b = compute_boundaries(fr, 0.05, grid_points=1024)
-        assert np.max(np.abs(np.asarray(a.boundaries) - np.asarray(b.boundaries))) <= 1e-4
+        fr = np.arange(1, 21) / 20.0
+        spends = pocock_spend(fr, 0.05)
+        a = _solve_boundaries(fr, spends, 512)
+        b = _solve_boundaries(fr, spends, 1024)
+        assert np.max(np.abs(a - b)) <= 1e-4
 
     def test_incremental_spends_telescope(self):
         fr = (np.arange(1, 11) / 10.0).tolist()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anytime_ab.bayes import BetaPosterior, BfConfig, BhtConfig
+from anytime_ab.bayes import BfConfig, BhtConfig
 from anytime_ab.confseq import (
     ConfSeqParams,
     TwoArmState,
@@ -126,22 +126,6 @@ class TestVectorizedAgainstScalar:
                 continue
             lam = msprt_lambda(binary_state(s0[i], n0[i], s1[i], n1[i]), PARAMS)
             assert loglam[i] == pytest.approx(math.log(lam), rel=1e-10, abs=1e-12)
-
-    def test_single_arm_losses(self):
-        from anytime_ab.bayes import single_arm_expected_loss
-
-        rng = np.random.default_rng(24)
-        n = rng.integers(5, 500, size=100).astype(float)
-        s = rng.binomial(n.astype(int), 0.45).astype(float)
-        lb, la = methods.bht_single_losses(n, s, 1.0, 1.0, 0.5)
-        for i in range(100):
-            post = BetaPosterior(1.0 + s[i], 1.0 + n[i] - s[i])
-            assert lb[i] == pytest.approx(
-                single_arm_expected_loss(post, 0.5, "below"), rel=1e-9, abs=1e-12
-            )
-            assert la[i] == pytest.approx(
-                single_arm_expected_loss(post, 0.5, "above"), rel=1e-9, abs=1e-12
-            )
 
     def test_bayes_factor_matrix(self):
         from anytime_ab.bayes import log_bayes_factor
@@ -390,7 +374,7 @@ class TestStudies:
         for r in range(10):
             for j in range(grid.size):
                 state = binary_state(s0[r, j], n0[r, j], s1[r, j], n1[r, j])
-                scalar = bht_decide(state, cfg, backend="exact").stopped
+                scalar = bht_decide(state, cfg).stopped
                 assert reject[r, j] == scalar
                 if scalar:
                     break  # row loop stops at first crossing by construction
@@ -420,6 +404,14 @@ class TestStudies:
             assert m1 == m2
             assert p_lift <= p_ate + 1e-12
         assert aa.power <= 0.08
+
+    def test_lift_aa_run_computes_only_the_lift_mask(self, monkeypatch):
+        calls = []
+        ate_reject = methods.ate_reject
+        monkeypatch.setattr(methods, "ate_reject", lambda *args: calls.append(args) or ate_reject(*args))
+        cfg = SimStudyConfig(method="AsympCS-lift", arm_means=(0.1, 0.11), replications=20, master_seed=23)
+        run_lift_power_study(cfg, horizon_multiples=(1.0,))
+        assert len(calls) == 1
 
     def test_lift_power_grows_along_grid(self):
         cfg = SimStudyConfig(method="AsympCS-lift", arm_means=(0.1, 0.11), replications=300, master_seed=67)
@@ -478,6 +470,20 @@ class TestStudies:
         )
         report = run_stop_quality_study(cfg, num_peeks=1_500)
         assert report.mean_loss_at_stop == pytest.approx(1e-4, rel=0.5)
+
+    def test_stop_quality_rejects_theta0_outside_unit_interval(self):
+        # Outside [0, 1] the single-arm loss is NaN, so BHT would never stop.
+        for method, params, theta0 in (
+            ("BHT-uninformed", BhtConfig(), 1.5),
+            ("BHT-uninformed", BhtConfig(), -0.1),
+            ("AsympCS", PARAMS, 1.5),
+        ):
+            cfg = SimStudyConfig(
+                method=method, truth_prior=(100, 100), theta0=theta0, horizon=10_000,
+                replications=20, master_seed=59, params=params,
+            )
+            with pytest.raises(ValueError, match=r"theta0 in \[0, 1\]"):
+                run_stop_quality_study(cfg, num_peeks=50)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
