@@ -10,7 +10,6 @@ from .bayes import (
     BetaPosterior,
     BfConfig,
     BhtConfig,
-    bayes_factor,
     bht_decide,
     two_arm_expected_loss,
 )
@@ -19,11 +18,6 @@ from .confseq import (
     Interval,
     TwoArmState,
     asympcs_ate,
-    asympcs_lift,
-    asympcs_mean,
-    msprt_cs,
-    msprt_lambda,
-    msprt_p_step,
     radius_beta,
 )
 from .design import (
@@ -53,18 +47,12 @@ __all__ = [
     "TwoArmState",
     "analyze",
     "asympcs_ate",
-    "asympcs_lift",
-    "asympcs_mean",
-    "bayes_factor",
     "bht_decide",
     "compute_boundaries",
     "crosstab",
     "fixed_horizon_sample_size",
     "hypothesized_sample_size",
     "ingest",
-    "msprt_cs",
-    "msprt_lambda",
-    "msprt_p_step",
     "pocock_spend",
     "radius_beta",
     "two_arm_expected_loss",

@@ -9,11 +9,10 @@ a threshold. The one-arm loss against a fixed baseline rate is
 ``simlab.methods.bht_single_losses``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, betaln
+from scipy.special import betaln
 
 from .confseq import TwoArmState
 
@@ -45,13 +44,6 @@ class BetaPosterior:
     @property
     def mean(self) -> float:
         return self.a / (self.a + self.b)
-
-    def credible_interval(self, level: float = 0.95) -> tuple[float, float]:
-        tail = (1.0 - level) / 2.0
-        return (
-            float(betaincinv(self.a, self.b, tail)),
-            float(betaincinv(self.a, self.b, 1.0 - tail)),
-        )
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,3 @@ def log_bayes_factor(c0, n0, c1, n1, cfg: BfConfig):
         - betaln(a + c0 + c1, b + n0 + n1 - c0 - c1)
     )
     return float(out) if out.ndim == 0 else out
-
-
-def bayes_factor(c0: int, n0: int, c1: int, n1: int, cfg: BfConfig) -> float:
-    return math.exp(log_bayes_factor(c0, n0, c1, n1, cfg))

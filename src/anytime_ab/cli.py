@@ -13,19 +13,61 @@ import os
 import sys
 
 from . import design, simlab
-from .bayes import BfConfig, BhtConfig
-from .confseq import ConfSeqParams
+from .bayes import DEFAULT_EPSILON, BfConfig, BhtConfig
+from .confseq import DEFAULT_RHO2, ConfSeqParams
 from .engine import DecisionRecord, LogParseError, analyze, crosstab
 from .gst import SpendingSchedule
 from .simlab import SimStudyConfig
+from .simlab.studies import HORIZON_MULTIPLES, STOP_QUALITY_PEEKS
 
 STUDIES = ("type1", "power", "lift-power", "rho2-sweep", "mde-misspec", "stop-quality")
-# Every key that _study_config or _cmd_simulate reads; any other key is an error.
-CONFIG_KEYS = frozenset((
-    "alpha", "arm_means", "design_mde", "effects", "epsilon", "factors", "horizon", "horizon_multiples",
-    "lift_grid", "master_seed", "method", "methods", "num_peeks", "odds_threshold", "peek_every", "prior",
-    "replications", "rho2", "rho2_grid", "theta0", "truth_prior",
-))
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_number, value))
+
+
+# What each value type in CONFIG_TYPES accepts; booleans are not numbers.
+_VALUE_TYPES = {
+    "a number": _number,
+    "a number or null": lambda v: v is None or _number(v),
+    "an integer": lambda v: _number(v) and isinstance(v, int),
+    "an integer or null": lambda v: v is None or (_number(v) and isinstance(v, int)),
+    "a list of numbers": _numbers,
+    "a list of numbers or null": lambda v: v is None or _numbers(v),
+    "a pair of numbers": lambda v: _numbers(v) and len(v) == 2,
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+}
+# Every key that _study_config or _cmd_simulate reads, with the type of its
+# value; any other key is an error. Null stands for the default where that is None.
+CONFIG_TYPES = {
+    "alpha": "a number",
+    "arm_means": "a pair of numbers",
+    "design_mde": "a number or null",
+    "effects": "a list of numbers",
+    "epsilon": "a number",
+    "factors": "a list of numbers",
+    "horizon": "an integer or null",
+    "horizon_multiples": "a list of numbers",
+    "lift_grid": "a list of numbers or null",
+    "master_seed": "an integer",
+    "method": "a string",
+    "methods": "a list of strings",
+    "num_peeks": "an integer",
+    "odds_threshold": "a number",
+    "peek_every": "an integer",
+    "prior": "a pair of numbers",
+    "replications": "an integer",
+    "rho2": "a number",
+    "rho2_grid": "a list of numbers",
+    "theta0": "a number",
+    "truth_prior": "a pair of numbers",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,12 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--log", required=True)
     p_an.add_argument("--method", required=True)
     p_an.add_argument("--alpha", type=float, default=0.05)
-    p_an.add_argument("--rho2", type=float, default=1e-3)
+    p_an.add_argument("--rho2", type=float, default=DEFAULT_RHO2)
     p_an.add_argument("--theta0", type=float, default=0.0)
     p_an.add_argument("--snapshot-every", type=int, default=100)
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--experiment-id", default=None)
-    p_an.add_argument("--epsilon", type=float, default=1e-4, help="threshold of caring for bht")
+    p_an.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="threshold of caring for bht")
     p_an.add_argument("--schedule", default=None, help="spending schedule JSON for ldm")
     p_an.add_argument("--dedup", action="store_true", help="first event per unit wins")
     p_an.add_argument("--partial", action="store_true", help="log is still collecting")
@@ -52,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_de.add_argument("--mde", type=float, required=True)
     p_de.add_argument("--alpha", type=float, default=0.05)
     p_de.add_argument("--power", type=float, default=0.8)
-    p_de.add_argument("--rho2", type=float, default=1e-3)
+    p_de.add_argument("--rho2", type=float, default=DEFAULT_RHO2)
     p_de.add_argument("--population-cap", type=int, default=design.DEFAULT_POPULATION_CAP)
     p_de.add_argument("--fixed-horizon", action="store_true", help="include the classical n")
 
@@ -125,10 +167,10 @@ def _cmd_design(args) -> int:
 
 def _study_config(conf: dict, method: str, seed: int | None) -> SimStudyConfig:
     alpha = conf.get("alpha", 0.05)
-    rho2 = conf.get("rho2", 1e-3)
+    rho2 = conf.get("rho2", DEFAULT_RHO2)
     if method in ("BHT-uninformed", "BHT-matched"):
         prior = conf.get("prior", [1.0, 1.0])
-        params = BhtConfig(prior[0], prior[1], conf.get("epsilon", 1e-4))
+        params = BhtConfig(prior[0], prior[1], conf.get("epsilon", DEFAULT_EPSILON))
     elif method == "BF-uninformed":
         prior = conf.get("prior", [1.0, 1.0])
         params = BfConfig(prior[0], prior[1], conf.get("odds_threshold", 1.0 / alpha))
@@ -154,9 +196,16 @@ def _cmd_simulate(args) -> int:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError(f"config must be a JSON object, got {type(conf).__name__}")
-    unknown = sorted(set(conf) - CONFIG_KEYS)
+    unknown = sorted(set(conf) - set(CONFIG_TYPES))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    wrong = [
+        f"{key} must be {CONFIG_TYPES[key]}, got {json.dumps(value)}"
+        for key, value in sorted(conf.items())
+        if not _VALUE_TYPES[CONFIG_TYPES[key]](value)
+    ]
+    if wrong:
+        raise ValueError(f"bad config values: {'; '.join(wrong)}")
     methods_list = conf.get("methods") or [conf["method"]]
     reports = []
     for method in methods_list:
@@ -164,11 +213,11 @@ def _cmd_simulate(args) -> int:
         if args.study == "type1":
             reports.append(simlab.run_type1_study(cfg))
         elif args.study == "power":
-            reports.append(simlab.run_power_study(cfg, conf.get("horizon_multiples", (1.0, 2.0, 3.0))))
+            reports.append(simlab.run_power_study(cfg, conf.get("horizon_multiples", HORIZON_MULTIPLES)))
         elif args.study == "lift-power":
             out = simlab.run_lift_power_study(
                 cfg,
-                conf.get("horizon_multiples", (1.0, 2.0, 3.0)),
+                conf.get("horizon_multiples", HORIZON_MULTIPLES),
                 conf.get("lift_grid"),
             )
             reports.extend(out.values())
@@ -178,7 +227,7 @@ def _cmd_simulate(args) -> int:
             for factor in conf.get("factors", [1.0]):
                 reports.append(simlab.run_mde_misspec_study(conf["effects"], factor, cfg))
         elif args.study == "stop-quality":
-            reports.append(simlab.run_stop_quality_study(cfg, num_peeks=conf.get("num_peeks", 400)))
+            reports.append(simlab.run_stop_quality_study(cfg, num_peeks=conf.get("num_peeks", STOP_QUALITY_PEEKS)))
     os.makedirs(args.out, exist_ok=True)
     simlab.write_json(reports, os.path.join(args.out, "report.json"))
     simlab.write_csv(reports, os.path.join(args.out, "report.csv"))
@@ -190,8 +239,12 @@ def _cmd_report_crosstab(args) -> int:
     for name in sorted(os.listdir(args.decisions)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(args.decisions, name), "r", encoding="utf-8") as fh:
-            records.append(DecisionRecord.from_dict(json.load(fh)))
+        path = os.path.join(args.decisions, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                records.append(DecisionRecord.from_dict(json.load(fh)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     table = crosstab(records)
     payload = table.to_dict()
     payload["table"] = table.format_table()

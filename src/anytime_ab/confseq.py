@@ -7,11 +7,15 @@ propensity is taken to be the observed allocation ``n1 / n``, which
 collapses the inverse-propensity-weighted estimator to a plain difference
 in means while keeping its variance expressible in per-arm summaries.
 
-Every function here is a pure map from (accumulator state, parameters) to
-an interval or statistic: replaying a log reproduces a trajectory bit for
-bit, and evaluation cadence is immaterial to validity, so no schedule
-state is kept. Intervals are *not* intersected across time by default;
-the stopping rule used throughout is "first n whose current interval
+Each rule is one array kernel over per-arm (count, mean, biased variance)
+columns, which ``summaries`` forms from accumulator states and
+``simlab.methods.bernoulli_summaries`` from count matrices; ``analyze``
+and the studies call the same kernels. Every kernel is a pure map from
+those columns and its parameters to an interval or statistic with a
+validity mask: replaying a log reproduces a trajectory bit for bit, and
+evaluation cadence is immaterial to validity, so no schedule state is
+kept. Intervals are *not* intersected across time by default; the
+stopping rule used throughout is "first n whose current interval
 excludes the null".
 """
 
@@ -36,10 +40,6 @@ class InsufficientDataError(ValueError):
 
 class VarianceGuardError(ValueError):
     """Raised when the variance term is negative beyond float round-off."""
-
-
-class ZeroVarianceError(ValueError):
-    """Raised when the mixture test needs a positive pooled variance."""
 
 
 @dataclass(frozen=True)
@@ -251,95 +251,16 @@ def z_interval(n0, n1, mu0, mu1, v0, v1, alpha: float):
     return mu1 - mu0, normal_quantile(1.0 - alpha / 2.0) * se, valid
 
 
-# Scalar API: precondition checks with typed errors, then the kernels.
-
-
-def _require_both_arms(state: TwoArmState, what: str) -> None:
-    if state.arm0.count < 1 or state.arm1.count < 1 or state.n < 2:
-        raise InsufficientDataError(
-            f"{what} needs both arms nonempty and n >= 2, got n0={state.arm0.count}, n1={state.arm1.count}"
-        )
+# The one scalar entry point, kept because perfbench's tracer patches
+# ``engine.asympcs_ate``: the interval for one state, with a typed error
+# where the kernel's entry would be invalid.
 
 
 def asympcs_ate(state: TwoArmState, params: ConfSeqParams) -> Interval:
     """Anytime-valid interval for the average treatment effect mu1 - mu0 (see ``ate_interval``)."""
-    _require_both_arms(state, "ATE interval")
+    if state.arm0.count < 1 or state.arm1.count < 1 or state.n < 2:
+        raise InsufficientDataError(
+            f"ATE interval needs both arms nonempty and n >= 2, got n0={state.arm0.count}, n1={state.arm1.count}"
+        )
     center, hw, _ = ate_interval(*_summary(state), params.alpha, params.rho2)
-    return Interval(float(center - hw), float(center + hw))
-
-
-def arm_bounds(arm: StreamingMoments, level: float, rho2: float) -> tuple[float, float]:
-    """Per-arm lower/upper anytime bounds at the given level."""
-    if arm.count < 2:
-        raise InsufficientDataError(f"arm bounds need count >= 2, got {arm.count}")
-    mu, hw, _ = mean_interval(float(arm.count), arm.mean, arm.biased_variance, level, rho2)
-    return float(mu - hw), float(mu + hw)
-
-
-def asympcs_mean(arm: StreamingMoments, params: ConfSeqParams) -> Interval:
-    """One-sample anytime-valid interval: mean +/- biased std * radius."""
-    return Interval(*arm_bounds(arm, params.alpha, params.rho2))
-
-
-def asympcs_lift(state: TwoArmState, params: ConfSeqParams, arm_level: float | None = None) -> Interval:
-    """Anytime-valid interval for the relative lift mu1/mu0 - 1 (see ``lift_interval``).
-
-    Defined only for positive-mean metrics. ``arm_level`` is the level
-    used for each per-arm interval and defaults to ``params.alpha``; pass
-    ``params.alpha / 2`` for strict union-bound accounting across the
-    two arms.
-    """
-    if arm_level is None:
-        arm_level = params.alpha
-    if state.arm0.count < 2 or state.arm1.count < 2:
-        raise InsufficientDataError("lift interval needs at least two observations per arm")
-    if state.arm0.mean <= 0.0 or state.arm1.mean <= 0.0:
-        raise ValueError("lift is defined for positive-mean metrics only")
-    lower, upper, _ = lift_interval(*_summary(state), arm_level, params.rho2)
-    return Interval(float(lower), float(upper))
-
-
-def _mixture_scale(state: TwoArmState) -> tuple:
-    _require_both_arms(state, "mixture test")
-    n, estimate, sigma2 = two_sample_scale(*_summary(state))
-    if not sigma2 > 0.0:
-        raise ZeroVarianceError("pooled variance is zero; mixture test undefined")
-    return n, estimate, sigma2
-
-
-def msprt_lambda(state: TwoArmState, params: ConfSeqParams, theta0: float = 0.0) -> float:
-    """Two-sample mixture likelihood ratio for the difference of means."""
-    loglam, _ = msprt_log_lambda(*_mixture_scale(state), params.rho2, theta0)
-    return float(np.exp(loglam))
-
-
-def msprt_cs(state: TwoArmState, params: ConfSeqParams) -> Interval:
-    """Interval obtained by inverting the two-sample mixture test.
-
-    Excludes a point exactly when the mixture likelihood ratio at that
-    point reaches 1/alpha, so the induced stopping rule agrees with the
-    p-process reaching alpha.
-    """
-    center, hw, _ = msprt_interval(*_mixture_scale(state), params.alpha, params.rho2)
-    return Interval(float(center - hw), float(center + hw))
-
-
-def msprt_p_step(prev_p: float, state: TwoArmState, params: ConfSeqParams, theta0: float = 0.0) -> float:
-    """One step of the always-valid p-process: p_n = min(p_{n-1}, 1/lambda_n).
-
-    Start the recursion from p = 1 before any data.
-    """
-    if not 0.0 < prev_p <= 1.0:
-        raise ValueError(f"prev_p must be in (0, 1], got {prev_p}")
-    lam = msprt_lambda(state, params, theta0)
-    return min(prev_p, 1.0 / lam)
-
-
-def msprt_cs_mean(arm: StreamingMoments, params: ConfSeqParams) -> Interval:
-    """One-sample interval obtained by inverting the mixture test."""
-    if arm.count < 2:
-        raise InsufficientDataError(f"mixture test needs count >= 2, got {arm.count}")
-    if arm.biased_variance <= 0.0:
-        raise ZeroVarianceError("sample variance is zero; mixture test undefined")
-    center, hw, _ = msprt_interval(float(arm.count), arm.mean, arm.biased_variance, params.alpha, params.rho2)
     return Interval(float(center - hw), float(center + hw))

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +81,18 @@ class DecisionRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DecisionRecord":
+        """Read ``to_dict`` output; ValueError for a non-object, an unknown key or a missing field."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"decision record must be a JSON object, got {type(obj).__name__}")
+        known = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+        problems = [
+            f"{what}: {', '.join(sorted(keys))}"
+            for what, keys in (("unknown keys", set(obj) - known), ("missing fields", required - set(obj)))
+            if keys
+        ]
+        if problems:
+            raise ValueError(f"decision record has {'; '.join(problems)}")
         return cls(**obj)
 
 

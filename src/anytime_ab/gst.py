@@ -80,15 +80,6 @@ class SpendingSchedule:
     def n_peeks(self) -> int:
         return len(self.peek_fractions)
 
-    @property
-    def incremental_spend(self) -> tuple[float, ...]:
-        prev = 0.0
-        out = []
-        for s in self.cumulative_spend:
-            out.append(s - prev)
-            prev = s
-        return tuple(out)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -101,12 +92,19 @@ class SpendingSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "SpendingSchedule":
+        """Read ``to_json`` output; ValueError unless it is an object of three lists of numbers."""
         obj = json.loads(text)
-        return cls(
-            tuple(obj["fractions"]),
-            tuple(obj["spends"]),
-            tuple(obj["boundaries"]),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError(f"schedule must be a JSON object, got {type(obj).__name__}")
+        columns = []
+        for key in ("fractions", "spends", "boundaries"):
+            value = obj.get(key)
+            if not isinstance(value, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+            ):
+                raise ValueError(f"schedule {key!r} must be a list of numbers, got {json.dumps(value)}")
+            columns.append(tuple(value))
+        return cls(*columns)
 
 
 def pocock_spend(t, alpha: float):

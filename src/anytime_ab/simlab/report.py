@@ -46,24 +46,10 @@ class SimReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SimReport":
-        obj = json.loads(text)
-        obj["power_by_multiple"] = _pairs(obj.get("power_by_multiple"))
-        obj["calibration_pairs"] = _pairs(obj.get("calibration_pairs"))
-        obj["stop_ratio_by_effect"] = _pairs(obj.get("stop_ratio_by_effect"))
-        return cls(**obj)
-
     def csv_rows(self):
         """Tidy (study, method, peek_n, value) rows for external plotting."""
         for n, v in zip(self.peek_ns, self.cumulative_rejection_by_peek):
             yield self.study, self.method, n, v
-
-
-def _pairs(value):
-    if value is None:
-        return None
-    return [tuple(item) for item in value]
 
 
 def write_csv(reports, path) -> None:

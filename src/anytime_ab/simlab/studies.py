@@ -46,6 +46,7 @@ LDM_PEEK_COUNT = 100
 DESIGN_POWER = 0.8
 STOP_QUALITY_START = 100
 STOP_QUALITY_PEEKS = 400
+HORIZON_MULTIPLES = (1.0, 2.0, 3.0)
 MISSPEC_HORIZON_MULTIPLE = 6.0
 MISSPEC_PEEKS = 500
 
@@ -279,7 +280,7 @@ def run_type1_study(cfg: SimStudyConfig) -> SimReport:
     )
 
 
-def run_power_study(cfg: SimStudyConfig, horizon_multiples=(1.0, 2.0, 3.0)) -> SimReport:
+def run_power_study(cfg: SimStudyConfig, horizon_multiples=HORIZON_MULTIPLES) -> SimReport:
     """Rejection frequency at multiples of the fixed-horizon sample size.
 
     With equal arm means the power curve is, by definition, the type-I
@@ -296,7 +297,7 @@ def run_power_study(cfg: SimStudyConfig, horizon_multiples=(1.0, 2.0, 3.0)) -> S
 
 def run_lift_power_study(
     cfg: SimStudyConfig,
-    horizon_multiples=(1.0, 2.0, 3.0),
+    horizon_multiples=HORIZON_MULTIPLES,
     lift_grid=None,
 ) -> dict[str, SimReport]:
     """Paired lift-rule and difference-rule power, plus a null lift run.

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from anytime_ab.bayes import BfConfig, BhtConfig, bayes_factor
+from anytime_ab.bayes import BfConfig, BhtConfig, log_bayes_factor
 from anytime_ab.cli import main as cli_main
-from anytime_ab.confseq import ConfSeqParams, TwoArmState, asympcs_ate, msprt_p_step
+from anytime_ab.confseq import ConfSeqParams, TwoArmState, asympcs_ate, msprt_log_lambda, summaries, two_sample_scale
 from anytime_ab.corpus import CorpusSpec, generate_corpus
 from anytime_ab.design import (
     DesignSpec,
@@ -327,7 +327,7 @@ class TestCriterion08BayesianOracles:
         _line("8", ok, f"matched-prior mean loss at stop {loss:.3e} within +/-20% of eps=1e-4")
 
     def test_bayes_factor_hand_value(self):
-        bf = bayes_factor(0, 1, 1, 1, BfConfig())
+        bf = math.exp(log_bayes_factor(0, 1, 1, 1, BfConfig()))
         _line("8", abs(bf - 1.5) <= 1e-12, f"Bayes factor hand value {bf!r} = 1.5 +/- 1e-12")
 
 
@@ -409,21 +409,19 @@ class TestCriterion10DeterminismAndProperties:
         steps_total = 0
         violations = 0
         while steps_total < 100_000:
-            p_prev = 1.0
             arm0, arm1 = StreamingMoments(), StreamingMoments()
             drift = rng.choice([0.0, 0.03])
+            states = []
             for _ in range(500):
                 arm0 = arm0.update(float(rng.random() < 0.3))
                 arm1 = arm1.update(float(rng.random() < 0.3 + drift))
-                if arm0.count < 1 or arm1.count < 1:
-                    continue
-                state = TwoArmState(arm0, arm1)
-                if arm0.biased_variance + arm1.biased_variance == 0.0:
-                    continue
-                p_next = msprt_p_step(p_prev, state, PARAMS)
-                violations += p_next > p_prev
-                p_prev = p_next
-                steps_total += 1
+                states.append(TwoArmState(arm0, arm1))
+            # The always-valid p-process: running minimum of 1/lambda from p = 1,
+            # stepping only where the mixture test is defined.
+            loglam, valid = msprt_log_lambda(*two_sample_scale(*summaries(states)), PARAMS.rho2)
+            p = np.minimum.accumulate(np.concatenate(([1.0], np.exp(-loglam[valid]))))
+            violations += int(np.sum(~(p[1:] <= p[:-1])))
+            steps_total += int(valid.sum())
         _line("10", violations == 0, f"p-process nonincreasing over {steps_total} randomized steps")
 
     def test_interval_determinism_suite(self):

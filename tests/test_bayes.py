@@ -12,7 +12,6 @@ from anytime_ab.bayes import (
     BfConfig,
     BhtConfig,
     NonBinaryOutcomeError,
-    bayes_factor,
     beta_prob_greater,
     bht_decide,
     binary_counts,
@@ -50,18 +49,6 @@ class TestPosterior:
             BetaPosterior(0.0, 1.0)
         with pytest.raises(ValueError):
             BetaPosterior(1.0, 1.0).update(5, 3)
-
-    def test_credible_interval_brackets_mean(self):
-        post = BetaPosterior(30.0, 70.0)
-        lo, hi = post.credible_interval(0.95)
-        assert lo < post.mean < hi
-
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (30.0, 70.0), (2761.0, 22341.0), (0.5, 3.0)])
-    def test_credible_interval_equals_beta_ppf(self, a, b):
-        for level in (0.9, 0.95):
-            tail = (1.0 - level) / 2.0
-            interval = BetaPosterior(a, b).credible_interval(level)
-            assert interval == (stats.beta.ppf(tail, a, b), stats.beta.ppf(1.0 - tail, a, b))
 
 
 class TestSingleArmLoss:
@@ -199,11 +186,11 @@ class TestBhtDecide:
 
 class TestBayesFactor:
     def test_no_evidence_is_one(self):
-        assert bayes_factor(0, 0, 0, 0, BfConfig()) == pytest.approx(1.0, abs=1e-15)
+        assert math.exp(log_bayes_factor(0, 0, 0, 0, BfConfig())) == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_value(self):
         # B(1,2) B(2,1) / (B(1,1) B(2,2)) = (1/2)(1/2) / (1/6) = 1.5
-        assert bayes_factor(0, 1, 1, 1, BfConfig()) == pytest.approx(1.5, abs=1e-12)
+        assert math.exp(log_bayes_factor(0, 1, 1, 1, BfConfig())) == pytest.approx(1.5, abs=1e-12)
 
     def test_symmetric_under_arm_swap(self):
         cfg = BfConfig()
@@ -213,9 +200,9 @@ class TestBayesFactor:
 
     def test_count_domain(self):
         with pytest.raises(ValueError):
-            bayes_factor(5, 3, 0, 0, BfConfig())
+            log_bayes_factor(5, 3, 0, 0, BfConfig())
         with pytest.raises(ValueError):
-            bayes_factor(-1, 3, 0, 0, BfConfig())
+            log_bayes_factor(-1, 3, 0, 0, BfConfig())
 
     def test_strictly_positive_large_counts(self):
         val = log_bayes_factor(9_000, 100_000, 9_500, 100_000, BfConfig())

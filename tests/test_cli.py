@@ -88,6 +88,35 @@ class TestAnalyzeCommand:
         )
         assert code != 0 and "line 1" in err
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ([1], "schedule must be a JSON object, got list"),
+            ({"fractions": [1.0], "spends": [0.05], "boundaries": ["x"]},
+             """schedule 'boundaries' must be a list of numbers, got ["x"]"""),
+            ({"fractions": 1, "spends": [0.05], "boundaries": [1.96]},
+             "schedule 'fractions' must be a list of numbers, got 1"),
+        ],
+        ids=["list", "text-boundary", "scalar-fractions"],
+    )
+    def test_bad_schedule_rejected(self, tmp_path, capsys, schedule, message):
+        log = tmp_path / "log.jsonl"
+        write_log(log, np.random.default_rng(3), 300, 0.2, 0.2)
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(schedule))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["analyze", "--log", str(log), "--method", "ldm", "--schedule", str(path), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == "" and not out_dir.exists()
+
+
+TINY_TYPE1 = {"methods": ["AsympCS"], "arm_means": [0.1, 0.1], "design_mde": 0.01, "replications": 5}
+
 
 class TestSimulateCommand:
     def test_tiny_type1_run(self, tmp_path, capsys):
@@ -199,8 +228,18 @@ class TestSimulateCommand:
                  "num_peeks": 20, "replications": 5},
                 "theta0 in [0, 1], got 1.5",
             ),
+            ("type1", {**TINY_TYPE1, "methods": ["BHT-uninformed"], "prior": 5},
+             "bad config values: prior must be a pair of numbers, got 5"),
+            ("type1", {**TINY_TYPE1, "replications": "5"}, 'bad config values: replications must be an integer, got "5"'),
+            ("type1", {**TINY_TYPE1, "alpha": "0.05"}, 'bad config values: alpha must be a number, got "0.05"'),
+            ("type1", {**TINY_TYPE1, "arm_means": 0.1}, "bad config values: arm_means must be a pair of numbers, got 0.1"),
+            ("type1", {**TINY_TYPE1, "methods": "AsympCS"},
+             'bad config values: methods must be a list of strings, got "AsympCS"'),
+            ("type1", {**TINY_TYPE1, "rho2": True}, "bad config values: rho2 must be a number, got true"),
+            ("type1", {**TINY_TYPE1, "peek_every": 100.0}, "bad config values: peek_every must be an integer, got 100.0"),
         ],
-        ids=["misspelt-key", "grid_start", "list", "theta0-above-1"],
+        ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
+             "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"
@@ -302,6 +341,33 @@ class TestReportCommand:
             "fht_sig_cs_sig": 1, "fht_sig_cs_not": 1, "fht_not_cs_sig": 0, "fht_not_cs_not": 1,
         }
         assert "AsympCS Significant" in stdout
+
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('{"x": 1}', "decision record has unknown keys: x; missing fields: "),
+            ("[1]", "decision record must be a JSON object, got list"),
+            ('{"experiment_id": "e", "method": "asympcs", "n": 1, "n0": 1, "n1": 0, "peek_count": 1}',
+             "decision record has missing fields: verdict"),
+            ('{"experiment_id": "e", "method": "asympcs", "verdict": "significant", "n": 1, "n0": 1, "n1": 0,'
+             ' "peek_count": 1, "bogus": 2}', "decision record has unknown keys: bogus"),
+            ("{bad", "Expecting property name enclosed in double quotes"),
+        ],
+        ids=["unknown-key", "list", "missing-field", "extra-key", "json-syntax"],
+    )
+    def test_bad_decision_file_rejected(self, tmp_path, capsys, body, message):
+        decisions = tmp_path / "decisions"
+        decisions.mkdir()
+        (decisions / "e0.json").write_text(body)
+        out = tmp_path / "crosstab.json"
+        code, stdout, err = run_cli(
+            ["report", "crosstab", "--decisions", str(decisions), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert f"{decisions / 'e0.json'}: {message}" in err
+        assert "Traceback" not in err
+        assert stdout == "" and not out.exists()
 
 
 def test_unknown_subcommand(capsys):

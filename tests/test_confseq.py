@@ -11,16 +11,14 @@ from anytime_ab.confseq import (
     Interval,
     TwoArmState,
     VarianceGuardError,
-    ZeroVarianceError,
-    arm_bounds,
     asympcs_ate,
-    asympcs_lift,
-    asympcs_mean,
-    msprt_cs,
-    msprt_cs_mean,
-    msprt_lambda,
-    msprt_p_step,
+    lift_interval,
+    mean_interval,
+    msprt_interval,
+    msprt_log_lambda,
     radius_beta,
+    summaries,
+    two_sample_scale,
 )
 from anytime_ab.moments import StreamingMoments
 
@@ -32,6 +30,27 @@ def binary_state(c0, n0, c1, n1):
         return StreamingMoments(count=n, mean=c / n, m2=c - c * c / n)
 
     return TwoArmState(arm(c0, n0), arm(c1, n1))
+
+
+def one_state(state):
+    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a single state, as numpy scalars."""
+    return tuple(column[0] for column in summaries([state]))
+
+
+def arm_columns(arm):
+    """One arm's (count, mean, biased variance), as ``mean_interval`` and ``msprt_interval`` take them."""
+    return np.float64(arm.count), np.float64(arm.mean), np.float64(arm.m2 / max(arm.count, 1))
+
+
+def arm_bounds(arm):
+    """Lower and upper anytime bounds of one arm at level 0.05."""
+    mu, hw, _ = mean_interval(*arm_columns(arm), 0.05, 1e-3)
+    return mu - hw, mu + hw
+
+
+def log_lambda(state, theta0=0.0):
+    """Two-sample mixture log likelihood ratio of one state, and its validity."""
+    return msprt_log_lambda(*two_sample_scale(*one_state(state)), 1e-3, theta0)
 
 
 class TestRadius:
@@ -163,48 +182,45 @@ class TestAteInterval:
 class TestMeanInterval:
     def test_constant_stream_degenerate(self):
         arm = StreamingMoments.from_values([3.5] * 20)
-        iv = asympcs_mean(arm, PARAMS)
-        assert iv.lower == 3.5 and iv.upper == 3.5
+        assert arm_bounds(arm) == (3.5, 3.5)
 
     def test_two_point_half_width(self):
-        arm = StreamingMoments.from_values([0.0, 1.0])
-        iv = asympcs_mean(arm, PARAMS)
-        assert iv.lower == pytest.approx(0.5 - 0.5 * radius_beta(2, 0.05, 1e-3), rel=1e-12)
-        assert iv.upper == pytest.approx(0.5 + 0.5 * radius_beta(2, 0.05, 1e-3), rel=1e-12)
+        lower, upper = arm_bounds(StreamingMoments.from_values([0.0, 1.0]))
+        assert lower == pytest.approx(0.5 - 0.5 * radius_beta(2, 0.05, 1e-3), rel=1e-12)
+        assert upper == pytest.approx(0.5 + 0.5 * radius_beta(2, 0.05, 1e-3), rel=1e-12)
 
     def test_needs_two_observations(self):
-        with pytest.raises(InsufficientDataError):
-            asympcs_mean(StreamingMoments().update(1.0), PARAMS)
+        _, hw, valid = mean_interval(*arm_columns(StreamingMoments().update(1.0)), 0.05, 1e-3)
+        assert not valid and hw == math.inf
 
 
 class TestLiftInterval:
     def test_identical_arms_contains_zero(self):
-        state = binary_state(100, 200, 100, 200)
-        iv = asympcs_lift(state, PARAMS)
-        assert iv.lower < 0.0 < iv.upper
+        lower, upper, valid = lift_interval(*one_state(binary_state(100, 200, 100, 200)), 0.05, 1e-3)
+        assert valid and lower < 0.0 < upper
 
     def test_tiny_n_upper_infinite(self):
-        state = binary_state(1, 3, 2, 3)
-        iv = asympcs_lift(state, PARAMS)
-        assert iv.upper == math.inf
-        assert iv.lower == -1.0
+        lower, upper, valid = lift_interval(*one_state(binary_state(1, 3, 2, 3)), 0.05, 1e-3)
+        assert valid
+        assert upper == math.inf
+        assert lower == -1.0
 
     def test_matches_log_exp_construction(self):
         rng = np.random.default_rng(42)
         state = binary_state(
             int(rng.binomial(200, 0.3)), 200, int(rng.binomial(200, 0.35)), 200
         )
-        iv = asympcs_lift(state, PARAMS)
-        l0, u0 = arm_bounds(state.arm0, 0.05, 1e-3)
-        l1, u1 = arm_bounds(state.arm1, 0.05, 1e-3)
+        lift_lower, lift_upper, _ = lift_interval(*one_state(state), 0.05, 1e-3)
+        l0, u0 = arm_bounds(state.arm0)
+        l1, u1 = arm_bounds(state.arm1)
         lower = math.exp(math.log(l1) - math.log(u0)) - 1.0
         upper = math.exp(math.log(u1) - math.log(l0)) - 1.0
-        assert iv.lower == pytest.approx(lower, rel=1e-12)
-        assert iv.upper == pytest.approx(upper, rel=1e-12)
+        assert lift_lower == pytest.approx(lower, rel=1e-12)
+        assert lift_upper == pytest.approx(upper, rel=1e-12)
 
     def test_positive_mean_required(self):
-        with pytest.raises(ValueError):
-            asympcs_lift(binary_state(0, 50, 10, 50), PARAMS)
+        _, _, valid = lift_interval(*one_state(binary_state(0, 50, 10, 50)), 0.05, 1e-3)
+        assert not valid
 
     def test_contains_point_estimate_when_bounds_clean(self):
         rng = np.random.default_rng(11)
@@ -215,13 +231,13 @@ class TestLiftInterval:
             if min(c0, c1) == 0:
                 continue
             state = binary_state(c0, n0, c1, n1)
-            l0, _ = arm_bounds(state.arm0, 0.05, 1e-3)
-            l1, _ = arm_bounds(state.arm1, 0.05, 1e-3)
+            l0, _ = arm_bounds(state.arm0)
+            l1, _ = arm_bounds(state.arm1)
             if l0 <= 0 or l1 <= 0:
                 continue
-            iv = asympcs_lift(state, PARAMS)
+            lower, upper, _ = lift_interval(*one_state(state), 0.05, 1e-3)
             estimate = state.arm1.mean / state.arm0.mean - 1.0
-            assert iv.lower <= estimate <= iv.upper
+            assert lower <= estimate <= upper
             checked += 1
         assert checked > 100
 
@@ -229,12 +245,14 @@ class TestLiftInterval:
 class TestMsprt:
     def test_null_estimate_keeps_p(self):
         state = binary_state(30, 100, 30, 100)
-        lam = msprt_lambda(state, PARAMS, theta0=0.0)
+        loglam, valid = log_lambda(state, theta0=0.0)
+        lam = math.exp(loglam)
         n = 200.0
         sigma2 = n * 2 * (0.3 * 0.7 / 100.0)
+        assert valid
         assert lam == pytest.approx(math.sqrt(sigma2 / (n * 1e-3 + sigma2)), rel=1e-12)
         assert lam < 1.0
-        assert msprt_p_step(1.0, state, PARAMS) == 1.0
+        assert min(1.0, 1.0 / lam) == 1.0
 
     def test_trajectory_matches_direct_formula(self):
         rng = np.random.default_rng(88)
@@ -246,7 +264,8 @@ class TestMsprt:
             state = TwoArmState(arm0, arm1)
             if state.arm0.biased_variance + state.arm1.biased_variance == 0.0:
                 continue
-            lam = msprt_lambda(state, PARAMS)
+            loglam, valid = log_lambda(state)
+            assert valid
             # Independent re-evaluation from raw counts.
             n = float(state.n)
             v0, v1 = arm0.biased_variance, arm1.biased_variance
@@ -255,7 +274,7 @@ class TestMsprt:
             expected = math.sqrt(sigma2 / (n * rho2 + sigma2)) * math.exp(
                 n * n * rho2 * theta * theta / (2 * sigma2 * (n * rho2 + sigma2))
             )
-            assert lam == pytest.approx(expected, rel=1e-10)
+            assert math.exp(loglam) == pytest.approx(expected, rel=1e-10)
 
     def test_stopping_rule_equivalence(self):
         # p <= alpha exactly when the running max of lambda reaches 1/alpha,
@@ -270,46 +289,43 @@ class TestMsprt:
                 arm0 = arm0.update(float(rng.random() < 0.3))
                 arm1 = arm1.update(float(rng.random() < 0.3 + drift))
                 state = TwoArmState(arm0, arm1)
-                try:
-                    lam = msprt_lambda(state, PARAMS)
-                except (InsufficientDataError, ZeroVarianceError):
+                scale = two_sample_scale(*one_state(state))
+                loglam, valid = msprt_log_lambda(*scale, 1e-3)
+                if not valid:
                     continue
-                p = msprt_p_step(p, state, PARAMS)
+                lam = math.exp(loglam)
+                p = min(p, 1.0 / lam)
                 max_lam = max(max_lam, lam)
                 assert (p <= 0.05) == (max_lam >= 1.0 / 0.05)
-                iv = msprt_cs(state, PARAMS)
-                if abs(math.log(lam) - math.log(1.0 / 0.05)) > 1e-9:
-                    assert iv.excludes(0.0) == (lam > 1.0 / 0.05)
+                center, hw, _ = msprt_interval(*scale, 0.05, 1e-3)
+                if abs(loglam - math.log(1.0 / 0.05)) > 1e-9:
+                    assert (abs(center) > hw) == (lam > 1.0 / 0.05)
 
     def test_p_process_nonincreasing(self):
         rng = np.random.default_rng(77)
         arm0, arm1 = StreamingMoments(), StreamingMoments()
-        p_prev = 1.0
+        states = []
         for _ in range(300):
             arm0 = arm0.update(float(rng.random() < 0.4))
             arm1 = arm1.update(float(rng.random() < 0.5))
-            state = TwoArmState(arm0, arm1)
-            if arm0.biased_variance + arm1.biased_variance == 0.0:
-                continue
-            p_next = msprt_p_step(p_prev, state, PARAMS)
-            assert p_next <= p_prev
-            p_prev = p_next
+            states.append(TwoArmState(arm0, arm1))
+        loglam, valid = msprt_log_lambda(*two_sample_scale(*summaries(states)), 1e-3)
+        p = np.minimum.accumulate(np.where(valid, np.exp(-loglam), 1.0))
+        assert valid.sum() > 250
+        assert np.all((p > 0.0) & (p <= 1.0))
+        assert np.all(np.diff(p) <= 0.0)
 
-    def test_zero_variance_error(self):
-        with pytest.raises(ZeroVarianceError):
-            msprt_lambda(binary_state(0, 10, 0, 10), PARAMS)
-
-    def test_prev_p_domain(self):
-        state = binary_state(3, 10, 4, 10)
-        with pytest.raises(ValueError):
-            msprt_p_step(0.0, state, PARAMS)
-        with pytest.raises(ValueError):
-            msprt_p_step(1.5, state, PARAMS)
+    def test_zero_variance_invalid(self):
+        loglam, valid = log_lambda(binary_state(0, 10, 0, 10))
+        assert not valid and loglam == -math.inf
+        _, hw, valid = msprt_interval(*two_sample_scale(*one_state(binary_state(0, 10, 0, 10))), 0.05, 1e-3)
+        assert not valid and hw == math.inf
 
     def test_one_sample_interval(self):
         arm = StreamingMoments.from_values([0.0, 1.0, 1.0, 0.0, 1.0])
-        iv = msprt_cs_mean(arm, PARAMS)
-        assert iv.lower < arm.mean < iv.upper
+        center, hw, valid = msprt_interval(*arm_columns(arm), 0.05, 1e-3)
+        assert valid
+        assert center - hw < arm.mean < center + hw
 
 
 class TestInterval:

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from anytime_ab.bayes import NonBinaryOutcomeError
 from anytime_ab.cli import main as cli_main
-from anytime_ab.confseq import (
-    ConfSeqParams,
-    InsufficientDataError,
-    TwoArmState,
-    ZeroVarianceError,
-    msprt_p_step,
-)
+from anytime_ab.confseq import ConfSeqParams, TwoArmState, msprt_log_lambda, summaries, two_sample_scale
 from anytime_ab.engine import (
     CrossTab,
     DecisionRecord,
@@ -382,15 +376,14 @@ class TestAnalyze:
             record, _ = analyze(str(path), method, PARAMS)
             assert record.verdict == "significant", method
             if method == "msprt":
-                # The statistic is the p-process replayed snapshot by snapshot.
+                # The statistic is the p-process, min(p, 1/lambda) from p = 1,
+                # replayed snapshot by snapshot where the mixture test is defined.
+                states = [s for n, s in ingest(parse_events(str(path))).snapshots if n <= record.n_at_decision]
+                loglam, valid = msprt_log_lambda(*two_sample_scale(*summaries(states)), PARAMS.rho2)
                 p = 1.0
-                for n, state in ingest(parse_events(str(path))).snapshots:
-                    if n > record.n_at_decision:
-                        break
-                    try:
-                        p = msprt_p_step(p, state, PARAMS)
-                    except (InsufficientDataError, ZeroVarianceError):
-                        continue
+                for lam, ok in zip(np.exp(loglam), valid):
+                    if ok:
+                        p = min(p, 1.0 / lam)
                 assert record.statistic == p
 
     def test_lift_analysis(self, tmp_path):

@@ -146,11 +146,6 @@ class TestBoundaries:
         b = _solve_boundaries(fr, spends, 1024)
         assert np.max(np.abs(a - b)) <= 1e-4
 
-    def test_incremental_spends_telescope(self):
-        fr = (np.arange(1, 11) / 10.0).tolist()
-        sched = compute_boundaries(fr, 0.05)
-        assert sum(sched.incremental_spend) == pytest.approx(sched.cumulative_spend[-1], abs=1e-14)
-
     @pytest.mark.parametrize(
         "fracs",
         [[], [0.5, 0.5, 1.0], [0.7, 0.3, 1.0], [0.5, 0.9], [-0.1, 1.0]],

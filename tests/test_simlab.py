@@ -7,17 +7,12 @@ from anytime_ab.bayes import BfConfig, BhtConfig
 from anytime_ab.confseq import (
     ConfSeqParams,
     TwoArmState,
-    asympcs_ate,
-    asympcs_lift,
-    asympcs_mean,
     ate_interval,
     lift_interval,
     mean_interval,
-    msprt_cs,
-    msprt_cs_mean,
     msprt_interval,
-    msprt_lambda,
     msprt_log_lambda,
+    summaries,
     two_sample_scale,
 )
 from anytime_ab.moments import StreamingMoments
@@ -43,6 +38,20 @@ def binary_state(c0, n0, c1, n1):
         return StreamingMoments(count=int(n), mean=c / n, m2=c - c * c / n)
 
     return TwoArmState(arm(c0, n0), arm(c1, n1))
+
+
+def welford_arm(rng, s, n):
+    """Welford moments of a shuffled stream of s ones and n - s zeros."""
+    values = np.zeros(int(n))
+    values[: int(s)] = 1.0
+    return StreamingMoments.from_values(rng.permutation(values))
+
+
+def welford_summaries(rng, n0, n1, s0, s1):
+    """Kernel columns of each row's two Welford-updated arms."""
+    return summaries([
+        TwoArmState(welford_arm(rng, s0[i], n0[i]), welford_arm(rng, s1[i], n1[i])) for i in range(len(n0))
+    ])
 
 
 def random_counts(rng, size):
@@ -88,44 +97,38 @@ class TestStreams:
 class TestVectorizedAgainstScalar:
     """Bernoulli count summaries and Welford moments must give the same rule values.
 
-    Both paths share the kernels; what differs is how per-arm means and
-    variances are formed, from counts here and by the scalar API's
-    accumulators.
+    Both paths call the same kernel; what differs is how per-arm means
+    and variances are formed, from counts by ``bernoulli_summaries`` and
+    from accumulators by ``confseq.summaries``, as the engine forms them.
     """
 
     def test_ate(self):
         rng = np.random.default_rng(21)
         n0, n1, s0, s1 = random_counts(rng, 300)
         center, hw, valid = ate_interval(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
-        assert valid.all()
-        for i in range(300):
-            iv = asympcs_ate(binary_state(s0[i], n0[i], s1[i], n1[i]), PARAMS)
-            assert center[i] - hw[i] == pytest.approx(iv.lower, rel=1e-11, abs=1e-12)
-            assert center[i] + hw[i] == pytest.approx(iv.upper, rel=1e-11, abs=1e-12)
+        w_center, w_hw, w_valid = ate_interval(*welford_summaries(rng, n0, n1, s0, s1), 0.05, 1e-3)
+        assert valid.all() and w_valid.all()
+        np.testing.assert_allclose(center - hw, w_center - w_hw, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(center + hw, w_center + w_hw, rtol=1e-11, atol=1e-12)
 
     def test_lift(self):
         rng = np.random.default_rng(22)
         n0, n1, s0, s1 = random_counts(rng, 300)
         lower, upper, valid = lift_interval(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
-        for i in range(300):
-            if not valid[i]:
-                continue
-            iv = asympcs_lift(binary_state(s0[i], n0[i], s1[i], n1[i]), PARAMS)
-            assert lower[i] == pytest.approx(iv.lower, rel=1e-11, abs=1e-12)
-            if math.isinf(iv.upper):
-                assert math.isinf(upper[i])
-            else:
-                assert upper[i] == pytest.approx(iv.upper, rel=1e-11, abs=1e-12)
+        w_lower, w_upper, w_valid = lift_interval(*welford_summaries(rng, n0, n1, s0, s1), 0.05, 1e-3)
+        np.testing.assert_array_equal(valid, w_valid)
+        np.testing.assert_allclose(lower[valid], w_lower[valid], rtol=1e-11, atol=1e-12)
+        np.testing.assert_array_equal(np.isinf(upper[valid]), np.isinf(w_upper[valid]))
+        finite = valid & np.isfinite(upper)
+        np.testing.assert_allclose(upper[finite], w_upper[finite], rtol=1e-11, atol=1e-12)
 
     def test_msprt(self):
         rng = np.random.default_rng(23)
         n0, n1, s0, s1 = random_counts(rng, 300)
         loglam, valid = msprt_log_lambda(*two_sample_scale(*methods.bernoulli_summaries(n0, n1, s0, s1)), 1e-3, 0.0)
-        for i in range(300):
-            if not valid[i]:
-                continue
-            lam = msprt_lambda(binary_state(s0[i], n0[i], s1[i], n1[i]), PARAMS)
-            assert loglam[i] == pytest.approx(math.log(lam), rel=1e-10, abs=1e-12)
+        w_loglam, w_valid = msprt_log_lambda(*two_sample_scale(*welford_summaries(rng, n0, n1, s0, s1)), 1e-3, 0.0)
+        np.testing.assert_array_equal(valid, w_valid)
+        np.testing.assert_allclose(loglam[valid], w_loglam[valid], rtol=1e-10, atol=1e-12)
 
     def test_bayes_factor_matrix(self):
         from anytime_ab.bayes import log_bayes_factor
@@ -142,14 +145,13 @@ class TestVectorizedAgainstScalar:
         n = rng.integers(5, 500, size=80).astype(float)
         s = np.clip(rng.binomial(n.astype(int), 0.4), 1, n - 1).astype(float)
         arm = methods.bernoulli_arm(n, s)
-        center, hw, valid = mean_interval(n, *arm, 0.05, 1e-3)
-        mcenter, mhw, mvalid = msprt_interval(n, *arm, 0.05, 1e-3)
-        for i in range(80):
-            arm = StreamingMoments(count=int(n[i]), mean=s[i] / n[i], m2=s[i] - s[i] ** 2 / n[i])
-            iv = asympcs_mean(arm, PARAMS)
-            assert center[i] - hw[i] == pytest.approx(iv.lower, rel=1e-11, abs=1e-12)
-            ms = msprt_cs_mean(arm, PARAMS)
-            assert mcenter[i] - mhw[i] == pytest.approx(ms.lower, rel=1e-11, abs=1e-12)
+        # Arm 1 of the Welford columns; arm 0 is an unused copy.
+        _, w_n, _, w_mu, _, w_v = welford_summaries(rng, n, n, s, s)
+        for kernel in (mean_interval, msprt_interval):
+            center, hw, valid = kernel(n, *arm, 0.05, 1e-3)
+            w_center, w_hw, w_valid = kernel(w_n, w_mu, w_v, 0.05, 1e-3)
+            assert valid.all() and w_valid.all()
+            np.testing.assert_allclose(center - hw, w_center - w_hw, rtol=1e-11, atol=1e-12)
 
 
 class TestFirstCrossing:
@@ -495,15 +497,6 @@ class TestStudies:
 
 
 class TestReport:
-    def test_json_round_trip(self):
-        report = SimReport(
-            study="type1", method="AsympCS", replications=10, horizon=100, master_seed=1,
-            peek_ns=[10, 20], cumulative_rejection_by_peek=[0.0, 0.1],
-            power=0.1, power_by_multiple=[(1.0, 0.1)], calibration_pairs=[(0.5, 0.49)],
-        )
-        again = SimReport.from_json(report.to_json())
-        assert again == report
-
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             SimReport(
