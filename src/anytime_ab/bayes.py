@@ -5,7 +5,8 @@ expected-loss rule penalizes a wrong choice linearly (the regret of
 picking the worse arm) and stops once the posterior expected loss of the
 preferred decision drops below a threshold of caring. The Bayes-factor
 rule stops once the posterior odds in favor of distinct arm rates exceed
-a threshold. The one-arm loss against a fixed baseline rate is
+a threshold. Both take per-arm conversion counts, from ``binary_counts``.
+The one-arm loss against a fixed baseline rate is
 ``simlab.methods.bht_single_losses``.
 """
 
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln
-
-from .confseq import TwoArmState
 
 DEFAULT_EPSILON = 1e-4
 
@@ -136,24 +135,23 @@ class BhtDecision:
     loss_arm1: float
 
 
-def binary_counts(state: TwoArmState) -> tuple[int, int, int, int]:
-    """Recover (c0, n0, c1, n1) from accumulators, rejecting non-binary data."""
-    out = []
-    for arm in (state.arm0, state.arm1):
-        n = arm.count
-        s = arm.mean * n
-        c = round(s)
-        m2_expected = c - c * c / n if n > 0 else 0.0
-        tol = 1e-6 * max(1.0, float(n))
-        if n > 0 and (abs(s - c) > tol or abs(arm.m2 - m2_expected) > tol or not 0 <= c <= n):
-            raise NonBinaryOutcomeError("expected-loss rule requires binary outcomes")
-        out.extend([int(c), int(n)])
-    return out[0], out[1], out[2], out[3]
+def binary_counts(n, mean, m2):
+    """Conversion counts c of one arm's (count, mean, m2) columns, rejecting non-binary data.
+
+    Every entry must match n 0/1 outcomes, mean c/n and m2 c - c^2/n, to within 1e-6 * max(1, n).
+    """
+    n, mean, m2 = (np.asarray(x, dtype=float) for x in (n, mean, m2))
+    s = mean * n
+    c = np.round(s)
+    tol = 1e-6 * np.maximum(1.0, n)
+    m2_binary = c - c * c / np.maximum(n, 1.0)
+    if not np.all((np.abs(s - c) <= tol) & (np.abs(m2 - m2_binary) <= tol) & (0 <= c) & (c <= n)):
+        raise NonBinaryOutcomeError("expected-loss rule requires binary outcomes")
+    return c
 
 
-def bht_decide(state: TwoArmState, cfg: BhtConfig) -> BhtDecision:
-    """Stop once the expected loss of the preferred arm is below epsilon."""
-    c0, n0, c1, n1 = binary_counts(state)
+def bht_decide(c0, n0, c1, n1, cfg: BhtConfig) -> BhtDecision:
+    """Stop once the expected loss of the preferred arm is below epsilon; c = conversions, n = trials per arm."""
     prior = BetaPosterior(cfg.prior_a, cfg.prior_b)
     post0 = prior.update(c0, n0)
     post1 = prior.update(c1, n1)

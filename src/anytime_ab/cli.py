@@ -15,7 +15,7 @@ import sys
 from . import design, simlab
 from .bayes import DEFAULT_EPSILON, BfConfig, BhtConfig
 from .confseq import DEFAULT_RHO2, ConfSeqParams
-from .engine import DecisionRecord, LogParseError, analyze, crosstab
+from .engine import VALUE_TYPES, DecisionRecord, LogParseError, analyze, crosstab
 from .gst import SpendingSchedule
 from .simlab import SimStudyConfig
 from .simlab.studies import HORIZON_MULTIPLES, STOP_QUALITY_PEEKS
@@ -23,26 +23,6 @@ from .simlab.studies import HORIZON_MULTIPLES, STOP_QUALITY_PEEKS
 STUDIES = ("type1", "power", "lift-power", "rho2-sweep", "mde-misspec", "stop-quality")
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_number, value))
-
-
-# What each value type in CONFIG_TYPES accepts; booleans are not numbers.
-_VALUE_TYPES = {
-    "a number": _number,
-    "a number or null": lambda v: v is None or _number(v),
-    "an integer": lambda v: _number(v) and isinstance(v, int),
-    "an integer or null": lambda v: v is None or (_number(v) and isinstance(v, int)),
-    "a list of numbers": _numbers,
-    "a list of numbers or null": lambda v: v is None or _numbers(v),
-    "a pair of numbers": lambda v: _numbers(v) and len(v) == 2,
-    "a string": lambda v: isinstance(v, str),
-    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-}
 # Every key that _study_config or _cmd_simulate reads, with the type of its
 # value; any other key is an error. Null stands for the default where that is None.
 CONFIG_TYPES = {
@@ -202,7 +182,7 @@ def _cmd_simulate(args) -> int:
     wrong = [
         f"{key} must be {CONFIG_TYPES[key]}, got {json.dumps(value)}"
         for key, value in sorted(conf.items())
-        if not _VALUE_TYPES[CONFIG_TYPES[key]](value)
+        if not VALUE_TYPES[CONFIG_TYPES[key]](value)
     ]
     if wrong:
         raise ValueError(f"bad config values: {'; '.join(wrong)}")

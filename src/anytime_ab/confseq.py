@@ -2,13 +2,13 @@
 
 The two-sample interval tracks the difference of arm means using nothing
 but per-arm counts, running means, and running biased variances, so the
-whole test state fits in two ``StreamingMoments``. The treatment
+whole test state is six numbers. The treatment
 propensity is taken to be the observed allocation ``n1 / n``, which
 collapses the inverse-propensity-weighted estimator to a plain difference
 in means while keeping its variance expressible in per-arm summaries.
 
 Each rule is one array kernel over per-arm (count, mean, biased variance)
-columns, which ``summaries`` forms from accumulator states and
+columns, which ``engine.analyze_snapshots`` forms from snapshot rows and
 ``simlab.methods.bernoulli_summaries`` from count matrices; ``analyze``
 and the studies call the same kernels. Every kernel is a pure map from
 those columns and its parameters to an interval or statistic with a
@@ -94,9 +94,6 @@ class TwoArmState:
     def n(self) -> int:
         return self.arm0.count + self.arm1.count
 
-    def merge(self, other: "TwoArmState") -> "TwoArmState":
-        return TwoArmState(self.arm0.merge(other.arm0), self.arm1.merge(other.arm1))
-
 
 def radius_beta(n, alpha: float, rho2: float):
     """Width multiplier sqrt(2(nr+1)/(n^2 r) * log(sqrt(nr+1)/alpha)), r = rho2.
@@ -117,20 +114,6 @@ def radius_beta(n, alpha: float, rho2: float):
     if np.ndim(n) == 0:
         return float(out)
     return out
-
-
-def _summary(state: TwoArmState) -> tuple:
-    """(n0, n1, mu0, mu1, v0, v1) of one state; an empty arm has variance 0."""
-    a0, a1 = state.arm0, state.arm1
-    return (
-        float(a0.count), float(a1.count), a0.mean, a1.mean,
-        a0.m2 / max(a0.count, 1), a1.m2 / max(a1.count, 1),
-    )
-
-
-def summaries(states) -> tuple:
-    """Columns (n0, n1, mu0, mu1, v0, v1) of a sequence of states, as the kernels below take them."""
-    return tuple(np.array([_summary(s) for s in states], dtype=float).reshape(-1, 6).T)
 
 
 # Kernels: each rule once, over per-arm (count, mean, biased variance) arrays,
@@ -174,9 +157,9 @@ def lift_interval(n0, n1, mu0, mu1, v0, v1, arm_level: float, rho2: float):
     lower bound is l1/u0 - 1, or -1 (a nonnegative metric cannot lose
     more than everything) when l1 <= 0; the upper bound is u1/l0 - 1, or
     +inf when l0 <= 0. Valid where both arms have at least two
-    observations and positive means.
+    observations and positive finite means.
     """
-    valid = (n0 >= 2) & (n1 >= 2) & (mu0 > 0.0) & (mu1 > 0.0)
+    valid = (n0 >= 2) & (n1 >= 2) & (0.0 < mu0) & (mu0 < np.inf) & (0.0 < mu1) & (mu1 < np.inf)
     _, hw0, _ = mean_interval(n0, mu0, v0, arm_level, rho2)
     _, hw1, _ = mean_interval(n1, mu1, v1, arm_level, rho2)
     l0, u0 = mu0 - hw0, mu0 + hw0
@@ -262,5 +245,8 @@ def asympcs_ate(state: TwoArmState, params: ConfSeqParams) -> Interval:
         raise InsufficientDataError(
             f"ATE interval needs both arms nonempty and n >= 2, got n0={state.arm0.count}, n1={state.arm1.count}"
         )
-    center, hw, _ = ate_interval(*_summary(state), params.alpha, params.rho2)
+    a0, a1 = state.arm0, state.arm1
+    center, hw, _ = ate_interval(
+        a0.count, a1.count, a0.mean, a1.mean, a0.m2 / a0.count, a1.m2 / a1.count, params.alpha, params.rho2
+    )
     return Interval(float(center - hw), float(center + hw))

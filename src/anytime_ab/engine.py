@@ -2,10 +2,10 @@
 
 Logs are JSON-lines (one event per line: ts, unit, arm, value) or CSV
 with a header naming the same fields. Ingestion folds events into per-arm
-accumulators in arrival order and takes state snapshots at a fixed
-cadence; analysis replays the snapshots through one decision rule and
-records the first crossing. Everything is deterministic: the same log and
-flags produce byte-identical outputs.
+(count, mean, m2) moments in arrival order and takes a snapshot row at a
+fixed cadence; analysis turns the rows into columns, evaluates one
+decision rule over them and records the first crossing. Everything is
+deterministic: the same log and flags produce byte-identical outputs.
 """
 
 import csv
@@ -21,19 +21,17 @@ import numpy as np
 from .bayes import BfConfig, BhtConfig, bht_decide, binary_counts, log_bayes_factor
 from .confseq import (
     ConfSeqParams,
-    TwoArmState,
     asympcs_ate,  # not called here; perfbench's tracer patches this attribute
     ate_interval,
     lift_interval,
     msprt_interval,
     msprt_log_lambda,
-    summaries,
     two_sample_scale,
     z_interval,
     z_statistic,
 )
 from .gst import ScheduleMismatchError, SpendingSchedule
-from .moments import StreamingMoments, welford_step
+from .moments import welford_step
 
 ANALYZE_METHODS = ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf", "bht", "ldm")
 
@@ -52,6 +50,33 @@ class LogParseError(ValueError):
 
 class UnpairedRecordError(ValueError):
     """Cross-tab input lacking one record per method per experiment."""
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_number, value))
+
+
+# What each value type in cli.CONFIG_TYPES and _FIELD_TYPES accepts;
+# booleans are not numbers, and JSON's Infinity is.
+VALUE_TYPES = {
+    "a number": _number,
+    "a number or null": lambda v: v is None or _number(v),
+    "an integer": lambda v: _number(v) and isinstance(v, int),
+    "an integer or null": lambda v: v is None or (_number(v) and isinstance(v, int)),
+    "a list of numbers": _numbers,
+    "a list of numbers or null": lambda v: v is None or _numbers(v),
+    "a pair of numbers": lambda v: _numbers(v) and len(v) == 2,
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "an object": lambda v: isinstance(v, dict),
+}
+# The value type of each field annotation of DecisionRecord.
+_FIELD_TYPES = {str: "a string", int: "an integer", int | None: "an integer or null",
+                float | None: "a number or null", dict: "an object"}
 
 
 class EventRecord(NamedTuple):
@@ -81,7 +106,7 @@ class DecisionRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DecisionRecord":
-        """Read ``to_dict`` output; ValueError for a non-object, an unknown key or a missing field."""
+        """Read ``to_dict`` output; ValueError for a non-object, unknown or missing keys, or a mistyped value."""
         if not isinstance(obj, dict):
             raise ValueError(f"decision record must be a JSON object, got {type(obj).__name__}")
         known = {f.name for f in fields(cls)}
@@ -93,6 +118,13 @@ class DecisionRecord:
         ]
         if problems:
             raise ValueError(f"decision record has {'; '.join(problems)}")
+        wrong = [
+            f"{f.name} must be {_FIELD_TYPES[f.type]}, got {json.dumps(obj[f.name])}"
+            for f in fields(cls)
+            if f.name in obj and not VALUE_TYPES[_FIELD_TYPES[f.type]](obj[f.name])
+        ]
+        if wrong:
+            raise ValueError(f"decision record has bad values: {'; '.join(wrong)}")
         return cls(**obj)
 
 
@@ -163,27 +195,26 @@ def parse_events(path: str):
 
 @dataclass
 class IngestResult:
-    state: TwoArmState
-    snapshots: list[tuple[int, TwoArmState]]
+    # One (n, count0, mean0, m2_0, count1, mean1, m2_1) row per snapshot.
+    snapshots: list[tuple]
     events_seen: int
     events_used: int
 
 
 def ingest(events, snapshot_every: int = 100, dedup: bool = False) -> IngestResult:
-    """Fold events into per-arm accumulators, snapshotting periodically.
+    """Fold events into per-arm (count, mean, m2) moments, snapshotting periodically.
 
     ``events`` yields EventRecord (or (line_no, EventRecord) pairs as
     produced by ``parse_events``). With ``dedup`` the first event per
-    unit wins. A final snapshot is always taken at end of stream when any
-    events arrived after the last periodic one.
+    unit wins. Each snapshot is the row (events used, count0, mean0,
+    m2_0, count1, mean1, m2_1); a final one is always taken at end of
+    stream when any events arrived after the last periodic one.
     """
     if snapshot_every < 1:
         raise ValueError("snapshot cadence must be at least 1")
-    # Each arm is a plain (count, mean, m2) tuple while folding; the
-    # accumulator objects are built only for snapshots and the final state.
     arm0 = arm1 = (0, 0.0, 0.0)
     seen_units: set[str] = set()
-    snapshots: list[tuple[int, TwoArmState]] = []
+    snapshots: list[tuple] = []
     seen = used = 0
     for item in events:
         record = item if isinstance(item, EventRecord) else item[1]
@@ -198,15 +229,10 @@ def ingest(events, snapshot_every: int = 100, dedup: bool = False) -> IngestResu
             arm1 = welford_step(*arm1, float(record.value))
         used += 1
         if used % snapshot_every == 0:
-            snapshots.append((used, _two_arm_state(arm0, arm1)))
-    state = _two_arm_state(arm0, arm1)
+            snapshots.append((used, *arm0, *arm1))
     if used > 0 and (not snapshots or snapshots[-1][0] != used):
-        snapshots.append((used, state))
-    return IngestResult(state, snapshots, seen, used)
-
-
-def _two_arm_state(arm0: tuple, arm1: tuple) -> TwoArmState:
-    return TwoArmState(StreamingMoments(*arm0), StreamingMoments(*arm1))
+        snapshots.append((used, *arm0, *arm1))
+    return IngestResult(snapshots, seen, used)
 
 
 @dataclass
@@ -229,7 +255,7 @@ def analyze_snapshots(
     schedule: SpendingSchedule | None = None,
     intersect: bool = False,
 ) -> tuple[list[TrajectoryRow], int | None, float | None]:
-    """Replay snapshots through one stopping rule.
+    """Evaluate one stopping rule over the snapshot rows of ``ingest``.
 
     Returns (rows, n at first crossing or None, statistic at decision).
     The decision rule is "first snapshot whose current interval (or
@@ -248,9 +274,9 @@ def analyze_snapshots(
             raise ScheduleMismatchError(
                 f"log has {len(snapshots)} snapshots, schedule has {schedule.n_peeks} peeks"
             )
-    states = [state for _, state in snapshots]
-    arms = summaries(states)
-    n0, n1, mu0, mu1 = arms[:4]
+    _, n0, mu0, m2_0, n1, mu1, m2_1 = np.array(snapshots, dtype=float).reshape(-1, 7).T
+    # The kernels' per-arm (count, mean, biased variance) columns; an empty arm has variance 0.
+    arms = (n0, n1, mu0, mu1, m2_0 / np.maximum(n0, 1.0), m2_1 / np.maximum(n1, 1.0))
     center = np.where((n0 >= 1) & (n1 >= 1), mu1 - mu0, np.nan)
     hw = lower = upper = stat = None
     if method == "asympcs":
@@ -273,17 +299,19 @@ def analyze_snapshots(
         crossed = valid & (np.abs(stat) >= np.asarray(schedule.boundaries))
     elif method == "bf":
         cfg = BfConfig()
-        c0, b0, c1, b1 = np.array([binary_counts(state) for state in states], dtype=float).reshape(-1, 4).T
-        stat = log_bayes_factor(c0, b0, c1, b1, cfg)
+        stat = log_bayes_factor(binary_counts(n0, mu0, m2_0), n0, binary_counts(n1, mu1, m2_1), n1, cfg)
         crossed = stat >= np.log(cfg.odds_threshold)
     else:  # bht: the exact two-arm loss is evaluated one snapshot at a time
         cfg = bht_config or BhtConfig()
-        decisions = [bht_decide(state, cfg) for state in states]
+        counts = (binary_counts(n0, mu0, m2_0), n0, binary_counts(n1, mu1, m2_1), n1)
+        decisions = [bht_decide(*row, cfg) for row in zip(*(c.tolist() for c in counts))]
         stat = np.array([min(d.loss_arm0, d.loss_arm1) for d in decisions])
         crossed = np.array([d.stopped for d in decisions], dtype=bool)
     if hw is not None:
         lower, upper = center - hw, center + hw
     if lower is not None:
+        # A bound that overflowed to NaN, or to infinity on its wrong side, never crosses.
+        valid &= (lower < np.inf) & (upper > -np.inf)
         if intersect:
             lower = np.maximum.accumulate(np.where(valid, lower, -np.inf))
             upper = np.minimum.accumulate(np.where(valid, upper, np.inf))
@@ -297,11 +325,8 @@ def analyze_snapshots(
         statistic = math.exp(stat[first]) if method == "bf" else float(stat[first])
     columns = [_optional(c, len(snapshots)) for c in (center, lower, upper)]
     rows = [
-        TrajectoryRow(
-            n_events, state.arm0.count, state.arm1.count, c, lo, hi,
-            VERDICT_SIGNIFICANT if i >= first else VERDICT_RUNNING,
-        )
-        for i, ((n_events, state), c, lo, hi) in enumerate(zip(snapshots, *columns))
+        TrajectoryRow(snap[0], snap[1], snap[4], c, lo, hi, VERDICT_SIGNIFICANT if i >= first else VERDICT_RUNNING)
+        for i, (snap, c, lo, hi) in enumerate(zip(snapshots, *columns))
     ]
     return rows, crossed_at, statistic
 
@@ -351,8 +376,8 @@ def analyze(
         method=method,
         verdict=verdict,
         n=result.events_used,
-        n0=result.state.arm0.count,
-        n1=result.state.arm1.count,
+        n0=0 if last is None else last.n0,
+        n1=0 if last is None else last.n1,
         peek_count=len(rows),
         n_at_decision=crossed_at,
         lower=None if last is None else last.lower,

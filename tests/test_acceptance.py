@@ -16,7 +16,7 @@ from scipy import integrate, stats
 
 from anytime_ab.bayes import BfConfig, BhtConfig, log_bayes_factor
 from anytime_ab.cli import main as cli_main
-from anytime_ab.confseq import ConfSeqParams, TwoArmState, asympcs_ate, msprt_log_lambda, summaries, two_sample_scale
+from anytime_ab.confseq import ConfSeqParams, TwoArmState, asympcs_ate, msprt_log_lambda, two_sample_scale
 from anytime_ab.corpus import CorpusSpec, generate_corpus
 from anytime_ab.design import (
     DesignSpec,
@@ -411,14 +411,15 @@ class TestCriterion10DeterminismAndProperties:
         while steps_total < 100_000:
             arm0, arm1 = StreamingMoments(), StreamingMoments()
             drift = rng.choice([0.0, 0.03])
-            states = []
+            rows = []
             for _ in range(500):
                 arm0 = arm0.update(float(rng.random() < 0.3))
                 arm1 = arm1.update(float(rng.random() < 0.3 + drift))
-                states.append(TwoArmState(arm0, arm1))
+                rows.append((arm0.count, arm1.count, arm0.mean, arm1.mean,
+                             arm0.m2 / max(arm0.count, 1), arm1.m2 / max(arm1.count, 1)))
             # The always-valid p-process: running minimum of 1/lambda from p = 1,
             # stepping only where the mixture test is defined.
-            loglam, valid = msprt_log_lambda(*two_sample_scale(*summaries(states)), PARAMS.rho2)
+            loglam, valid = msprt_log_lambda(*two_sample_scale(*np.array(rows, dtype=float).T), PARAMS.rho2)
             p = np.minimum.accumulate(np.concatenate(([1.0], np.exp(-loglam[valid]))))
             violations += int(np.sum(~(p[1:] <= p[:-1])))
             steps_total += int(valid.sum())

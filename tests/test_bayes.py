@@ -18,16 +18,8 @@ from anytime_ab.bayes import (
     log_bayes_factor,
     two_arm_expected_loss,
 )
-from anytime_ab.confseq import TwoArmState
 from anytime_ab.moments import StreamingMoments
 from anytime_ab.simlab.methods import bht_single_losses
-
-
-def binary_state(c0, n0, c1, n1):
-    def arm(c, n):
-        return StreamingMoments(count=n, mean=c / n, m2=c - c * c / n)
-
-    return TwoArmState(arm(c0, n0), arm(c1, n1))
 
 
 class TestPosterior:
@@ -159,29 +151,27 @@ class TestTwoArmLoss:
 
 class TestBhtDecide:
     def test_no_data_no_stop(self):
-        state = binary_state(0, 1, 0, 1)
-        decision = bht_decide(state, BhtConfig())
+        decision = bht_decide(0, 1, 0, 1, BhtConfig())
         assert not decision.stopped
         assert decision.loss_arm0 == pytest.approx(decision.loss_arm1, rel=1e-9)
 
     def test_overwhelming_data_stops_on_better_arm(self):
-        state = binary_state(10_000, 100_000, 20_000, 100_000)
-        decision = bht_decide(state, BhtConfig())
+        decision = bht_decide(10_000, 100_000, 20_000, 100_000, BhtConfig())
         assert decision.stopped and decision.chosen_arm == 1
 
     def test_non_binary_rejected(self):
+        # One non-binary entry anywhere in a column rejects the column.
         arm0 = StreamingMoments.from_values([0.3, 0.7, 0.5])
         arm1 = StreamingMoments.from_values([1.0, 0.0])
         with pytest.raises(NonBinaryOutcomeError):
-            bht_decide(TwoArmState(arm0, arm1), BhtConfig())
+            binary_counts([arm1.count, arm0.count], [arm1.mean, arm0.mean], [arm1.m2, arm0.m2])
 
     def test_binary_counts_recovery(self):
         values0 = [1.0, 0.0, 0.0, 1.0, 1.0]
         values1 = [0.0, 0.0, 1.0]
-        state = TwoArmState(
-            StreamingMoments.from_values(values0), StreamingMoments.from_values(values1)
-        )
-        assert binary_counts(state) == (3, 5, 1, 3)
+        arms = [StreamingMoments(), StreamingMoments.from_values(values0), StreamingMoments.from_values(values1)]
+        counts = binary_counts([a.count for a in arms], [a.mean for a in arms], [a.m2 for a in arms])
+        assert counts.tolist() == [0, 3, 1]
 
 
 class TestBayesFactor:

@@ -312,6 +312,15 @@ def test_report_digest_pinned(tmp_path, capsys, name):
     assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == digest
 
 
+# A well-formed decision file; analyze writes an infinite bound as JSON's Infinity.
+DECISION = (
+    '{"experiment_id": "e0", "method": "asympcs", "verdict": "significant", "n": 100, "n0": 50, "n1": 50,'
+    ' "peek_count": 1, "n_at_decision": null, "lower": -Infinity, "upper": Infinity, "statistic": null,'
+    ' "params": {}}'
+)
+BAD = "decision record has bad values: "
+
+
 class TestReportCommand:
     def test_crosstab_end_to_end(self, tmp_path, capsys):
         decisions = tmp_path / "decisions"
@@ -342,6 +351,15 @@ class TestReportCommand:
         }
         assert "AsympCS Significant" in stdout
 
+    def test_infinite_bounds_accepted(self, tmp_path, capsys):
+        decisions = tmp_path / "decisions"
+        decisions.mkdir()
+        (decisions / "e0_cs.json").write_text(DECISION)
+        (decisions / "e0_fht.json").write_text(DECISION.replace('"asympcs"', '"fht-peeking"'))
+        out = tmp_path / "crosstab.json"
+        code, _, _ = run_cli(["report", "crosstab", "--decisions", str(decisions), "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads(out.read_text())["counts"]["fht_sig_cs_sig"] == 1
 
     @pytest.mark.parametrize(
         "body, message",
@@ -353,8 +371,19 @@ class TestReportCommand:
             ('{"experiment_id": "e", "method": "asympcs", "verdict": "significant", "n": 1, "n0": 1, "n1": 0,'
              ' "peek_count": 1, "bogus": 2}', "decision record has unknown keys: bogus"),
             ("{bad", "Expecting property name enclosed in double quotes"),
+            (DECISION.replace('"e0"', '["e0"]'), BAD + 'experiment_id must be a string, got ["e0"]'),
+            (DECISION.replace('"verdict": "significant"', '"verdict": null'), BAD + "verdict must be a string, got null"),
+            (DECISION.replace('"n": 100', '"n": true'), BAD + "n must be an integer, got true"),
+            (DECISION.replace('"n0": 50', '"n0": 50.0'), BAD + "n0 must be an integer, got 50.0"),
+            (DECISION.replace('"n_at_decision": null', '"n_at_decision": 1.5'),
+             BAD + "n_at_decision must be an integer or null, got 1.5"),
+            (DECISION.replace('"lower": -Infinity', '"lower": "-inf"'), BAD + 'lower must be a number or null, got "-inf"'),
+            (DECISION.replace('"params": {}', '"params": []'), BAD + "params must be an object, got []"),
+            (DECISION.replace('"peek_count": 1', '"peek_count": "1"').replace('"statistic": null', '"statistic": [0]'),
+             BAD + 'peek_count must be an integer, got "1"; statistic must be a number or null, got [0]'),
         ],
-        ids=["unknown-key", "list", "missing-field", "extra-key", "json-syntax"],
+        ids=["unknown-key", "list", "missing-field", "extra-key", "json-syntax", "list-id", "null-verdict",
+             "bool-count", "float-count", "float-n-at-decision", "string-bound", "list-params", "two-fields"],
     )
     def test_bad_decision_file_rejected(self, tmp_path, capsys, body, message):
         decisions = tmp_path / "decisions"

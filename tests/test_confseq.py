@@ -17,7 +17,6 @@ from anytime_ab.confseq import (
     msprt_interval,
     msprt_log_lambda,
     radius_beta,
-    summaries,
     two_sample_scale,
 )
 from anytime_ab.moments import StreamingMoments
@@ -32,14 +31,21 @@ def binary_state(c0, n0, c1, n1):
     return TwoArmState(arm(c0, n0), arm(c1, n1))
 
 
-def one_state(state):
-    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a single state, as numpy scalars."""
-    return tuple(column[0] for column in summaries([state]))
-
-
 def arm_columns(arm):
     """One arm's (count, mean, biased variance), as ``mean_interval`` and ``msprt_interval`` take them."""
     return np.float64(arm.count), np.float64(arm.mean), np.float64(arm.m2 / max(arm.count, 1))
+
+
+def state_columns(states):
+    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a sequence of states; an empty arm has variance 0."""
+    n0, mu0, v0 = np.array([arm_columns(s.arm0) for s in states]).reshape(-1, 3).T
+    n1, mu1, v1 = np.array([arm_columns(s.arm1) for s in states]).reshape(-1, 3).T
+    return n0, n1, mu0, mu1, v0, v1
+
+
+def one_state(state):
+    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a single state, as numpy scalars."""
+    return tuple(column[0] for column in state_columns([state]))
 
 
 def arm_bounds(arm):
@@ -309,7 +315,7 @@ class TestMsprt:
             arm0 = arm0.update(float(rng.random() < 0.4))
             arm1 = arm1.update(float(rng.random() < 0.5))
             states.append(TwoArmState(arm0, arm1))
-        loglam, valid = msprt_log_lambda(*two_sample_scale(*summaries(states)), 1e-3)
+        loglam, valid = msprt_log_lambda(*two_sample_scale(*state_columns(states)), 1e-3)
         p = np.minimum.accumulate(np.where(valid, np.exp(-loglam), 1.0))
         assert valid.sum() > 250
         assert np.all((p > 0.0) & (p <= 1.0))

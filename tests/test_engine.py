@@ -3,12 +3,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from anytime_ab.bayes import NonBinaryOutcomeError
 from anytime_ab.cli import main as cli_main
-from anytime_ab.confseq import ConfSeqParams, TwoArmState, msprt_log_lambda, summaries, two_sample_scale
+from anytime_ab.confseq import ConfSeqParams, msprt_log_lambda, two_sample_scale
 from anytime_ab.engine import (
     CrossTab,
     DecisionRecord,
@@ -80,6 +80,23 @@ ANALYZE_DIGESTS = {
     "null-jsonl-bht-all-100": "d9384c0871f9297107cf6cf9f5b5ed80d79dfd94481aeccae5adb0006b0842b5",
     "null-jsonl-msprt-all-100": "0d3f95606b97c705fc53c77c92bd5fa2fdf03c6e3910372b96d5e0bf8add97cc",
 }
+# The same digest for the rules and flags the table above leaves out, on the
+# JSONL logs with every event used, keyed "log/method/cadence[/intersect]"
+# since method names hold hyphens. The ldm cases use ten equally spaced
+# peeks, one per snapshot at cadence 200. Recorded while each snapshot was
+# still a pair of accumulator objects.
+MORE_ANALYZE_DIGESTS = {
+    "effect/asympcs-lift/100": "36ed4f124304f5e689f387991cf8359b9bdaecb07f27f8bec6c90c3e1da8eea2",
+    "effect/asympcs/100/intersect": "2f4a417478567739fc0f66d0d87ca73757e62461a6cbfc77a129df7081b53792",
+    "effect/bf/100": "99634527944116e2da2165a1e0063cb3f4cd2c7741276da8638d63e5bafb4a73",
+    "effect/fht-peeking/100": "3e7facd44f650930bb05f338231b3041b5ba913d669cd4d338c2fa063e627b99",
+    "effect/ldm/200": "21aa1774b03d13c3c5cb405e65cff19bfdba6c94a0171e74d8fe27e3b6c1d2ca",
+    "null/asympcs-lift/100": "953191fe444fd7ad095c9910abcd4e314fae453f440b45251f318d420ca08b0f",
+    "null/asympcs/100/intersect": "3d473949e85871f243d9092ae41862b672688fe168d8841972f1dcae097ad9ba",
+    "null/bf/100": "9ff98709a770f3a935fd5bfc95f0fffb0877a6794fa25d18cb20397241d7c887",
+    "null/fht-peeking/100": "2f5e33a32eea6bf7ae24d5ae6bf4cf22e5fd5c8cf2ff57f4a3b2692c84e34443",
+    "null/ldm/200": "33495df9a7d37e1a781b87749738b4357b31127ecc61d02c329ba4f8169ca1e9",
+}
 
 
 def json_loads_error(line):
@@ -136,24 +153,25 @@ class TestParse:
         path = tmp_path / "log.jsonl"
         path.write_text("")
         result = ingest(parse_events(str(path)))
-        assert result.state.n == 0
+        assert result.events_used == 0
         assert result.snapshots == []
 
     def test_four_line_fixture(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_jsonl(path, [(1, "a", 0, 1.0), (2, "b", 1, 3.0), (3, "c", 0, 2.0), (4, "d", 1, 5.0)])
         result = ingest(parse_events(str(path)), snapshot_every=2)
-        assert result.state.arm0.count == 2
-        assert result.state.arm0.mean == pytest.approx(1.5)
-        assert result.state.arm1.count == 2
-        assert result.state.arm1.mean == pytest.approx(4.0)
-        assert [n for n, _ in result.snapshots] == [2, 4]
+        _, count0, mean0, _, count1, mean1, _ = result.snapshots[-1]
+        assert count0 == 2
+        assert mean0 == pytest.approx(1.5)
+        assert count1 == 2
+        assert mean1 == pytest.approx(4.0)
+        assert [row[0] for row in result.snapshots] == [2, 4]
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("ts,unit,arm,value\n1,a,0,1.0\n2,b,1,0.0\n")
         result = ingest(parse_events(str(path)))
-        assert result.state.arm0.count == 1 and result.state.arm1.count == 1
+        assert result.snapshots[-1][1] == 1 and result.snapshots[-1][4] == 1
 
     def test_parse_error_carries_line_number(self, tmp_path):
         # The line number, and the message json.loads gives for the line.
@@ -278,10 +296,7 @@ class TestIngest:
                 if marks[-1] != len(folded):
                     marks.append(len(folded))
                 expected = [(k, folded[k - 1]) for k in marks]
-                got = [
-                    (n, ((s.arm0.count, s.arm0.mean, s.arm0.m2), (s.arm1.count, s.arm1.mean, s.arm1.m2)))
-                    for n, s in result.snapshots
-                ]
+                got = [(row[0], (row[1:4], row[4:7])) for row in result.snapshots]
                 assert got == expected
 
     def test_accepts_records_or_pairs(self):
@@ -289,7 +304,7 @@ class TestIngest:
         assert isinstance(records[0], tuple)
         bare = ingest(records, snapshot_every=3)
         paired = ingest(enumerate(records, start=1), snapshot_every=3)
-        assert bare.snapshots == paired.snapshots and bare.state == paired.state
+        assert bare.snapshots == paired.snapshots and bare.events_used == paired.events_used == 20
 
     def test_dedup_first_event_wins(self):
         events = [
@@ -299,28 +314,57 @@ class TestIngest:
         ]
         result = ingest(events, dedup=True)
         assert result.events_used == 2
-        assert result.state.arm0.mean == 1.0
+        assert result.snapshots[-1][2] == 1.0
 
-    def test_sharded_ingestion_matches_sequential(self, tmp_path):
-        path = tmp_path / "big.jsonl"
-        rng = np.random.default_rng(314)
-        bernoulli_log(path, rng, 100_000, 0.1, 0.1)
-        sequential = ingest(parse_events(str(path))).state
-        records = [r for _, r in parse_events(str(path))]
-        for n_shards in (3, 7, 16):
-            shards = [records[i::n_shards] for i in range(n_shards)]
-            merged = TwoArmState(StreamingMoments(), StreamingMoments())
-            for shard in shards:
-                merged = merged.merge(ingest(shard).state)
-            assert merged.arm0.count == sequential.arm0.count
-            assert merged.arm1.count == sequential.arm1.count
-            assert merged.arm0.mean == pytest.approx(sequential.arm0.mean, rel=1e-12)
-            assert merged.arm0.m2 == pytest.approx(sequential.arm0.m2, rel=1e-10)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_events=st.integers(1, 3_000),
+        p=st.floats(0.0, 1.0),
+        n_shards=st.integers(1, 24),
+    )
+    @example(seed=314, n_events=100_000, p=0.1, n_shards=3)
+    @example(seed=314, n_events=100_000, p=0.1, n_shards=7)
+    @example(seed=314, n_events=100_000, p=0.1, n_shards=16)
+    def test_sharded_last_rows_merge_to_sequential(self, seed, n_events, p, n_shards):
+        # Shards keep arrival order within each shard; merging each shard's
+        # last row per arm gives the sequential last row.
+        rng = np.random.default_rng(seed)
+        arms = (rng.random(n_events) < 0.5).astype(int)
+        values = (rng.random(n_events) < p).astype(float)
+        records = [EventRecord(i, f"u{i}", int(a), float(y)) for i, (a, y) in enumerate(zip(arms, values))]
+        sequential = ingest(records).snapshots[-1]
+        shard_of = rng.integers(0, n_shards, n_events)
+        merged = [StreamingMoments(), StreamingMoments()]
+        for k in range(n_shards):
+            rows = ingest([r for r, s in zip(records, shard_of) if s == k]).snapshots
+            if rows:
+                last = rows[-1]
+                merged = [acc.merge(StreamingMoments(*arm)) for acc, arm in zip(merged, (last[1:4], last[4:7]))]
+        for acc, (count, mean, m2) in zip(merged, (sequential[1:4], sequential[4:7])):
+            assert acc.count == count
+            assert acc.mean == pytest.approx(mean, rel=1e-12)
+            assert acc.m2 == pytest.approx(m2, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0, 1]), st.floats(-1e6, 1e6)), max_size=60),
+        st.integers(1, 12),
+        st.booleans(),
+    )
+    def test_cadence_rows_are_every_kth_row(self, events, every, dedup):
+        records = [EventRecord(i, f"u{unit}", arm, y) for i, (unit, arm, y) in enumerate(events)]
+        each = ingest(records, snapshot_every=1, dedup=dedup).snapshots
+        rows = ingest(records, snapshot_every=every, dedup=dedup).snapshots
+        expected = each[every - 1::every]
+        if len(each) % every:
+            expected.append(each[-1])
+        assert rows == expected
 
     def test_final_partial_snapshot(self):
         events = [EventRecord(i, f"u{i}", i % 2, 1.0) for i in range(250)]
         result = ingest(events, snapshot_every=100)
-        assert [n for n, _ in result.snapshots] == [100, 200, 250]
+        assert [row[0] for row in result.snapshots] == [100, 200, 250]
 
 
 class TestAnalyze:
@@ -378,8 +422,10 @@ class TestAnalyze:
             if method == "msprt":
                 # The statistic is the p-process, min(p, 1/lambda) from p = 1,
                 # replayed snapshot by snapshot where the mixture test is defined.
-                states = [s for n, s in ingest(parse_events(str(path))).snapshots if n <= record.n_at_decision]
-                loglam, valid = msprt_log_lambda(*two_sample_scale(*summaries(states)), PARAMS.rho2)
+                rows = [r for r in ingest(parse_events(str(path))).snapshots if r[0] <= record.n_at_decision]
+                _, n0, mu0, m2_0, n1, mu1, m2_1 = np.array(rows, dtype=float).T
+                columns = (n0, n1, mu0, mu1, m2_0 / np.maximum(n0, 1.0), m2_1 / np.maximum(n1, 1.0))
+                loglam, valid = msprt_log_lambda(*two_sample_scale(*columns), PARAMS.rho2)
                 p = 1.0
                 for lam, ok in zip(np.exp(loglam), valid):
                     if ok:
@@ -409,11 +455,14 @@ class TestAnalyze:
         assert shifted.n_at_decision > at_zero.n_at_decision
         assert shifted.params["theta0"] == 0.05
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bf_rejects_non_binary(self, tmp_path):
         path = tmp_path / "metric.jsonl"
-        write_jsonl(path, [(i, f"u{i}", i % 2, 0.5 + 0.1 * i) for i in range(300)])
-        with pytest.raises(NonBinaryOutcomeError):
-            analyze(str(path), "bf", PARAMS)
+        # A continuous metric, and one whose means overflow to NaN.
+        for values in ([0.5 + 0.1 * i for i in range(300)], [(-1) ** (i // 2) * 1e308 for i in range(300)]):
+            write_jsonl(path, [(i, f"u{i}", i % 2, y) for i, y in enumerate(values)])
+            with pytest.raises(NonBinaryOutcomeError):
+                analyze(str(path), "bf", PARAMS)
 
     def test_unknown_method(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -432,6 +481,22 @@ class TestAnalyze:
                 continue
             assert q.lower >= p.lower - 1e-15
             assert q.upper <= p.upper + 1e-15
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("magnitude", [1e160, 1e308])
+    def test_overflowed_bounds_never_cross(self, tmp_path, magnitude):
+        # Squares of 1e160 and sums of 1e308 overflow: a null log must not
+        # turn the resulting NaN or wrong-side infinite bounds into a verdict.
+        signs = np.where(np.random.default_rng(0).random(400) < 0.5, 1.0, -1.0)
+        path = tmp_path / "huge.jsonl"
+        write_jsonl(path, [(i, f"u{i}", i % 2, s * magnitude) for i, s in enumerate(signs)])
+        for method in ("asympcs", "asympcs-lift", "msprt", "fht-peeking"):
+            for every in (1, 100):
+                if method == "fht-peeking" and every == 1:
+                    continue  # its zero-variance first peek crosses at any scale
+                for intersect in (False, True):
+                    record, _ = analyze(str(path), method, PARAMS, snapshot_every=every, intersect=intersect)
+                    assert record.verdict == "not-significant", (method, every, intersect)
 
     def test_ldm_analysis_with_schedule(self, tmp_path):
         path = tmp_path / "ab.jsonl"
@@ -455,6 +520,20 @@ class TestAnalyze:
         analyze(str(path), method, PARAMS, out_dir=str(out), snapshot_every=int(every), dedup=dedup == "dedup")
         files = (out / "trajectory.csv").read_bytes() + (out / "decision.json").read_bytes()
         assert hashlib.sha256(files).hexdigest() == ANALYZE_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(MORE_ANALYZE_DIGESTS))
+    def test_more_analyze_digests_pinned(self, tmp_path, case):
+        log, method, every, *flags = case.split("/")
+        path = tmp_path / f"{log}.jsonl"
+        digest_log(path, *DIGEST_LOGS[log])
+        schedule = compute_boundaries((np.arange(1, 11) / 10.0).tolist(), 0.05) if method == "ldm" else None
+        out = tmp_path / "out"
+        analyze(
+            str(path), method, PARAMS, out_dir=str(out), snapshot_every=int(every),
+            schedule=schedule, intersect="intersect" in flags,
+        )
+        files = (out / "trajectory.csv").read_bytes() + (out / "decision.json").read_bytes()
+        assert hashlib.sha256(files).hexdigest() == MORE_ANALYZE_DIGESTS[case]
 
     @pytest.mark.parametrize("method", ["asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf"])
     def test_matches_simlab_decisions_on_identical_stream(self, method):
@@ -503,13 +582,11 @@ class TestAnalyze:
 
 
 def _ldm_snapshots(differences, per_arm_step=50):
-    """Snapshots of two arms with variance 0.25 and mean difference ``d`` at each peek."""
+    """Snapshot rows of two arms with variance 0.25 and mean difference ``d`` at each peek."""
     snapshots = []
     for k, d in enumerate(differences, start=1):
         n = per_arm_step * k
-        arm0 = StreamingMoments(count=n, mean=0.5, m2=0.25 * n)
-        arm1 = StreamingMoments(count=n, mean=0.5 + d, m2=0.25 * n)
-        snapshots.append((2 * n, TwoArmState(arm0, arm1)))
+        snapshots.append((2 * n, n, 0.5, 0.25 * n, n, 0.5 + d, 0.25 * n))
     return snapshots
 
 

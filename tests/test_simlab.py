@@ -6,13 +6,11 @@ import pytest
 from anytime_ab.bayes import BfConfig, BhtConfig
 from anytime_ab.confseq import (
     ConfSeqParams,
-    TwoArmState,
     ate_interval,
     lift_interval,
     mean_interval,
     msprt_interval,
     msprt_log_lambda,
-    summaries,
     two_sample_scale,
 )
 from anytime_ab.moments import StreamingMoments
@@ -33,13 +31,6 @@ from anytime_ab.simlab import (
 PARAMS = ConfSeqParams(0.05, 1e-3)
 
 
-def binary_state(c0, n0, c1, n1):
-    def arm(c, n):
-        return StreamingMoments(count=int(n), mean=c / n, m2=c - c * c / n)
-
-    return TwoArmState(arm(c0, n0), arm(c1, n1))
-
-
 def welford_arm(rng, s, n):
     """Welford moments of a shuffled stream of s ones and n - s zeros."""
     values = np.zeros(int(n))
@@ -48,10 +39,12 @@ def welford_arm(rng, s, n):
 
 
 def welford_summaries(rng, n0, n1, s0, s1):
-    """Kernel columns of each row's two Welford-updated arms."""
-    return summaries([
-        TwoArmState(welford_arm(rng, s0[i], n0[i]), welford_arm(rng, s1[i], n1[i])) for i in range(len(n0))
-    ])
+    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of each row's two Welford-updated arms."""
+    rows = []
+    for i in range(len(n0)):
+        a0, a1 = welford_arm(rng, s0[i], n0[i]), welford_arm(rng, s1[i], n1[i])
+        rows.append((a0.count, a1.count, a0.mean, a1.mean, a0.m2 / max(a0.count, 1), a1.m2 / max(a1.count, 1)))
+    return tuple(np.array(rows, dtype=float).reshape(-1, 6).T)
 
 
 def random_counts(rng, size):
@@ -99,7 +92,8 @@ class TestVectorizedAgainstScalar:
 
     Both paths call the same kernel; what differs is how per-arm means
     and variances are formed, from counts by ``bernoulli_summaries`` and
-    from accumulators by ``confseq.summaries``, as the engine forms them.
+    from Welford (count, mean, m2) moments as ``engine.analyze_snapshots``
+    forms them from snapshot rows.
     """
 
     def test_ate(self):
@@ -375,8 +369,7 @@ class TestStudies:
         n0, n1, s0, s1 = counts
         for r in range(10):
             for j in range(grid.size):
-                state = binary_state(s0[r, j], n0[r, j], s1[r, j], n1[r, j])
-                scalar = bht_decide(state, cfg).stopped
+                scalar = bht_decide(s0[r, j], n0[r, j], s1[r, j], n1[r, j], cfg).stopped
                 assert reject[r, j] == scalar
                 if scalar:
                     break  # row loop stops at first crossing by construction
