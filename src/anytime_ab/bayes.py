@@ -10,6 +10,7 @@ The one-arm loss against a fixed baseline rate is
 ``simlab.methods.bht_single_losses``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,20 +79,24 @@ class BfConfig:
 def beta_prob_greater(a1: float, b1: float, a0: float, b0: float) -> float:
     """P(X > Y) for independent X ~ Beta(a1, b1), Y ~ Beta(a0, b0).
 
-    Finite sum over integer-parameter Beta identities; requires a1 to be
-    a positive integer.
+    The a1-term sum t_i = B(a0 + i, b0 + b1) / ((b1 + i) B(1 + i, b1) B(a0, b0))
+    (Evan Miller, 2015), by its term ratio
+    r_i = t_{i+1} / t_i = (a0 + i)(b1 + i) / ((a0 + b0 + b1 + i)(1 + i)).
+    The terms rise while r_i >= 1 and then fall, so the sum is anchored at
+    its peak t_m: log t_0 = sum_{j < a0} log1p(-b1 / (b0 + b1 + j)) plus
+    the log ratios below m, then cumulative ratio products outward from
+    m. Requires a1 and a0 to be positive integers; O(a0 + a1) work.
     """
-    k = int(round(a1))
+    k, j = int(round(a1)), int(round(a0))
     if abs(a1 - k) > 1e-9 or k < 1:
         raise BackendError(f"closed-form tail needs integer a1 >= 1, got {a1}")
-    i = np.arange(k, dtype=float)
-    log_terms = (
-        betaln(a0 + i, b0 + b1)
-        - np.log(b1 + i)
-        - betaln(1.0 + i, b1)
-        - betaln(a0, b0)
-    )
-    return float(np.exp(log_terms).sum())
+    if abs(a0 - j) > 1e-9 or j < 1:
+        raise BackendError(f"closed-form tail needs integer a0 >= 1, got {a0}")
+    i = np.arange(k - 1, dtype=float)
+    r = (a0 + i) * (b1 + i) / ((a0 + b0 + b1 + i) * (1.0 + i))
+    m = min(max(math.ceil((a0 * b1 - a0 - b0 - b1) / (b0 + 1.0)), 0), k - 1)
+    log_peak = np.log1p(-b1 / (b0 + b1 + np.arange(j))).sum() + np.log(r[:m]).sum()
+    return float(math.exp(log_peak) * (1.0 + np.cumprod(r[m:]).sum() + np.cumprod(1.0 / r[:m][::-1]).sum()))
 
 
 def _integral(x: float) -> bool:

@@ -211,15 +211,16 @@ def msprt_interval(n, estimate, sigma2, alpha: float, rho2: float):
 
 
 def _z_scale(n0, n1, v0, v1):
+    # One event gives an arm a variance of 0, not an estimate of it.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sqrt(v0 / n0 + v1 / n1), (n0 >= 1) & (n1 >= 1)
+        return np.sqrt(v0 / n0 + v1 / n1), (n0 >= 2) & (n1 >= 2)
 
 
 def z_statistic(n0, n1, mu0, mu1, v0, v1, theta0=0.0):
     """Two-sample z statistic for mu1 - mu0 - theta0 and validity.
 
     Infinite, with the sign of the difference, where the difference has
-    no noise. Valid where both arms are nonempty.
+    no noise. Valid where both arms have at least two events.
     """
     se, valid = _z_scale(n0, n1, v0, v1)
     diff = mu1 - mu0 - theta0

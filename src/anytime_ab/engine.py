@@ -162,14 +162,23 @@ def parse_events(path: str):
     fmt = "csv" if str(path).endswith(".csv") else "jsonl"
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "csv":
-            reader = csv.DictReader(fh)
+            # Each row's dict is csv.DictReader's: empty rows are skipped, a
+            # short row's missing fields are None, extra fields are ignored,
+            # and a repeated header name keeps its last column.
+            reader = csv.reader(fh)
             try:
+                header = next(reader, [])
+                width = len(header)
                 for row in reader:
+                    if not row:
+                        continue
+                    obj = dict(zip(header, row))
+                    if len(row) < width:
+                        obj.update(dict.fromkeys(header[len(row):]))
                     line_no = reader.line_num
-                    yield line_no, _coerce_event(row, line_no)
+                    yield line_no, _coerce_event(obj, line_no)
             except csv.Error as exc:
-                # DictReader updates its line_num only after a good row.
-                raise LogParseError(reader.reader.line_num, f"invalid CSV: {exc}") from None
+                raise LogParseError(reader.line_num, f"invalid CSV: {exc}") from None
         else:
             # One raw_decode per line. A line it cannot take whole (an error,
             # or text after the object) goes through json.loads, which

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,36 @@ from anytime_ab.bayes import (
 )
 from anytime_ab.moments import StreamingMoments
 from anytime_ab.simlab.methods import bht_single_losses
+
+
+@mp.workdps(40)
+def mp_prob_greater_terms(a1, b1, a0, b0):
+    """P(X > Y) as the sum of its a1 Beta-function terms, each evaluated on its own in 40-digit mpmath."""
+    a1, b1, a0, b0 = (mp.mpf(x) for x in (a1, b1, a0, b0))
+    return mp.fsum(
+        mp.beta(a0 + i, b0 + b1) / ((b1 + i) * mp.beta(1 + i, b1) * mp.beta(a0, b0)) for i in range(int(a1))
+    )
+
+
+@mp.workdps(40)
+def mp_prob_greater(a1, b1, a0, b0):
+    """The same sum in 40-digit mpmath from t_0 = B(a0, b0 + b1) / B(a0, b0), one term ratio at a time."""
+    a1, b1, a0, b0 = (mp.mpf(x) for x in (a1, b1, a0, b0))
+    term, total = mp.beta(a0, b0 + b1) / mp.beta(a0, b0), mp.mpf(0)
+    for i in range(int(a1)):
+        total += term
+        term *= (a0 + i) * (b1 + i) / ((a0 + b0 + b1 + i) * (1 + i))
+    return total
+
+
+@mp.workdps(40)
+def mp_expected_loss(post0, post1, choice):
+    """E[max(other - chosen, 0)] in 40-digit mpmath, by the same two tail probabilities as the exact backend."""
+    lo, hi = (post0, post1) if choice == "arm0" else (post1, post0)
+    lo_a, lo_b, hi_a, hi_b = (mp.mpf(x) for x in (lo.a, lo.b, hi.a, hi.b))
+    hi_part = hi_a / (hi_a + hi_b) * mp_prob_greater(hi_a + 1, hi_b, lo_a, lo_b)
+    lo_part = lo_a / (lo_a + lo_b) * mp_prob_greater(hi_a, hi_b, lo_a + 1, lo_b)
+    return hi_part - lo_part
 
 
 class TestPosterior:
@@ -99,6 +130,34 @@ class TestProbGreater:
     def test_integer_required(self):
         with pytest.raises(BackendError):
             beta_prob_greater(2.5, 1.0, 1.0, 1.0)
+        with pytest.raises(BackendError):
+            beta_prob_greater(3.0, 1.0, 2.5, 1.0)
+        with pytest.raises(BackendError):
+            beta_prob_greater(3.0, 1.0, 0.0, 1.0)
+
+    @given(
+        st.integers(1, 60),
+        st.one_of(st.integers(1, 60), st.floats(0.1, 60.0, exclude_min=True)),
+        st.integers(1, 60),
+        st.one_of(st.integers(1, 60), st.floats(0.1, 60.0, exclude_min=True)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mpmath_terms(self, a1, b1, a0, b0):
+        expected = float(mp_prob_greater_terms(a1, b1, a0, b0))
+        assert beta_prob_greater(a1, b1, a0, b0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a1, b1, a0, b0",
+        [
+            (1, 7.0, 4, 2.0),  # k = 1: the single term t_0
+            (40, 3.0, 1, 50.0),  # peak at the first term
+            (6, 50.0, 50, 1.0),  # peak at the last term
+            (2, 0.2, 60, 0.3),  # one ratio, below one
+        ],
+    )
+    def test_single_term_and_end_peaks(self, a1, b1, a0, b0):
+        expected = float(mp_prob_greater_terms(a1, b1, a0, b0))
+        assert beta_prob_greater(a1, b1, a0, b0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestTwoArmLoss:
@@ -130,6 +189,20 @@ class TestTwoArmLoss:
             epsabs=1e-11,
         )
         assert val == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "counts0, counts1",
+        [
+            ((2500, 25000), (2760, 25100)),
+            ((5000, 50000), (5500, 50000)),
+            ((2500, 25000), (2594, 25000)),  # a loss near epsilon = 1e-4
+        ],
+    )
+    def test_bench_scale_matches_mpmath(self, counts0, counts1):
+        post0, post1 = (BetaPosterior(1.0, 1.0).update(*c) for c in (counts0, counts1))
+        for choice in ("arm0", "arm1"):
+            expected = float(mp_expected_loss(post0, post1, choice))
+            assert two_arm_expected_loss(post0, post1, choice) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_exact_is_the_only_backend(self):
         post = BetaPosterior(3.0, 9.0)

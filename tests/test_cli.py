@@ -88,6 +88,26 @@ class TestAnalyzeCommand:
         )
         assert code != 0 and "line 1" in err
 
+    def test_z_rule_needs_two_events_per_arm(self, tmp_path, capsys):
+        # With one event per arm the variances are 0, so the z interval had
+        # zero width and a +-1 log was significant at n = 2.
+        log = tmp_path / "pm1.jsonl"
+        values = [1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1]
+        log.write_text("".join(
+            json.dumps({"ts": i, "unit": f"u{i}", "arm": i % 2, "value": v}) + "\n" for i, v in enumerate(values)
+        ))
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            ["analyze", "--log", str(log), "--method", "fht-peeking", "--snapshot-every", "1", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "not-significant"
+        rows = (out_dir / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows[1:3]] == ["2", "3"]
+        assert all(row.split(",")[4:6] == ["", ""] for row in rows[1:3])
+        assert rows[3].split(",")[4] != ""
+
     @pytest.mark.parametrize(
         "schedule, message",
         [

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from anytime_ab.bayes import NonBinaryOutcomeError
+from anytime_ab.bayes import BetaPosterior, BhtConfig, NonBinaryOutcomeError, binary_counts
 from anytime_ab.cli import main as cli_main
 from anytime_ab.confseq import ConfSeqParams, msprt_log_lambda, two_sample_scale
 from anytime_ab.engine import (
@@ -25,6 +26,7 @@ from anytime_ab.engine import (
 from anytime_ab.gst import ScheduleMismatchError, compute_boundaries
 from anytime_ab.moments import StreamingMoments
 from anytime_ab.simlab import SimStudyConfig, run_type1_study
+from test_bayes import mp_expected_loss
 
 PARAMS = ConfSeqParams(0.05, 1e-3)
 
@@ -63,21 +65,24 @@ def digest_log(path, seed, p0, p1, n_events=2_000):
 # sha256 of trajectory.csv + decision.json, keyed "log-format-method-dedup-cadence",
 # recorded before parsing and ingestion were rewritten to decode each line once
 # and fold plain floats: analyze outputs stay byte-identical. A JSONL log and
-# its CSV twin give the same files.
+# its CSV twin give the same files. The five bht digests were re-pinned when
+# the exact loss moved to a term-ratio sum: their trajectories are unchanged,
+# and each decision's statistic moved in its last digits, towards the mpmath
+# value that test_bht_statistic_matches_mpmath pins.
 DIGEST_LOGS = {"effect": (11, 0.10, 0.16), "null": (29, 0.30, 0.30)}
 ANALYZE_DIGESTS = {
     "effect-csv-asympcs-all-100": "54dd88069b842c3eb2a55dfb8c37ee73118fd4c5db7c66eb28800b18a94486ec",
-    "effect-csv-bht-all-100": "4b8c5475ef1514376d13e31c89d17d4292237a055d2be7812ece115c5edd1c4a",
+    "effect-csv-bht-all-100": "cec167928c321e1376642db1fad01a8863ddd4051a324de2c292ee05ff3c7ccb",
     "effect-csv-msprt-all-100": "37b85fea0aa8f1862d303ed27253e6cceee1d8e8ee49c85393d0e9251bc93157",
     "effect-jsonl-asympcs-all-100": "54dd88069b842c3eb2a55dfb8c37ee73118fd4c5db7c66eb28800b18a94486ec",
-    "effect-jsonl-bht-all-100": "4b8c5475ef1514376d13e31c89d17d4292237a055d2be7812ece115c5edd1c4a",
-    "effect-jsonl-bht-dedup-7": "cd3332ec5cd3de43cc69010fe6a62f84968f5fe1023edc93dc66af88c201bbeb",
+    "effect-jsonl-bht-all-100": "cec167928c321e1376642db1fad01a8863ddd4051a324de2c292ee05ff3c7ccb",
+    "effect-jsonl-bht-dedup-7": "625a17137e63b8bfc260f5717468cd462162961e58e136a2b5cbe3a0dd0d8eb7",
     "effect-jsonl-msprt-all-100": "37b85fea0aa8f1862d303ed27253e6cceee1d8e8ee49c85393d0e9251bc93157",
     "null-csv-asympcs-all-100": "39ca0de3890219dac3b1aa2dd18407015a8009d96ea33d53d18056f4b178d38f",
-    "null-csv-bht-all-100": "d9384c0871f9297107cf6cf9f5b5ed80d79dfd94481aeccae5adb0006b0842b5",
+    "null-csv-bht-all-100": "c755057a03e0702584e6f9ece2d21250b7f22c530cff0d95a7eee6134c4ef6c0",
     "null-csv-msprt-all-100": "0d3f95606b97c705fc53c77c92bd5fa2fdf03c6e3910372b96d5e0bf8add97cc",
     "null-jsonl-asympcs-all-100": "39ca0de3890219dac3b1aa2dd18407015a8009d96ea33d53d18056f4b178d38f",
-    "null-jsonl-bht-all-100": "d9384c0871f9297107cf6cf9f5b5ed80d79dfd94481aeccae5adb0006b0842b5",
+    "null-jsonl-bht-all-100": "c755057a03e0702584e6f9ece2d21250b7f22c530cff0d95a7eee6134c4ef6c0",
     "null-jsonl-msprt-all-100": "0d3f95606b97c705fc53c77c92bd5fa2fdf03c6e3910372b96d5e0bf8add97cc",
 }
 # The same digest for the rules and flags the table above leaves out, on the
@@ -136,6 +141,21 @@ def program_parse(path):
             pairs.append(pair)
     except LogParseError as exc:
         return pairs, str(exc)
+    return pairs, None
+
+
+def dictreader_parse(path):
+    """``parse_events`` on a CSV log as ``csv.DictReader`` rows: the pairs read, then the error or None."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            for row in reader:
+                pairs.append((reader.line_num, _coerce_event(row, reader.line_num)))
+        except LogParseError as exc:
+            return pairs, str(exc)
+        except csv.Error as exc:
+            return pairs, f"line {reader.reader.line_num}: invalid CSV: {exc}"
     return pairs, None
 
 
@@ -235,6 +255,52 @@ class TestParse:
         path.write_text('{"ts": 1, "unit": "a", "arm": 0, "value": "nan"}\n')
         with pytest.raises(LogParseError):
             list(parse_events(str(path)))
+
+
+class TestCsvRows:
+    """CSV rows become the dicts csv.DictReader makes of them."""
+
+    def parse(self, tmp_path, text):
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        result = program_parse(path)
+        assert result == dictreader_parse(path)
+        return result
+
+    def test_empty_rows_skipped(self, tmp_path):
+        pairs, error = self.parse(tmp_path, "ts,unit,arm,value\n\n1,a,0,1\n\n\n2,b,1,0\n\n")
+        assert error is None
+        assert [(n, rec.unit) for n, rec in pairs] == [(3, "a"), (6, "b")]
+
+    def test_missing_fields_are_none(self, tmp_path):
+        pairs, error = self.parse(tmp_path, "ts,unit,arm,value\n1,a,0,1\n2,b,1\n")
+        assert len(pairs) == 1
+        assert error == "line 3: bad event fields: float() argument must be a string or a real number, not 'NoneType'"
+
+    def test_extra_fields_ignored(self, tmp_path):
+        pairs, error = self.parse(tmp_path, "ts,unit,arm,value\n1,a,0,1,x,,y\n")
+        assert error is None
+        assert pairs == [(2, EventRecord(1, "a", 0, 1.0))]
+
+    def test_repeated_header_name_keeps_last_column(self, tmp_path):
+        pairs, error = self.parse(tmp_path, "ts,value,unit,arm,value\n1,x,a,0,7\n")
+        assert error is None
+        assert pairs == [(2, EventRecord(1, "a", 0, 7.0))]
+        # A row too short for the last column has that field missing.
+        _, error = self.parse(tmp_path, "ts,value,unit,arm,value\n1,7,a,0\n")
+        assert error.startswith("line 2: bad event fields:") and "NoneType" in error
+
+    @pytest.mark.parametrize("text", ["", "ts,unit,arm,value\n", "ts,unit,arm,value\n\n\n"])
+    def test_header_only_or_empty_file_yields_no_events(self, tmp_path, text):
+        assert self.parse(tmp_path, text) == ([], None)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.sampled_from(["ts", "unit", "arm", "value", "x", ""]), max_size=6),
+        st.lists(st.lists(st.sampled_from(["1", "0", "a", "", "2.5", "x", '"q,\n"']), max_size=7), max_size=8),
+    )
+    def test_rows_match_dictreader(self, tmp_path, header, rows):
+        self.parse(tmp_path, "\n".join(",".join(fields) for fields in [header, *rows]) + "\n")
 
 
 class TestDecodeParity:
@@ -520,6 +586,22 @@ class TestAnalyze:
         analyze(str(path), method, PARAMS, out_dir=str(out), snapshot_every=int(every), dedup=dedup == "dedup")
         files = (out / "trajectory.csv").read_bytes() + (out / "decision.json").read_bytes()
         assert hashlib.sha256(files).hexdigest() == ANALYZE_DIGESTS[case]
+
+    @pytest.mark.parametrize("log, dedup, every", [("effect", False, 100), ("effect", True, 7),
+                                                    ("null", False, 100), ("null", True, 7)])
+    def test_bht_statistic_matches_mpmath(self, tmp_path, log, dedup, every):
+        # The expected loss at the crossing, against a 40-digit sum of the same Beta tails.
+        path = tmp_path / f"{log}.jsonl"
+        digest_log(path, *DIGEST_LOGS[log])
+        record, _ = analyze(str(path), "bht", PARAMS, snapshot_every=every, dedup=dedup)
+        snapshots = ingest(parse_events(str(path)), snapshot_every=every, dedup=dedup).snapshots
+        _, n0, mean0, m2_0, n1, mean1, m2_1 = next(s for s in snapshots if s[0] == record.n_at_decision)
+        cfg = BhtConfig()
+        prior = BetaPosterior(cfg.prior_a, cfg.prior_b)
+        post0 = prior.update(int(binary_counts(n0, mean0, m2_0)), n0)
+        post1 = prior.update(int(binary_counts(n1, mean1, m2_1)), n1)
+        expected = min(mp_expected_loss(post0, post1, choice) for choice in ("arm0", "arm1"))
+        assert record.statistic == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", sorted(MORE_ANALYZE_DIGESTS))
     def test_more_analyze_digests_pinned(self, tmp_path, case):
