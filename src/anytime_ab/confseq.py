@@ -16,7 +16,7 @@ validity mask: replaying a log reproduces a trajectory bit for bit, and
 evaluation cadence is immaterial to validity, so no schedule state is
 kept. Intervals are *not* intersected across time by default; the
 stopping rule used throughout is "first n whose current interval
-excludes the null".
+excludes the null", and ``excludes`` is its one test.
 """
 
 from dataclasses import dataclass
@@ -185,8 +185,8 @@ def two_sample_scale(n0, n1, mu0, mu1, v0, v1):
 def msprt_log_lambda(n, estimate, sigma2, rho2: float, theta0=0.0):
     """Log Gaussian-mixture likelihood ratio at theta0, and validity (n >= 2, sigma2 > 0).
 
-    One-sample form over (n, mean, biased variance); feed it
-    ``two_sample_scale`` for the difference of means.
+    One-sample form over (n, mean, biased variance) for the engine's
+    p-process; feed it ``two_sample_scale`` for the difference of means.
     """
     valid = (n >= 2) & (sigma2 > 0)
     s2 = np.where(valid, sigma2, 1.0)
@@ -208,6 +208,14 @@ def msprt_interval(n, estimate, sigma2, alpha: float, rho2: float):
         inner = 0.5 * np.log((nr + s2) / s2) + np.log(1.0 / alpha)
         hw = np.sqrt(s2) * np.sqrt(2.0 * (nr + s2) / (n * n * rho2) * inner)
     return estimate, np.where(valid, hw, np.inf), valid
+
+
+def excludes(lower, upper, valid, theta0):
+    """Where a valid interval [lower, upper] leaves out theta0: every interval rule's crossing test.
+
+    A NaN bound excludes nothing.
+    """
+    return valid & ((lower > theta0) | (upper < theta0))
 
 
 def _z_scale(n0, n1, v0, v1):

@@ -23,6 +23,7 @@ from .confseq import (
     ConfSeqParams,
     asympcs_ate,  # not called here; perfbench's tracer patches this attribute
     ate_interval,
+    excludes,
     lift_interval,
     msprt_interval,
     msprt_log_lambda,
@@ -286,6 +287,10 @@ def analyze_snapshots(
     _, n0, mu0, m2_0, n1, mu1, m2_1 = np.array(snapshots, dtype=float).reshape(-1, 7).T
     # The kernels' per-arm (count, mean, biased variance) columns; an empty arm has variance 0.
     arms = (n0, n1, mu0, mu1, m2_0 / np.maximum(n0, 1.0), m2_1 / np.maximum(n1, 1.0))
+    # Below 2^-511 every square is subnormal or 0, so a variance reads as 0:
+    # an entry whose largest arm |mean| + sd is that small never crosses.
+    scale = np.maximum(np.abs(mu0) + np.sqrt(arms[4]), np.abs(mu1) + np.sqrt(arms[5]))
+    underflow = (scale > 0.0) & (scale < 2.0**-511)
     center = np.where((n0 >= 1) & (n1 >= 1), mu1 - mu0, np.nan)
     hw = lower = upper = stat = None
     if method == "asympcs":
@@ -305,7 +310,7 @@ def analyze_snapshots(
         _, hw, valid = z_interval(*arms, params.alpha)
     elif method == "ldm":
         stat, valid = z_statistic(*arms, theta0)
-        crossed = valid & (np.abs(stat) >= np.asarray(schedule.boundaries))
+        crossed = valid & ~underflow & (np.abs(stat) >= np.asarray(schedule.boundaries))
     elif method == "bf":
         cfg = BfConfig()
         stat = log_bayes_factor(binary_counts(n0, mu0, m2_0), n0, binary_counts(n1, mu1, m2_1), n1, cfg)
@@ -320,11 +325,11 @@ def analyze_snapshots(
         lower, upper = center - hw, center + hw
     if lower is not None:
         # A bound that overflowed to NaN, or to infinity on its wrong side, never crosses.
-        valid &= (lower < np.inf) & (upper > -np.inf)
+        valid &= (lower < np.inf) & (upper > -np.inf) & ~underflow
         if intersect:
             lower = np.maximum.accumulate(np.where(valid, lower, -np.inf))
             upper = np.minimum.accumulate(np.where(valid, upper, np.inf))
-        crossed = valid & ~((lower <= theta0) & (theta0 <= upper))
+        crossed = excludes(lower, upper, valid, theta0)
         lower, upper = (np.where(valid, bound, np.nan) for bound in (lower, upper))
     hits = np.flatnonzero(crossed)
     first = int(hits[0]) if hits.size else len(snapshots)

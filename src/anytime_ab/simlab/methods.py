@@ -2,13 +2,12 @@
 
 Each rule is the array kernel from ``confseq`` (or ``bayes``), fed the
 per-arm means and biased variances that ``bernoulli_summaries`` derives
-from (replications x peeks) count matrices, plus the comparison that
-turns it into a "rejects at this peek" matrix. The engine calls the same
-kernels on its snapshot moments, so the service and the studies share
-each rule's arithmetic.
-
-Evaluators return boolean reject matrices, or statistics with a validity
-mask; entries where a rule's preconditions fail never reject.
+from (replications x peeks) count matrices, plus the test that turns it
+into a "crosses at this peek" mask, ``confseq.excludes`` for every
+interval rule. The engine calls the same kernels and the same test on
+its snapshot moments. Studies evaluate a rule one block of peeks at a
+time through ``blocked_first_crossing``; entries where a rule's
+preconditions fail never reject.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from scipy.special import betainc
 
 from .. import confseq
 from ..bayes import BfConfig, log_bayes_factor
-from ..special import normal_quantile
 
 
 def bernoulli_arm(n, s):
@@ -33,18 +31,17 @@ def bernoulli_summaries(n0, n1, s0, s1):
 
 def ate_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
     center, hw, valid = confseq.ate_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2)
-    return valid & (np.abs(center - theta0) > hw)
+    return confseq.excludes(center - hw, center + hw, valid, theta0)
 
 
 def lift_reject(n0, n1, s0, s1, arm_level, rho2, lift0=0.0):
-    lower, upper, valid = confseq.lift_interval(*bernoulli_summaries(n0, n1, s0, s1), arm_level, rho2)
-    return valid & ((lower > lift0) | (upper < lift0))
+    return confseq.excludes(*confseq.lift_interval(*bernoulli_summaries(n0, n1, s0, s1), arm_level, rho2), lift0)
 
 
 def msprt_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
     scale = confseq.two_sample_scale(*bernoulli_summaries(n0, n1, s0, s1))
-    loglam, valid = confseq.msprt_log_lambda(*scale, rho2, theta0)
-    return valid & (loglam >= np.log(1.0 / alpha))
+    center, hw, valid = confseq.msprt_interval(*scale, alpha, rho2)
+    return confseq.excludes(center - hw, center + hw, valid, theta0)
 
 
 def z_statistic_arrays(n0, n1, s0, s1, theta0=0.0):
@@ -53,9 +50,8 @@ def z_statistic_arrays(n0, n1, s0, s1, theta0=0.0):
 
 
 def z_reject(n0, n1, s0, s1, alpha, theta0=0.0):
-    # Strict inequality to match the interval-exclusion reading of the rule.
-    z, valid = z_statistic_arrays(n0, n1, s0, s1, theta0)
-    return valid & (np.abs(z) > normal_quantile(1.0 - alpha / 2.0))
+    center, hw, valid = confseq.z_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha)
+    return confseq.excludes(center - hw, center + hw, valid, theta0)
 
 
 def bf_reject(n0, n1, s0, s1, prior_a, prior_b, odds_threshold):
@@ -112,38 +108,22 @@ def blocked_first_crossing(rule, reps: int, peeks: int):
         reject, *values = rule(alive, slice(start, start + _CROSSING_BLOCK))
         if not at_stop:
             at_stop = [np.full(reps, np.nan) for _ in values]
-        hit = np.flatnonzero(reject.any(axis=1))
-        col = np.argmax(reject[hit], axis=1)
-        stop_idx[alive[hit]] = start + col
+        col = first_crossing(reject)
+        hit = np.flatnonzero(col >= 0)
+        stop_idx[alive[hit]] = start + col[hit]
         for out, value in zip(at_stop, values):
-            out[alive[hit]] = value[hit, col]
+            out[alive[hit]] = value[hit, col[hit]]
         alive = np.delete(alive, hit)
         if alive.size == 0:
             break
     return stop_idx, at_stop
 
 
-def crossing_summary(stop_idx: np.ndarray, grid: np.ndarray):
-    """Stop sizes (+inf if never crossed) and cumulative crossed fraction by peek."""
-    stopped = stop_idx >= 0
-    stop_n = np.where(stopped, np.asarray(grid, dtype=float)[stop_idx], np.inf)
-    curve = np.cumsum(np.bincount(stop_idx[stopped], minlength=len(grid))) / stop_idx.size
-    return stop_n, curve
+def first_crossing(reject: np.ndarray) -> np.ndarray:
+    """Column of each row's first True in a reject matrix, -1 for rows without one."""
+    return np.where(reject.any(axis=1), np.argmax(reject, axis=1), -1)
 
 
-def first_crossing(reject: np.ndarray, grid: np.ndarray):
-    """First-peek crossing per replication.
-
-    Returns (stopped, stop_n, stop_idx): stop_n is +inf and stop_idx is
-    -1 for replications that never cross.
-    """
-    stopped = reject.any(axis=1)
-    idx = np.argmax(reject, axis=1)
-    stop_n = np.where(stopped, np.asarray(grid, dtype=float)[idx], np.inf)
-    stop_idx = np.where(stopped, idx, -1)
-    return stopped, stop_n, stop_idx
-
-
-def cumulative_fraction(reject: np.ndarray) -> np.ndarray:
-    """Fraction of replications that have crossed by each peek."""
-    return np.maximum.accumulate(reject, axis=1).mean(axis=0)
+def cumulative_fraction(stop_idx: np.ndarray, peeks: int) -> np.ndarray:
+    """Fraction of replications that have crossed by each of ``peeks`` peeks, from their stop indices."""
+    return np.cumsum(np.bincount(stop_idx[stop_idx >= 0], minlength=peeks)) / stop_idx.size

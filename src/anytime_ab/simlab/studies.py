@@ -7,9 +7,11 @@ index) and the peek grid is a function of the study settings alone, never
 of the method, so runs with different methods but the same seed consume
 identical outcome streams and are directly comparable. The last two-arm
 draw is memoized read-only, so a battery of methods over one seed draws
-its stream once. Stop-quality studies need only each replication's first
-crossing, so they evaluate their rule in blocks of peeks and stop
-evaluating a replication once it has crossed.
+its stream once. A study needs only each replication's first crossing,
+so every study, two-arm or stop-quality, evaluates its rule in blocks of
+peeks through ``methods.blocked_first_crossing`` and stops evaluating a
+replication once it has crossed; ``_stop_idx`` is the one two-arm
+dispatch, and reports are built from the stop indices.
 
 Default scales are desk sized (thousands of replications, peeks every
 hundred observations); each report's ``meta`` records the scale it ran
@@ -17,7 +19,7 @@ at.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +27,7 @@ from scipy.special import betaincinv
 
 from .. import design
 from ..bayes import BetaPosterior, BfConfig, BhtConfig, two_arm_expected_loss
-from ..confseq import ConfSeqParams, mean_interval, msprt_interval, msprt_log_lambda
+from ..confseq import ConfSeqParams, excludes, mean_interval, msprt_interval
 from ..gst import SpendingSchedule, compute_boundaries
 from . import methods, streams
 from .report import SimReport
@@ -158,43 +160,56 @@ def _marker_grid(cfg: SimStudyConfig, fht_total: int, horizon_multiples):
     return horizon, grid, [(float(m), col) for m, col in zip(horizon_multiples, columns)]
 
 
-def _reject_matrix(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int) -> np.ndarray:
-    n0, n1, s0, s1 = counts
-    method = cfg.method
+def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | None = None) -> np.ndarray:
+    """Each replication's first-crossing peek under ``cfg.method``, -1 if none.
+
+    ``counts`` are the (n0, n1, s0, s1) matrices on ``grid``. Every rule
+    sees one block of peeks at a time, so a replication is evaluated no
+    further than the block where it crosses.
+    """
+    method, theta0, alpha = cfg.method, cfg.theta0, _alpha(cfg)
+    look = np.ones(grid.size, dtype=bool)  # the peeks at which the rule may stop
     if method in ("AsympCS", "AsympCS-lift", "mSPRT"):
-        p = _confseq_params(cfg)
-        rule = {"AsympCS": methods.ate_reject, "AsympCS-lift": methods.lift_reject, "mSPRT": methods.msprt_reject}
-        return rule[method](n0, n1, s0, s1, p.alpha, p.rho2, cfg.theta0)
-    if method == "FHT-peeking":
-        return methods.z_reject(n0, n1, s0, s1, _alpha(cfg), cfg.theta0)
-    if method == "FHT":
-        reject = methods.z_reject(n0, n1, s0, s1, _alpha(cfg), cfg.theta0)
-        look = np.searchsorted(grid, min(fht_total, grid[-1]))
-        mask = np.zeros_like(reject)
-        mask[:, look] = reject[:, look]
-        return mask
-    if method == "LDM":
+        rho2 = _confseq_params(cfg).rho2
+        kernel = {"AsympCS": methods.ate_reject, "AsympCS-lift": methods.lift_reject,
+                  "mSPRT": methods.msprt_reject}[method]
+        rule = lambda block, cols: kernel(*block, alpha, rho2, theta0)
+    elif method in ("FHT", "FHT-peeking"):
+        if method == "FHT":
+            look = np.arange(grid.size) == np.searchsorted(grid, min(fht_total, grid[-1]))
+        rule = lambda block, cols: methods.z_reject(*block, alpha, theta0) & look[cols]
+    elif method == "LDM":
         ldm_ns = _ldm_peek_ns(fht_total)
-        schedule = _cached_schedule(tuple((ldm_ns / fht_total).tolist()), _alpha(cfg))
+        schedule = _cached_schedule(tuple((ldm_ns / fht_total).tolist()), alpha)
         cols = np.searchsorted(grid, ldm_ns)
         if np.any(cols >= grid.size) or np.any(grid[cols] != ldm_ns):
             raise ValueError("schedule peeks are not on the study grid")
-        z, valid = methods.z_statistic_arrays(n0, n1, s0, s1, cfg.theta0)
-        mask = np.zeros(z.shape, dtype=bool)
-        bounds = np.asarray(schedule.boundaries)
-        mask[:, cols] = valid[:, cols] & (np.abs(z[:, cols]) >= bounds[None, :])
-        return mask
-    if method == "BF-uninformed":
+        # NaN off the schedule, where |z| >= bound is never true.
+        bounds = np.full(grid.size, np.nan)
+        bounds[cols] = schedule.boundaries
+        look = ~np.isnan(bounds)
+
+        def rule(block, cols):
+            z, valid = methods.z_statistic_arrays(*block, theta0)
+            return valid & (np.abs(z) >= bounds[cols])
+    elif method == "BF-uninformed":
         bf = cfg.params if isinstance(cfg.params, BfConfig) else BfConfig()
-        return methods.bf_reject(n0, n1, s0, s1, bf.prior_a, bf.prior_b, bf.odds_threshold)
-    if method in ("BHT-uninformed", "BHT-matched"):
+        rule = lambda block, cols: methods.bf_reject(*block, bf.prior_a, bf.prior_b, bf.odds_threshold)
+    elif method in ("BHT-uninformed", "BHT-matched"):
         bht = cfg.params if isinstance(cfg.params, BhtConfig) else BhtConfig()
-        return _bht_two_arm_reject(n0, n1, s0, s1, bht)
-    raise ValueError(f"unhandled method {method!r}")
+        rule = lambda block, cols: _bht_two_arm_reject(*block, bht)
+    else:
+        raise ValueError(f"unhandled method {method!r}")
+    # Peeks after the last look cannot cross, so they are never evaluated.
+    stop_idx, _ = methods.blocked_first_crossing(
+        lambda rows, cols: (rule([matrix[rows, cols] for matrix in counts], cols),),
+        cfg.replications, int(np.flatnonzero(look)[-1]) + 1,
+    )
+    return stop_idx
 
 
 def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
-    """Expected-loss stopping over count matrices, exact Beta tail sums.
+    """Expected-loss stopping over count matrices, exact Beta tail sums, each row up to its first crossing.
 
     Costs O(conversions) per cell, so this is meant for desk-scale runs;
     the closed-form single-arm path covers the large calibration studies.
@@ -215,6 +230,11 @@ def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
     return reject
 
 
+def _stop_n(stop_idx: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Sample size at each replication's first crossing, +inf if it never crossed."""
+    return np.where(stop_idx >= 0, grid.astype(float)[stop_idx], np.inf)
+
+
 def _quantiles(stop_n: np.ndarray) -> dict[str, float | None]:
     out = {}
     for q in (0.5, 0.8, 0.9):
@@ -223,13 +243,7 @@ def _quantiles(stop_n: np.ndarray) -> dict[str, float | None]:
     return out
 
 
-def _crossings(reject: np.ndarray, grid: np.ndarray):
-    """Cumulative crossed fraction by peek, and stop sizes (+inf if never crossed)."""
-    _, stop_n, _ = methods.first_crossing(reject, grid)
-    return methods.cumulative_fraction(reject), stop_n
-
-
-def _base_report(cfg: SimStudyConfig, study: str, grid, curve, stop_n, horizon: int, **extra) -> SimReport:
+def _base_report(cfg: SimStudyConfig, study: str, grid, stop_idx, curve, horizon: int, **extra) -> SimReport:
     meta = {
         "scale": f"{cfg.replications} replications, {len(grid)} peeks",
         "peek_every": cfg.peek_every,
@@ -245,18 +259,18 @@ def _base_report(cfg: SimStudyConfig, study: str, grid, curve, stop_n, horizon: 
         master_seed=cfg.master_seed,
         peek_ns=[int(n) for n in grid],
         cumulative_rejection_by_peek=[float(v) for v in curve],
-        stop_time_quantiles=_quantiles(stop_n),
+        stop_time_quantiles=_quantiles(_stop_n(stop_idx, grid)),
         meta=meta,
         **extra,
     )
 
 
-def _power_report(cfg: SimStudyConfig, study: str, reject, horizon: int, grid, markers, fht_total: int) -> SimReport:
-    """Report of one reject matrix with its rate at each (multiple, grid column) marker."""
-    curve, stop_n = _crossings(reject, grid)
+def _power_report(cfg: SimStudyConfig, study: str, stop_idx, horizon: int, grid, markers, fht_total: int) -> SimReport:
+    """Report of one set of first crossings with its rate at each (multiple, grid column) marker."""
+    curve = methods.cumulative_fraction(stop_idx, grid.size)
     by_multiple = [(m, float(curve[col])) for m, col in markers]
     return _base_report(
-        cfg, study, grid, curve, stop_n, horizon,
+        cfg, study, grid, stop_idx, curve, horizon,
         power=by_multiple[-1][1],
         power_by_multiple=by_multiple,
         meta={"fht_total": fht_total},
@@ -271,10 +285,10 @@ def run_type1_study(cfg: SimStudyConfig) -> SimReport:
     fht_total = _fht_total(cfg)
     horizon = cfg.horizon if cfg.horizon is not None else 3 * fht_total
     grid = _study_grid(cfg, horizon, fht_total, markers=[fht_total])
-    reject = _reject_matrix(cfg, grid, _two_arm_counts(cfg, grid, p0, p0), fht_total)
-    curve, stop_n = _crossings(reject, grid)
+    stop_idx = _stop_idx(cfg, grid, _two_arm_counts(cfg, grid, p0, p0), fht_total)
+    curve = methods.cumulative_fraction(stop_idx, grid.size)
     return _base_report(
-        cfg, "type1", grid, curve, stop_n, horizon,
+        cfg, "type1", grid, stop_idx, curve, horizon,
         power=float(curve[-1]),
         meta={"fht_total": fht_total, "type1_at_fht": float(curve[np.searchsorted(grid, min(fht_total, horizon))])},
     )
@@ -291,8 +305,8 @@ def run_power_study(cfg: SimStudyConfig, horizon_multiples=HORIZON_MULTIPLES) ->
     p0, p1 = cfg.arm_means
     fht_total = _fht_total(cfg)
     horizon, grid, markers = _marker_grid(cfg, fht_total, horizon_multiples)
-    reject = _reject_matrix(cfg, grid, _two_arm_counts(cfg, grid, p0, p1), fht_total)
-    return _power_report(cfg, "power", reject, horizon, grid, markers, fht_total)
+    stop_idx = _stop_idx(cfg, grid, _two_arm_counts(cfg, grid, p0, p1), fht_total)
+    return _power_report(cfg, "power", stop_idx, horizon, grid, markers, fht_total)
 
 
 def run_lift_power_study(
@@ -307,38 +321,35 @@ def run_lift_power_study(
     "lift" report's meta carries (true lift, lift power, difference
     power) triples at the final horizon.
     """
+    if cfg.method != "AsympCS-lift":
+        raise ValueError(f"lift-power study runs AsympCS-lift only, got {cfg.method!r}")
     if cfg.arm_means is None:
         raise ValueError("lift study needs arm_means")
     if cfg.theta0 != 0.0:
         raise ValueError(f"lift study tests a lift and a difference of 0, got theta0={cfg.theta0}")
     p0, p1 = cfg.arm_means
-    p = _confseq_params(cfg)
+    ate_cfg = replace(cfg, method="AsympCS")
     fht_total = _fht_total(cfg)
     horizon, grid, markers = _marker_grid(cfg, fht_total, horizon_multiples)
 
-    def _curves(pa, pb):
+    def _pair(pa, pb):
         counts = _two_arm_counts(cfg, grid, pa, pb)
-        lift_mask = methods.lift_reject(*counts, p.alpha, p.rho2, 0.0)
-        ate_mask = methods.ate_reject(*counts, p.alpha, p.rho2, 0.0)
-        return lift_mask, ate_mask
+        return _stop_idx(cfg, grid, counts), _stop_idx(ate_cfg, grid, counts)
 
-    lift_mask, ate_mask = _curves(p0, p1)
-    aa_lift_mask = methods.lift_reject(*_two_arm_counts(cfg, grid, p0, p0), p.alpha, p.rho2, 0.0)
+    lift_idx, ate_idx = _pair(p0, p1)
+    aa_lift_idx = _stop_idx(cfg, grid, _two_arm_counts(cfg, grid, p0, p0))
+    # Every report carries the study's own cfg, so all three name AsympCS-lift.
     reports = {
-        key: _power_report(cfg, f"lift-power:{key}", mask, horizon, grid, markers, fht_total)
-        for key, mask in (("lift", lift_mask), ("ate", ate_mask), ("lift-aa", aa_lift_mask))
+        key: _power_report(cfg, f"lift-power:{key}", stop_idx, horizon, grid, markers, fht_total)
+        for key, stop_idx in (("lift", lift_idx), ("ate", ate_idx), ("lift-aa", aa_lift_idx))
     }
 
     if lift_grid:
         rows = []
         for lift in lift_grid:
             pb = p0 * (1.0 + lift)
-            lm, am = _curves(p0, pb)
-            rows.append((
-                float(lift),
-                float(methods.cumulative_fraction(lm)[-1]),
-                float(methods.cumulative_fraction(am)[-1]),
-            ))
+            lift_at, ate_at = _pair(p0, pb)
+            rows.append((float(lift), float(np.mean(lift_at >= 0)), float(np.mean(ate_at >= 0))))
         reports["lift"].meta["power_by_lift"] = rows
     return reports
 
@@ -366,16 +377,15 @@ def run_rho2_sweep(cfg: SimStudyConfig, rho2_grid) -> list[SimReport]:
     h1 = _two_arm_counts(cfg, grid, p0, p1)
     marker_col = np.searchsorted(grid, power_marker)
 
-    rejector = methods.ate_reject if cfg.method == "AsympCS" else methods.msprt_reject
     reports = []
     for rho2 in rho2_grid:
-        aa_mask = rejector(*aa, p.alpha, rho2, cfg.theta0)
-        h1_mask = rejector(*h1, p.alpha, rho2, cfg.theta0)
-        curve, stop_n = _crossings(aa_mask, grid)
-        power_curve = methods.cumulative_fraction(h1_mask)
+        tuned = replace(cfg, params=ConfSeqParams(p.alpha, rho2))
+        aa_idx = _stop_idx(tuned, grid, aa)
+        curve = methods.cumulative_fraction(aa_idx, grid.size)
+        power_curve = methods.cumulative_fraction(_stop_idx(tuned, grid, h1), grid.size)
         reports.append(
             _base_report(
-                cfg, "rho2-sweep", grid, curve, stop_n, horizon,
+                cfg, "rho2-sweep", grid, aa_idx, curve, horizon,
                 power=float(power_curve[marker_col]),
                 meta={
                     "rho2": float(rho2),
@@ -396,6 +406,8 @@ def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfi
     with MDE = factor * effect; factor < 1 models an analyst who
     underestimated the effect.
     """
+    if cfg.method != "AsympCS":
+        raise ValueError(f"mde-misspec study runs AsympCS only, got {cfg.method!r}")
     if factor <= 0.0:
         raise ValueError("factor must be positive")
     if cfg.arm_means is None:
@@ -409,10 +421,8 @@ def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfi
         horizon = int(math.ceil(MISSPEC_HORIZON_MULTIPLE * 2 * per_arm_true))
         step = max(1, horizon // MISSPEC_PEEKS)
         grid = np.arange(step, horizon + 1, step, dtype=np.int64)
-        counts = _two_arm_counts(cfg, grid, p0, p0 + theta)
-        reject = methods.ate_reject(*counts, p.alpha, p.rho2, cfg.theta0)
-        _, stop_n, _ = methods.first_crossing(reject, grid)
-        q80 = float(np.quantile(stop_n, 0.8, method="lower"))
+        stop_idx = _stop_idx(cfg, grid, _two_arm_counts(cfg, grid, p0, p0 + theta))
+        q80 = float(np.quantile(_stop_n(stop_idx, grid), 0.8, method="lower"))
         per_arm_assumed = design.fixed_horizon_sample_size(p0, factor * theta, p.alpha, DESIGN_POWER)
         ratio = q80 / (2 * per_arm_assumed)
         ratios.append((float(theta), float(ratio)))
@@ -464,21 +474,17 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
 
     if cfg.method in ("AsympCS", "mSPRT"):
         p = _confseq_params(cfg)
+        interval = mean_interval if cfg.method == "AsympCS" else msprt_interval
 
         def rule(rows, cols):
             n_block, s_block = cells(rows, cols)
-            arm = methods.bernoulli_arm(n_block, s_block)
-            if cfg.method == "AsympCS":
-                center, hw, valid = mean_interval(n_block, *arm, p.alpha, p.rho2)
-                return valid & (np.abs(center - theta0) > hw), center, hw
-            loglam, valid = msprt_log_lambda(n_block, *arm, p.rho2, theta0)
-            center, hw, _ = msprt_interval(n_block, *arm, p.alpha, p.rho2)
-            return valid & (loglam >= np.log(1.0 / p.alpha)), center, hw
+            center, hw, valid = interval(n_block, *methods.bernoulli_arm(n_block, s_block), p.alpha, p.rho2)
+            lower, upper = center - hw, center + hw
+            return excludes(lower, upper, valid, theta0), center, lower, upper
 
-        stop_idx, (center, hw) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
+        stop_idx, (center, lower, upper) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
         rows = np.flatnonzero(stop_idx >= 0)
-        miscover = np.abs(center[rows] - theta[rows]) > hw[rows]
-        inferred = center[rows]
+        lower, upper, inferred = lower[rows], upper[rows], center[rows]
     elif cfg.method in ("BHT-uninformed", "BHT-matched"):
         bht = cfg.params if isinstance(cfg.params, BhtConfig) else BhtConfig()
 
@@ -493,9 +499,8 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         post_b = bht.prior_b + n_grid[stop_idx[rows]] - s_stop
         level = 0.95
         tail = (1.0 - level) / 2.0
-        lo = betaincinv(post_a, post_b, tail)
-        hi = betaincinv(post_a, post_b, 1.0 - tail)
-        miscover = (theta[rows] < lo) | (theta[rows] > hi)
+        lower = betaincinv(post_a, post_b, tail)
+        upper = betaincinv(post_a, post_b, 1.0 - tail)
         inferred = post_a / (post_a + post_b)
         declared_above = loss_below[rows] <= loss_above[rows]
         realized = np.where(
@@ -507,10 +512,10 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
     else:
         raise ValueError(f"stop-quality study does not support method {cfg.method!r}")
 
-    stop_n, curve = methods.crossing_summary(stop_idx, grid)
+    miscover = excludes(lower, upper, True, theta[rows])
     stopped = stop_idx >= 0
     report = _base_report(
-        cfg, "stop-quality", grid, curve, stop_n, horizon,
+        cfg, "stop-quality", grid, stop_idx, methods.cumulative_fraction(stop_idx, grid.size), horizon,
         power=float(stopped.mean()),
         miscoverage_at_stop=float(miscover.mean()) if rows.size else None,
         mean_loss_at_stop=mean_loss,

@@ -186,7 +186,8 @@ def grid_results():
             grid = np.append(grid, n_star)
         counts = streams.two_arm_count_matrices(20240504, 10_000, grid, 0.1, 0.1 + mde)
         reject = methods.ate_reject(*counts, ALPHA, RHO2)
-        _, stop_n, _ = methods.first_crossing(reject, grid)
+        stop_idx = methods.first_crossing(reject)
+        stop_n = np.where(stop_idx >= 0, grid[stop_idx].astype(float), np.inf)
         results[mde] = (n_star, reject.any(axis=1).mean(), float(np.quantile(stop_n, 0.8, method="lower")))
     return results
 

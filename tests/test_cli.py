@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anytime_ab.cli import main
+from anytime_ab.gst import compute_boundaries
 
 
 def run_cli(args, capsys):
@@ -108,6 +110,28 @@ class TestAnalyzeCommand:
         assert all(row.split(",")[4:6] == ["", ""] for row in rows[1:3])
         assert rows[3].split(",")[4] != ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [0, 540, 1000])
+    def test_underflowed_log_gives_no_verdict(self, tmp_path, capsys, k):
+        # A null log of 1s and 2s scaled by 2^-k. For k >= 540 the squares
+        # underflow, ingest's rows hold m2 = 0, and every rule read a zero
+        # variance as a crossing at n = 50.
+        rng = np.random.default_rng(0)
+        arms, values = rng.integers(0, 2, 3000), rng.integers(1, 3, 3000)
+        log = tmp_path / "tiny.jsonl"
+        log.write_text("".join(
+            json.dumps({"ts": i, "unit": f"u{i}", "arm": int(a), "value": math.ldexp(float(v), -k)}) + "\n"
+            for i, (a, v) in enumerate(zip(arms, values))
+        ))
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(compute_boundaries((np.arange(1, 61) / 60).tolist(), 0.05).to_json())
+        for method in ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "ldm"):
+            argv = ["analyze", "--log", str(log), "--method", method, "--snapshot-every", "50",
+                    "--schedule", str(schedule), "--out", str(tmp_path / method)]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            assert json.loads(out)["verdict"] == "not-significant", method
+
     @pytest.mark.parametrize(
         "schedule, message",
         [
@@ -193,6 +217,31 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "theta0=0.05" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "study, conf, ok",
+        [
+            ("lift-power", {"methods": ["mSPRT", "LDM"], "arm_means": [0.1, 0.11]}, "AsympCS-lift"),
+            ("lift-power", {"methods": ["AsympCS"], "arm_means": [0.1, 0.11]}, "AsympCS-lift"),
+            ("mde-misspec", {"methods": ["mSPRT", "AsympCS", "FHT-peeking"], "arm_means": [0.1, 0.1],
+                             "effects": [0.01]}, "AsympCS"),
+            ("mde-misspec", {"methods": ["AsympCS-lift"], "arm_means": [0.1, 0.1], "effects": [0.01]}, "AsympCS"),
+        ],
+        ids=["lift-msprt", "lift-asympcs", "misspec-msprt", "misspec-lift"],
+    )
+    def test_single_method_study_names_the_wrong_method(self, tmp_path, capsys, study, conf, ok):
+        # These studies run one rule; another method's name must not label its numbers.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**conf, "replications": 5}))
+        out_dir = tmp_path / "study"
+        code, _, err = run_cli(
+            ["simulate", "--study", study, "--config", str(config), "--out", str(out_dir)], capsys
+        )
+        assert code == 2
+        wrong = next(m for m in conf["methods"] if m != ok)
+        assert f"{study} study runs {ok} only, got {wrong!r}" in err
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("study", ["power", "lift-power"])
@@ -282,8 +331,9 @@ class TestSimulateCommand:
 
 
 # sha256 of report.json at 20 replications for every bundled config, plus a
-# flat-prior BHT stop-quality run and two-arm BHT type1 and power runs:
-# reports stay byte-identical at fixed seeds.
+# flat-prior BHT stop-quality run, two-arm BHT type1 and power runs (flat
+# and matched prior), an mSPRT tuning sweep, and a type-1 run of FHT and
+# AsympCS-lift: reports stay byte-identical at fixed seeds.
 # Recorded with numpy 2.4.6 and scipy 1.17.1; other library versions may
 # legitimately move the last bits of a float.
 GOLDEN_REPORTS = {
@@ -296,6 +346,9 @@ GOLDEN_REPORTS = {
     "stop_quality_bht": ("stop-quality", "957a0393ead3efcdf5f92b42f2a66b5b01f3665c7d4514f4610e2ff252a67fe3"),
     "type1_bht": ("type1", "701fc71ad3fdb4aac043a92315d67e0d5d292a3f59a37119f8a25fa2f4e22530"),
     "power_bht": ("power", "2cbe919120904ab6049d69c515f7bc88b2ed26c77ba18fdc5af2ca97655affb0"),
+    "power_bht_matched": ("power", "9db1f69e8a468cec9cd2eb241f2b6d962f7e6e885f0f223ce391af2e70b8e7cb"),
+    "rho2_sweep_msprt": ("rho2-sweep", "40418b9a95264f6863841ac8b1856e4081500e374e710bb941ec872ca5cb0d15"),
+    "type1_fht_lift": ("type1", "ffa466ccd092911ab20a54c5af91de650a9bdbfbd6e51bff4e192ca3cdae50ee"),
 }
 INLINE_CONFIGS = {
     "stop_quality_bht": {
@@ -309,6 +362,18 @@ INLINE_CONFIGS = {
     "power_bht": {
         "methods": ["BHT-uninformed"], "arm_means": [0.1, 0.12], "peek_every": 100, "epsilon": 1e-3,
         "master_seed": 8, "horizon_multiples": [1.0, 2.0],
+    },
+    "power_bht_matched": {
+        "methods": ["BHT-matched"], "arm_means": [0.1, 0.12], "prior": [10, 90], "peek_every": 100,
+        "epsilon": 1e-4, "master_seed": 10, "horizon_multiples": [1.0, 2.0],
+    },
+    "rho2_sweep_msprt": {
+        "methods": ["mSPRT"], "arm_means": [0.1, 0.13], "peek_every": 100, "alpha": 0.05,
+        "rho2_grid": [1e-4, 1e-3, 1e-2], "master_seed": 9,
+    },
+    "type1_fht_lift": {
+        "methods": ["FHT", "AsympCS-lift"], "arm_means": [0.1, 0.1], "design_mde": 0.02, "peek_every": 100,
+        "alpha": 0.3, "master_seed": 33,
     },
 }
 

@@ -653,10 +653,9 @@ class TestAnalyze:
             s1m = np.cumsum(c1).astype(float)[None, :]
             s0m = np.cumsum(c0).astype(float)[None, :]
             n0m = grid.astype(float)[None, :] - n1m
-            reject = simlab_reject(n0m, n1m, s0m, s1m)
-            stopped, stop_n, _ = sim_methods.first_crossing(reject, grid)
-            if stopped[0]:
-                assert crossed_at == int(stop_n[0])
+            (stop_idx,) = sim_methods.first_crossing(simlab_reject(n0m, n1m, s0m, s1m))
+            if stop_idx >= 0:
+                assert crossed_at == grid[stop_idx]
                 crossings += 1
             else:
                 assert crossed_at is None

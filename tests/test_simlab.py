@@ -13,6 +13,7 @@ from anytime_ab.confseq import (
     msprt_log_lambda,
     two_sample_scale,
 )
+from anytime_ab.gst import compute_boundaries
 from anytime_ab.moments import StreamingMoments
 from anytime_ab.simlab import (
     SimReport,
@@ -152,16 +153,21 @@ class TestFirstCrossing:
     def test_basic(self):
         reject = np.array([[False, True, True], [False, False, False], [True, False, False]])
         grid = np.array([10, 20, 30])
-        stopped, stop_n, stop_idx = methods.first_crossing(reject, grid)
-        np.testing.assert_array_equal(stopped, [True, False, True])
-        np.testing.assert_array_equal(stop_n, [20.0, np.inf, 10.0])
+        stop_idx = methods.first_crossing(reject)
+        np.testing.assert_array_equal(stop_idx >= 0, [True, False, True])
+        np.testing.assert_array_equal(studies._stop_n(stop_idx, grid), [20.0, np.inf, 10.0])
         np.testing.assert_array_equal(stop_idx, [1, -1, 0])
 
     def test_cumulative_fraction_nondecreasing(self):
         rng = np.random.default_rng(0)
         reject = rng.random((50, 40)) < 0.02
-        curve = methods.cumulative_fraction(reject)
+        curve = methods.cumulative_fraction(methods.first_crossing(reject), 40)
         assert np.all(np.diff(curve) >= 0)
+
+
+def full_matrix_curve(reject):
+    """Fraction of rows with a True at or before each column."""
+    return np.maximum.accumulate(reject, axis=1).mean(axis=0)
 
 
 def _full_matrix_first_crossing(rejects):
@@ -170,7 +176,8 @@ def _full_matrix_first_crossing(rejects):
     def evaluate(rule, reps, peeks):
         reject, *values = rule(np.arange(reps), slice(0, peeks))
         rejects.append(reject)
-        stopped, _, stop_idx = methods.first_crossing(reject, np.arange(peeks))
+        stopped = reject.any(axis=1)
+        stop_idx = np.where(stopped, np.argmax(reject, axis=1), -1)
         rows = np.flatnonzero(stopped)
         at_stop = [np.full(reps, np.nan) for _ in values]
         for out, value in zip(at_stop, values):
@@ -211,7 +218,7 @@ class TestEarlyExit:
         assert len(blocked.peek_ns) % methods._CROSSING_BLOCK != 0
         assert 0.0 < blocked.power < 1.0
         assert blocked.to_json() == full.to_json()
-        assert full.cumulative_rejection_by_peek == methods.cumulative_fraction(reject).tolist()
+        assert full.cumulative_rejection_by_peek == full_matrix_curve(reject).tolist()
 
     @pytest.mark.parametrize("method", sorted(STOP_PARAMS))
     def test_no_replication_crosses(self, monkeypatch, method):
@@ -280,13 +287,72 @@ class TestEarlyExit:
         np.testing.assert_array_equal(at_stop, [3.0, 27.0, np.nan, 75.0])
 
     def test_crossing_summary_matches_full_matrix(self):
+        # Stop sizes and the crossed-fraction curve from stop indices equal their full-matrix forms.
         rng = np.random.default_rng(19)
         reject = rng.random((300, 45)) < 0.01
         grid = np.arange(10, 460, 10)
-        _, stop_n, stop_idx = methods.first_crossing(reject, grid)
-        summary_n, curve = methods.crossing_summary(stop_idx, grid)
-        np.testing.assert_array_equal(summary_n, stop_n)
-        assert curve.tolist() == methods.cumulative_fraction(reject).tolist()
+        stop_idx = methods.first_crossing(reject)
+        stop_n = np.where(reject.any(axis=1), grid[np.argmax(reject, axis=1)].astype(float), np.inf)
+        np.testing.assert_array_equal(studies._stop_n(stop_idx, grid), stop_n)
+        assert methods.cumulative_fraction(stop_idx, grid.size).tolist() == full_matrix_curve(reject).tolist()
+
+
+TWO_ARM_PARAMS = {
+    "BF-uninformed": BfConfig(),
+    "BHT-uninformed": BhtConfig(1.0, 1.0, 1e-3),
+    "BHT-matched": BhtConfig(10.0, 90.0, 1e-3),
+}
+
+
+def _full_matrix_reject(cfg, grid, counts, fht_total):
+    """Every cell of ``cfg.method``'s reject matrix, evaluated at once."""
+    p, method = cfg.params, cfg.method
+    if method in ("AsympCS", "AsympCS-lift", "mSPRT"):
+        kernel = {"AsympCS": methods.ate_reject, "AsympCS-lift": methods.lift_reject, "mSPRT": methods.msprt_reject}
+        return kernel[method](*counts, p.alpha, p.rho2)
+    if method in ("FHT", "FHT-peeking"):
+        reject = methods.z_reject(*counts, p.alpha)
+        if method == "FHT":
+            reject[:, grid != fht_total] = False
+        return reject
+    if method == "LDM":
+        ldm_ns = studies._ldm_peek_ns(fht_total)
+        boundaries = compute_boundaries((ldm_ns / fht_total).tolist(), p.alpha).boundaries
+        cols = np.searchsorted(grid, ldm_ns)
+        z, valid = methods.z_statistic_arrays(*counts)
+        reject = np.zeros(z.shape, dtype=bool)
+        reject[:, cols] = valid[:, cols] & (np.abs(z[:, cols]) >= np.asarray(boundaries))
+        return reject
+    if method == "BF-uninformed":
+        return methods.bf_reject(*counts, p.prior_a, p.prior_b, p.odds_threshold)
+    return studies._bht_two_arm_reject(*counts, p)
+
+
+class TestTwoArmEarlyExit:
+    """The two-arm dispatch evaluates in blocks of peeks, with the full matrix's first crossings."""
+
+    @pytest.mark.parametrize("method", studies.METHODS)
+    def test_stop_idx_matches_full_matrix(self, method):
+        cfg = SimStudyConfig(
+            method=method, arm_means=(0.1, 0.13), replications=30, peek_every=250, master_seed=47,
+            params=TWO_ARM_PARAMS.get(method, PARAMS),
+        )
+        fht_total = studies._fht_total(cfg)
+        grid = studies._study_grid(cfg, 2 * fht_total, fht_total, markers=[fht_total])
+        assert grid.size % methods._CROSSING_BLOCK != 0
+        counts = studies._two_arm_counts(cfg, grid, 0.1, 0.13)
+        stop_idx = studies._stop_idx(cfg, grid, counts, fht_total)
+
+        reject = _full_matrix_reject(cfg, grid, [np.array(m) for m in counts], fht_total)
+        np.testing.assert_array_equal(stop_idx, np.where(reject.any(axis=1), np.argmax(reject, axis=1), -1))
+        crossed = stop_idx[stop_idx >= 0]
+        assert crossed.size > 0
+        if method == "FHT":
+            assert set(grid[crossed]) == {fht_total}
+        elif method == "LDM":
+            assert np.isin(grid[crossed], studies._ldm_peek_ns(fht_total)).all()
+        else:
+            assert crossed.max() >= methods._CROSSING_BLOCK
 
 
 class TestSharedStreams:
@@ -401,12 +467,25 @@ class TestStudies:
         assert aa.power <= 0.08
 
     def test_lift_aa_run_computes_only_the_lift_mask(self, monkeypatch):
+        # Which rule each stream is evaluated by: the difference rule sees the A/B stream only.
         calls = []
-        ate_reject = methods.ate_reject
-        monkeypatch.setattr(methods, "ate_reject", lambda *args: calls.append(args) or ate_reject(*args))
+        stop_idx = studies._stop_idx
+        monkeypatch.setattr(
+            studies, "_stop_idx", lambda cfg, grid, counts, *rest: calls.append((cfg.method, grid, counts))
+            or stop_idx(cfg, grid, counts, *rest),
+        )
         cfg = SimStudyConfig(method="AsympCS-lift", arm_means=(0.1, 0.11), replications=20, master_seed=23)
         run_lift_power_study(cfg, horizon_multiples=(1.0,))
-        assert len(calls) == 1
+        grid = calls[0][1]
+        ab = streams.two_arm_count_matrices(23, 20, grid, 0.1, 0.11)
+        aa = streams.two_arm_count_matrices(23, 20, grid, 0.1, 0.1)
+
+        def rules_on(stream):
+            return [m for m, _, counts in calls if all(np.array_equal(a, b) for a, b in zip(counts, stream))]
+
+        assert rules_on(ab) == ["AsympCS-lift", "AsympCS"]
+        assert rules_on(aa) == ["AsympCS-lift"]
+        assert len(calls) == 3
 
     def test_lift_power_grows_along_grid(self):
         cfg = SimStudyConfig(method="AsympCS-lift", arm_means=(0.1, 0.11), replications=300, master_seed=67)
