@@ -15,8 +15,6 @@ from .bayes import (
 )
 from .confseq import (
     ConfSeqParams,
-    Interval,
-    TwoArmState,
     asympcs_ate,
     radius_beta,
 )
@@ -41,10 +39,8 @@ __all__ = [
     "DecisionRecord",
     "DesignSpec",
     "EventRecord",
-    "Interval",
     "SpendingSchedule",
     "StreamingMoments",
-    "TwoArmState",
     "analyze",
     "asympcs_ate",
     "bht_decide",

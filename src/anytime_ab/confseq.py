@@ -1,8 +1,9 @@
 """Anytime-valid confidence sequences for streaming A/B tests.
 
-The two-sample interval tracks the difference of arm means using nothing
-but per-arm counts, running means, and running biased variances, so the
-whole test state is six numbers. The treatment
+The asymptotic confidence sequence for the ATE (AsympCS), ``asympcs_ate``,
+tracks the difference of arm means using nothing but per-arm counts,
+running means, and running biased variances, so the whole test state is
+six numbers. The treatment
 propensity is taken to be the observed allocation ``n1 / n``, which
 collapses the inverse-propensity-weighted estimator to a plain difference
 in means while keeping its variance expressible in per-arm summaries.
@@ -14,16 +15,16 @@ and the studies call the same kernels. Every kernel is a pure map from
 those columns and its parameters to an interval or statistic with a
 validity mask: replaying a log reproduces a trajectory bit for bit, and
 evaluation cadence is immaterial to validity, so no schedule state is
-kept. Intervals are *not* intersected across time by default; the
+kept. By default intervals are *not* intersected across time; the
 stopping rule used throughout is "first n whose current interval
-excludes the null", and ``excludes`` is its one test.
+excludes the null", and ``excludes`` is its one test. There is no
+per-state API: a single state is a one-entry column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import StreamingMoments
 from .special import normal_quantile
 
 DEFAULT_RHO2 = 1e-3
@@ -32,10 +33,6 @@ DEFAULT_RHO2 = 1e-3
 # round-off on constant data; anything more negative means the
 # accumulators are corrupt.
 _VARIANCE_SLACK = 1e-12
-
-
-class InsufficientDataError(ValueError):
-    """Raised when an interval is requested before its preconditions hold."""
 
 
 class VarianceGuardError(ValueError):
@@ -59,40 +56,6 @@ class ConfSeqParams:
             raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha}")
         if self.rho2 <= 0.0:
             raise ValueError(f"rho2 must be positive, got {self.rho2}")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval with possibly infinite endpoints."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError(f"lower must not exceed upper: [{self.lower}, {self.upper}]")
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
-    def excludes(self, x: float) -> bool:
-        return not self.contains(x)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class TwoArmState:
-    """Per-arm accumulators for a two-arm experiment (0 = control)."""
-
-    arm0: StreamingMoments
-    arm1: StreamingMoments
-
-    @property
-    def n(self) -> int:
-        return self.arm0.count + self.arm1.count
 
 
 def radius_beta(n, alpha: float, rho2: float):
@@ -121,8 +84,8 @@ def radius_beta(n, alpha: float, rho2: float):
 # preconditions are invalid, with infinite half-width or -inf log lambda.
 
 
-def ate_interval(n0, n1, mu0, mu1, v0, v1, alpha: float, rho2: float):
-    """Center, half-width and validity of the two-sample interval for mu1 - mu0.
+def asympcs_ate(n0, n1, mu0, mu1, v0, v1, alpha: float, rho2: float):
+    """Center, half-width and validity of the AsympCS interval for the ATE mu1 - mu0.
 
     The bracket is the running variance of the allocation-weighted
     influence values. Float round-off on constant data can push it
@@ -199,14 +162,18 @@ def msprt_log_lambda(n, estimate, sigma2, rho2: float, theta0=0.0):
 
 
 def msprt_interval(n, estimate, sigma2, alpha: float, rho2: float):
-    """Center, half-width and validity of the interval inverting lambda >= 1/alpha (inputs as ``msprt_log_lambda``)."""
+    """Center, half-width and validity of the interval inverting lambda >= 1/alpha (inputs as ``msprt_log_lambda``).
+
+    A subnormal sigma2 overflows the half-width; such an entry is invalid.
+    """
     valid = (n >= 2) & (sigma2 > 0)
     s2 = np.where(valid, sigma2, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n = np.maximum(n, 2.0)
         nr = n * rho2
         inner = 0.5 * np.log((nr + s2) / s2) + np.log(1.0 / alpha)
         hw = np.sqrt(s2) * np.sqrt(2.0 * (nr + s2) / (n * n * rho2) * inner)
+    valid = valid & (hw < np.inf)
     return estimate, np.where(valid, hw, np.inf), valid
 
 
@@ -241,21 +208,3 @@ def z_interval(n0, n1, mu0, mu1, v0, v1, alpha: float):
     """Center, half-width and validity of the fixed-horizon z interval for mu1 - mu0."""
     se, valid = _z_scale(n0, n1, v0, v1)
     return mu1 - mu0, normal_quantile(1.0 - alpha / 2.0) * se, valid
-
-
-# The one scalar entry point, kept because perfbench's tracer patches
-# ``engine.asympcs_ate``: the interval for one state, with a typed error
-# where the kernel's entry would be invalid.
-
-
-def asympcs_ate(state: TwoArmState, params: ConfSeqParams) -> Interval:
-    """Anytime-valid interval for the average treatment effect mu1 - mu0 (see ``ate_interval``)."""
-    if state.arm0.count < 1 or state.arm1.count < 1 or state.n < 2:
-        raise InsufficientDataError(
-            f"ATE interval needs both arms nonempty and n >= 2, got n0={state.arm0.count}, n1={state.arm1.count}"
-        )
-    a0, a1 = state.arm0, state.arm1
-    center, hw, _ = ate_interval(
-        a0.count, a1.count, a0.mean, a1.mean, a0.m2 / a0.count, a1.m2 / a1.count, params.alpha, params.rho2
-    )
-    return Interval(float(center - hw), float(center + hw))

@@ -21,8 +21,7 @@ import numpy as np
 from .bayes import BfConfig, BhtConfig, bht_decide, binary_counts, log_bayes_factor
 from .confseq import (
     ConfSeqParams,
-    asympcs_ate,  # not called here; perfbench's tracer patches this attribute
-    ate_interval,
+    asympcs_ate,
     excludes,
     lift_interval,
     msprt_interval,
@@ -31,7 +30,7 @@ from .confseq import (
     z_interval,
     z_statistic,
 )
-from .gst import ScheduleMismatchError, SpendingSchedule
+from .gst import ScheduleMismatchError, SpendingSchedule, json_number
 from .moments import welford_step
 
 ANALYZE_METHODS = ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf", "bht", "ldm")
@@ -53,21 +52,17 @@ class UnpairedRecordError(ValueError):
     """Cross-tab input lacking one record per method per experiment."""
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_number, value))
+    return isinstance(value, list) and all(map(json_number, value))
 
 
-# What each value type in cli.CONFIG_TYPES and _FIELD_TYPES accepts;
-# booleans are not numbers, and JSON's Infinity is.
+# What each value type in cli.CONFIG_TYPES and _FIELD_TYPES accepts; a
+# number is a ``json_number``.
 VALUE_TYPES = {
-    "a number": _number,
-    "a number or null": lambda v: v is None or _number(v),
-    "an integer": lambda v: _number(v) and isinstance(v, int),
-    "an integer or null": lambda v: v is None or (_number(v) and isinstance(v, int)),
+    "a number": json_number,
+    "a number or null": lambda v: v is None or json_number(v),
+    "an integer": lambda v: json_number(v) and isinstance(v, int),
+    "an integer or null": lambda v: v is None or (json_number(v) and isinstance(v, int)),
     "a list of numbers": _numbers,
     "a list of numbers or null": lambda v: v is None or _numbers(v),
     "a pair of numbers": lambda v: _numbers(v) and len(v) == 2,
@@ -141,7 +136,7 @@ def _coerce_event(obj: dict, line_no: int) -> EventRecord:
         unit = str(obj["unit"])
         raw_arm = obj["arm"]
         value = float(obj["value"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LogParseError(line_no, f"bad event fields: {exc}") from None
     arm = _ARMS.get(raw_arm) if type(raw_arm) in _ARM_TYPES else None
     if arm is None:
@@ -196,8 +191,8 @@ def parse_events(path: str):
                         end = -1
                     if end != len(line):
                         obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise LogParseError(line_no, f"invalid JSON: {exc.msg}") from None
+                except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+                    raise LogParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
                 except RecursionError:
                     raise LogParseError(line_no, "invalid JSON: nested too deeply") from None
                 yield line_no, _coerce_event(obj, line_no)
@@ -256,6 +251,10 @@ class TrajectoryRow:
     verdict: str
 
 
+# Log values near the float limits overflow a kernel's squares and sums;
+# each such entry is then invalid and never crosses (see the guards below),
+# so numpy's overflow and NaN warnings would only reach the user's stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def analyze_snapshots(
     snapshots,
     method: str,
@@ -294,7 +293,7 @@ def analyze_snapshots(
     center = np.where((n0 >= 1) & (n1 >= 1), mu1 - mu0, np.nan)
     hw = lower = upper = stat = None
     if method == "asympcs":
-        _, hw, valid = ate_interval(*arms, params.alpha, params.rho2)
+        _, hw, valid = asympcs_ate(*arms, params.alpha, params.rho2)
     elif method == "asympcs-lift":
         lower, upper, valid = lift_interval(*arms, params.alpha, params.rho2)
         with np.errstate(divide="ignore", invalid="ignore"):

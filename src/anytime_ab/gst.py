@@ -32,6 +32,7 @@ step whenever Newton would leave the bracket [0, 10].
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,18 @@ _MAX_GRID = 4096
 _MAX_NEWTON = 100
 _NEWTON_TOL = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def json_number(value) -> bool:
+    """Whether a decoded JSON value is a number that reads as a float.
+
+    Booleans are not numbers; JSON's Infinity is; an integer beyond the
+    float range is not. Every JSON input of the program checks its
+    numbers with this one test.
+    """
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 class SolverError(RuntimeError):
@@ -99,9 +112,7 @@ class SpendingSchedule:
         columns = []
         for key in ("fractions", "spends", "boundaries"):
             value = obj.get(key)
-            if not isinstance(value, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-            ):
+            if not isinstance(value, list) or not all(map(json_number, value)):
                 raise ValueError(f"schedule {key!r} must be a list of numbers, got {json.dumps(value)}")
             columns.append(tuple(value))
         return cls(*columns)

@@ -1,10 +1,12 @@
 """Mergeable streaming moment accumulators.
 
-One accumulator per treatment arm is all the state any of the interval
-computations need: a count, a running mean, and the sum of squared
-deviations from that mean (Welford's one-pass recurrence, chosen over a
-naive sum of squares because conversion metrics are often near-constant).
-Updates are O(1) and merges are associative and commutative, so per-shard
+One (count, running mean, sum of squared deviations) triple per
+treatment arm is all the state any of the interval kernels need; they
+read it as (count, mean, m2 / count) columns. The sum follows Welford's
+one-pass recurrence, chosen over a naive sum of squares because
+conversion metrics are often near-constant. The engine folds plain
+triples through ``welford_step``; ``StreamingMoments`` wraps the same
+update with a merge that is associative and commutative, so per-shard
 accumulators can be combined map-reduce style before evaluation.
 """
 
@@ -55,17 +57,3 @@ class StreamingMoments:
         for y in values:
             acc = acc.update(y)
         return acc
-
-    @property
-    def biased_variance(self) -> float:
-        """m2 / n; requires at least one observation."""
-        if self.count < 1:
-            raise ValueError("variance needs at least one observation")
-        return self.m2 / self.count
-
-    @property
-    def unbiased_variance(self) -> float:
-        """m2 / (n - 1); requires at least two observations."""
-        if self.count < 2:
-            raise ValueError("unbiased variance needs at least two observations")
-        return self.m2 / (self.count - 1)

@@ -30,7 +30,7 @@ def bernoulli_summaries(n0, n1, s0, s1):
 
 
 def ate_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
-    center, hw, valid = confseq.ate_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2)
+    center, hw, valid = confseq.asympcs_ate(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2)
     return confseq.excludes(center - hw, center + hw, valid, theta0)
 
 

@@ -110,7 +110,6 @@ class TestAnalyzeCommand:
         assert all(row.split(",")[4:6] == ["", ""] for row in rows[1:3])
         assert rows[3].split(",")[4] != ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [0, 540, 1000])
     def test_underflowed_log_gives_no_verdict(self, tmp_path, capsys, k):
         # A null log of 1s and 2s scaled by 2^-k. For k >= 540 the squares
@@ -132,6 +131,30 @@ class TestAnalyzeCommand:
             assert code == 0, err
             assert json.loads(out)["verdict"] == "not-significant", method
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_variance_gives_blank_msprt_bounds(self, tmp_path, capsys):
+        # A null log of 1s and 2s scaled by 2^-512: the mixture variance is
+        # subnormal, so the mSPRT half-width overflows. Such an entry is
+        # invalid: its bounds once read -inf, inf, with a numpy overflow
+        # warning on stderr.
+        rng = np.random.default_rng(4)
+        arms, values = rng.integers(0, 2, 3000), rng.integers(1, 3, 3000)
+        log = tmp_path / "tiny.jsonl"
+        log.write_text("".join(
+            json.dumps({"ts": i, "unit": f"u{i}", "arm": int(a), "value": math.ldexp(float(v), -512)}) + "\n"
+            for i, (a, v) in enumerate(zip(arms, values))
+        ))
+        out_dir = tmp_path / "out"
+        argv = ["analyze", "--log", str(log), "--method", "msprt", "--snapshot-every", "50", "--out", str(out_dir)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["verdict"] == "not-significant"
+        assert record["lower"] is None and record["upper"] is None
+        rows = (out_dir / "trajectory.csv").read_text().splitlines()[1:]
+        assert "inf" not in "".join(rows)
+        assert rows[-1].split(",")[4:6] == ["", ""]
+
     @pytest.mark.parametrize(
         "schedule, message",
         [
@@ -140,8 +163,10 @@ class TestAnalyzeCommand:
              """schedule 'boundaries' must be a list of numbers, got ["x"]"""),
             ({"fractions": 1, "spends": [0.05], "boundaries": [1.96]},
              "schedule 'fractions' must be a list of numbers, got 1"),
+            ({"fractions": [1.0], "spends": [0.05], "boundaries": [10**400]},
+             "schedule 'boundaries' must be a list of numbers, got [1000"),
         ],
-        ids=["list", "text-boundary", "scalar-fractions"],
+        ids=["list", "text-boundary", "scalar-fractions", "boundary-beyond-float"],
     )
     def test_bad_schedule_rejected(self, tmp_path, capsys, schedule, message):
         log = tmp_path / "log.jsonl"
@@ -306,9 +331,13 @@ class TestSimulateCommand:
              'bad config values: methods must be a list of strings, got "AsympCS"'),
             ("type1", {**TINY_TYPE1, "rho2": True}, "bad config values: rho2 must be a number, got true"),
             ("type1", {**TINY_TYPE1, "peek_every": 100.0}, "bad config values: peek_every must be an integer, got 100.0"),
+            ("type1", {**TINY_TYPE1, "theta0": 10**400}, "bad config values: theta0 must be a number, got 1000"),
+            ("type1", {**TINY_TYPE1, "design_mde": 10**400},
+             "bad config values: design_mde must be a number or null, got 1000"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
-             "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float"],
+             "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
+             "theta0-beyond-float", "design_mde-beyond-float"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from anytime_ab.confseq import (
     ConfSeqParams,
-    InsufficientDataError,
-    Interval,
-    TwoArmState,
     VarianceGuardError,
     asympcs_ate,
     lift_interval,
@@ -21,14 +18,14 @@ from anytime_ab.confseq import (
 )
 from anytime_ab.moments import StreamingMoments
 
-PARAMS = ConfSeqParams(0.05, 1e-3)
-
 
 def binary_state(c0, n0, c1, n1):
+    """(arm0, arm1) accumulators of two binary arms with c of n ones each."""
+
     def arm(c, n):
         return StreamingMoments(count=n, mean=c / n, m2=c - c * c / n)
 
-    return TwoArmState(arm(c0, n0), arm(c1, n1))
+    return arm(c0, n0), arm(c1, n1)
 
 
 def arm_columns(arm):
@@ -37,15 +34,22 @@ def arm_columns(arm):
 
 
 def state_columns(states):
-    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a sequence of states; an empty arm has variance 0."""
-    n0, mu0, v0 = np.array([arm_columns(s.arm0) for s in states]).reshape(-1, 3).T
-    n1, mu1, v1 = np.array([arm_columns(s.arm1) for s in states]).reshape(-1, 3).T
+    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a sequence of (arm0, arm1) states; an empty arm has variance 0."""
+    n0, mu0, v0 = np.array([arm_columns(arm0) for arm0, _ in states]).reshape(-1, 3).T
+    n1, mu1, v1 = np.array([arm_columns(arm1) for _, arm1 in states]).reshape(-1, 3).T
     return n0, n1, mu0, mu1, v0, v1
 
 
 def one_state(state):
-    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a single state, as numpy scalars."""
+    """Kernel columns (n0, n1, mu0, mu1, v0, v1) of a single (arm0, arm1) state, as numpy scalars."""
     return tuple(column[0] for column in state_columns([state]))
+
+
+def ate_bounds(state):
+    """Lower and upper bounds of the AsympCS interval of one state at level 0.05."""
+    center, hw, valid = asympcs_ate(*one_state(state), 0.05, 1e-3)
+    assert valid
+    return center - hw, center + hw
 
 
 def arm_bounds(arm):
@@ -99,16 +103,13 @@ class TestParams:
 
 class TestAteInterval:
     def test_all_zero_outcomes(self):
-        state = binary_state(0, 50, 0, 50)
-        iv = asympcs_ate(state, PARAMS)
-        assert iv.lower == 0.0 and iv.upper == 0.0
+        assert ate_bounds(binary_state(0, 50, 0, 50)) == (0.0, 0.0)
 
     def test_constant_ones_half_width(self):
-        state = binary_state(50, 50, 50, 50)
-        iv = asympcs_ate(state, PARAMS)
+        lower, upper = ate_bounds(binary_state(50, 50, 50, 50))
         expected = radius_beta(100, 0.05, 1e-3) * math.sqrt(400.0 / 99.0)
-        assert iv.upper == pytest.approx(expected, rel=1e-12)
-        assert iv.lower == pytest.approx(-expected, rel=1e-12)
+        assert upper == pytest.approx(expected, rel=1e-12)
+        assert lower == pytest.approx(-expected, rel=1e-12)
 
     def test_bracket_matches_influence_expansion(self):
         # Oracle: variance of the allocation-weighted influence values,
@@ -127,21 +128,21 @@ class TestAteInterval:
             oracle = np.mean(f**2) - theta**2
             arm0 = StreamingMoments.from_values(ys[arms == 0])
             arm1 = StreamingMoments.from_values(ys[arms == 1])
-            iv = asympcs_ate(TwoArmState(arm0, arm1), PARAMS)
+            _, hw, valid = asympcs_ate(*one_state((arm0, arm1)), 0.05, 1e-3)
             half_width = radius_beta(int(n), 0.05, 1e-3) * math.sqrt(n / (n - 1) * oracle)
-            assert iv.width / 2 == pytest.approx(half_width, rel=1e-9, abs=1e-12)
+            assert valid and hw == pytest.approx(half_width, rel=1e-9, abs=1e-12)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            asympcs_ate(TwoArmState(StreamingMoments(), StreamingMoments().update(1.0)), PARAMS)
+        _, hw, valid = asympcs_ate(*one_state((StreamingMoments(), StreamingMoments().update(1.0))), 0.05, 1e-3)
+        assert not valid and hw == math.inf
 
     def test_variance_guard(self):
-        corrupt = TwoArmState(
+        corrupt = (
             StreamingMoments(count=10, mean=0.0, m2=-1.0),
             StreamingMoments(count=10, mean=0.0, m2=0.0),
         )
         with pytest.raises(VarianceGuardError):
-            asympcs_ate(corrupt, PARAMS)
+            asympcs_ate(*one_state(corrupt), 0.05, 1e-3)
 
     def test_type1_monitored_every_observation(self):
         # 10,000 null Bernoulli(0.1) streams, interval checked at every n.
@@ -180,9 +181,7 @@ class TestAteInterval:
 
     def test_deterministic_function_of_state(self):
         state = binary_state(13, 140, 22, 160)
-        a = asympcs_ate(state, PARAMS)
-        b = asympcs_ate(state, PARAMS)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
+        assert ate_bounds(state) == ate_bounds(state)
 
 
 class TestMeanInterval:
@@ -217,8 +216,8 @@ class TestLiftInterval:
             int(rng.binomial(200, 0.3)), 200, int(rng.binomial(200, 0.35)), 200
         )
         lift_lower, lift_upper, _ = lift_interval(*one_state(state), 0.05, 1e-3)
-        l0, u0 = arm_bounds(state.arm0)
-        l1, u1 = arm_bounds(state.arm1)
+        l0, u0 = arm_bounds(state[0])
+        l1, u1 = arm_bounds(state[1])
         lower = math.exp(math.log(l1) - math.log(u0)) - 1.0
         upper = math.exp(math.log(u1) - math.log(l0)) - 1.0
         assert lift_lower == pytest.approx(lower, rel=1e-12)
@@ -236,13 +235,13 @@ class TestLiftInterval:
             c0, c1 = int(rng.binomial(n0, 0.4)), int(rng.binomial(n1, 0.45))
             if min(c0, c1) == 0:
                 continue
-            state = binary_state(c0, n0, c1, n1)
-            l0, _ = arm_bounds(state.arm0)
-            l1, _ = arm_bounds(state.arm1)
+            arm0, arm1 = state = binary_state(c0, n0, c1, n1)
+            l0, _ = arm_bounds(arm0)
+            l1, _ = arm_bounds(arm1)
             if l0 <= 0 or l1 <= 0:
                 continue
             lower, upper, _ = lift_interval(*one_state(state), 0.05, 1e-3)
-            estimate = state.arm1.mean / state.arm0.mean - 1.0
+            estimate = arm1.mean / arm0.mean - 1.0
             assert lower <= estimate <= upper
             checked += 1
         assert checked > 100
@@ -267,14 +266,13 @@ class TestMsprt:
         for i in range(500):
             arm0 = arm0.update(float(rng.random() < 0.3))
             arm1 = arm1.update(float(rng.random() < 0.35))
-            state = TwoArmState(arm0, arm1)
-            if state.arm0.biased_variance + state.arm1.biased_variance == 0.0:
+            v0, v1 = arm0.m2 / arm0.count, arm1.m2 / arm1.count
+            if v0 + v1 == 0.0:
                 continue
-            loglam, valid = log_lambda(state)
+            loglam, valid = log_lambda((arm0, arm1))
             assert valid
             # Independent re-evaluation from raw counts.
-            n = float(state.n)
-            v0, v1 = arm0.biased_variance, arm1.biased_variance
+            n = float(arm0.count + arm1.count)
             sigma2 = n * (v0 / arm0.count + v1 / arm1.count)
             theta = arm1.mean - arm0.mean
             expected = math.sqrt(sigma2 / (n * rho2 + sigma2)) * math.exp(
@@ -294,8 +292,7 @@ class TestMsprt:
             for _ in range(400):
                 arm0 = arm0.update(float(rng.random() < 0.3))
                 arm1 = arm1.update(float(rng.random() < 0.3 + drift))
-                state = TwoArmState(arm0, arm1)
-                scale = two_sample_scale(*one_state(state))
+                scale = two_sample_scale(*one_state((arm0, arm1)))
                 loglam, valid = msprt_log_lambda(*scale, 1e-3)
                 if not valid:
                     continue
@@ -314,7 +311,7 @@ class TestMsprt:
         for _ in range(300):
             arm0 = arm0.update(float(rng.random() < 0.4))
             arm1 = arm1.update(float(rng.random() < 0.5))
-            states.append(TwoArmState(arm0, arm1))
+            states.append((arm0, arm1))
         loglam, valid = msprt_log_lambda(*two_sample_scale(*state_columns(states)), 1e-3)
         p = np.minimum.accumulate(np.where(valid, np.exp(-loglam), 1.0))
         assert valid.sum() > 250
@@ -334,22 +331,6 @@ class TestMsprt:
         assert center - hw < arm.mean < center + hw
 
 
-class TestInterval:
-    def test_contains_and_excludes(self):
-        iv = Interval(-1.0, 2.0)
-        assert iv.contains(0.0) and iv.contains(-1.0) and iv.contains(2.0)
-        assert iv.excludes(2.1)
-        assert iv.width == 3.0
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
-
-    def test_infinite_bounds_allowed(self):
-        iv = Interval(-1.0, math.inf)
-        assert iv.contains(1e12)
-
-
 counts = st.integers(min_value=2, max_value=500)
 
 
@@ -358,7 +339,7 @@ counts = st.integers(min_value=2, max_value=500)
 def test_ate_interval_symmetric_under_arm_swap(n0, n1, data):
     c0 = data.draw(st.integers(min_value=0, max_value=n0))
     c1 = data.draw(st.integers(min_value=0, max_value=n1))
-    forward = asympcs_ate(binary_state(c0, n0, c1, n1), PARAMS)
-    swapped = asympcs_ate(binary_state(c1, n1, c0, n0), PARAMS)
-    assert forward.lower == pytest.approx(-swapped.upper, rel=1e-12, abs=1e-12)
-    assert forward.upper == pytest.approx(-swapped.lower, rel=1e-12, abs=1e-12)
+    lower, upper = ate_bounds(binary_state(c0, n0, c1, n1))
+    swapped_lower, swapped_upper = ate_bounds(binary_state(c1, n1, c0, n0))
+    assert lower == pytest.approx(-swapped_upper, rel=1e-12, abs=1e-12)
+    assert upper == pytest.approx(-swapped_lower, rel=1e-12, abs=1e-12)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from anytime_ab import engine
 from anytime_ab.bayes import BetaPosterior, BhtConfig, NonBinaryOutcomeError, binary_counts
 from anytime_ab.cli import main as cli_main
 from anytime_ab.confseq import ConfSeqParams, msprt_log_lambda, two_sample_scale
@@ -242,6 +243,22 @@ class TestParse:
         assert err_text.startswith("error: line 3: invalid CSV:")
         assert "Traceback" not in err_text
 
+    @pytest.mark.parametrize(
+        "ts, value",
+        [("2", "1" + "0" * 400), ("1e400", "0"), ("2", "1" + "0" * 5000)],
+        ids=["value-beyond-float", "ts-beyond-float", "value-too-many-digits"],
+    )
+    def test_huge_number_exits_2_with_line_number(self, tmp_path, capsys, ts, value):
+        # JSON reads each number, but no float holds it (1e400 reads as inf)
+        # or Python will not convert its digits.
+        path = tmp_path / "log.jsonl"
+        path.write_text(f'{VALID_LINE}\n{{"ts": {ts}, "unit": "b", "arm": 1, "value": {value}}}\n')
+        code = cli_main(["analyze", "--log", str(path), "--method", "asympcs", "--out", str(tmp_path / "out")])
+        err_text = capsys.readouterr().err
+        assert code == 2
+        assert err_text.startswith("error: line 2: ")
+        assert "Traceback" not in err_text
+
     def test_unknown_arm_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         for arm in (2, 1.7, 1.0, True, False, "1.0", " 1", None, [1]):
@@ -442,6 +459,22 @@ class TestAnalyze:
         for row in rows:
             assert row.lower == 0.0 and row.upper == 0.0
 
+    def test_asympcs_calls_its_kernel_once(self, tmp_path, monkeypatch, capsys):
+        # One evaluation over every snapshot column, looked up as engine.asympcs_ate.
+        path = tmp_path / "log.jsonl"
+        bernoulli_log(path, np.random.default_rng(5), 2_000, 0.3, 0.3)
+        kernel, calls = engine.asympcs_ate, []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "asympcs_ate", counted)
+        code = cli_main(["analyze", "--log", str(path), "--method", "asympcs", "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == 0
+        assert calls == [20]
+
     def test_partial_flag_gives_running(self, tmp_path):
         path = tmp_path / "zeros.jsonl"
         write_jsonl(path, [(i, f"u{i}", i % 2, 0.0) for i in range(400)])
@@ -521,7 +554,6 @@ class TestAnalyze:
         assert shifted.n_at_decision > at_zero.n_at_decision
         assert shifted.params["theta0"] == 0.05
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bf_rejects_non_binary(self, tmp_path):
         path = tmp_path / "metric.jsonl"
         # A continuous metric, and one whose means overflow to NaN.
@@ -548,7 +580,6 @@ class TestAnalyze:
             assert q.lower >= p.lower - 1e-15
             assert q.upper <= p.upper + 1e-15
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("magnitude", [1e160, 1e308])
     def test_overflowed_bounds_never_cross(self, tmp_path, magnitude):
         # Squares of 1e160 and sums of 1e308 overflow: a null log must not

@@ -6,7 +6,7 @@ import pytest
 from anytime_ab.bayes import BfConfig, BhtConfig
 from anytime_ab.confseq import (
     ConfSeqParams,
-    ate_interval,
+    asympcs_ate,
     lift_interval,
     mean_interval,
     msprt_interval,
@@ -100,8 +100,8 @@ class TestVectorizedAgainstScalar:
     def test_ate(self):
         rng = np.random.default_rng(21)
         n0, n1, s0, s1 = random_counts(rng, 300)
-        center, hw, valid = ate_interval(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
-        w_center, w_hw, w_valid = ate_interval(*welford_summaries(rng, n0, n1, s0, s1), 0.05, 1e-3)
+        center, hw, valid = asympcs_ate(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
+        w_center, w_hw, w_valid = asympcs_ate(*welford_summaries(rng, n0, n1, s0, s1), 0.05, 1e-3)
         assert valid.all() and w_valid.all()
         np.testing.assert_allclose(center - hw, w_center - w_hw, rtol=1e-11, atol=1e-12)
         np.testing.assert_allclose(center + hw, w_center + w_hw, rtol=1e-11, atol=1e-12)
