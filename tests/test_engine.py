@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -739,6 +740,96 @@ class TestLdmDecisions:
         )
         report = run_type1_study(cfg)
         assert report.cumulative_rejection_by_peek[-1] == pytest.approx(0.05, abs=0.015)
+
+
+SCALED_METHODS = ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "ldm")
+
+
+def _scaled_log_snapshots(log):
+    """For a seeded log of {1, 2} or normal values, the function from k to its snapshot rows with values times 2^k."""
+    rng = np.random.default_rng(log["seed"])
+    n_events = log["every"] * log["peeks"]
+    arms = (rng.random(n_events) < 0.5).astype(int)
+    if log["binary"]:
+        values = 1.0 + (rng.random(n_events) < 0.25 + log["effect"] * arms)
+    else:
+        values = rng.normal(1.0 + log["effect"] * arms, 0.5)
+
+    def snapshots(k):
+        records = [EventRecord(i, f"u{i}", int(a), math.ldexp(float(y), k)) for i, (a, y) in enumerate(zip(arms, values))]
+        return ingest(records, snapshot_every=log["every"]).snapshots
+
+    return snapshots
+
+
+@st.composite
+def _scaled_logs(draw):
+    # Event counts are whole multiples of the cadence: a trailing partial
+    # snapshot puts two peeks close together, which the LDM solver settles
+    # only on a much larger grid.
+    every = draw(st.integers(30, 300))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "every": every,
+        "peeks": draw(st.integers(-(-200 // every), 3_000 // every)),
+        "binary": draw(st.booleans()),
+        "effect": draw(st.sampled_from([0.0, 0.05, 0.15])),
+    }
+
+
+def _ldm_schedule(snapshots):
+    return compute_boundaries([row[0] / snapshots[-1][0] for row in snapshots], 0.05)
+
+
+class TestScaleEquivariance:
+    """Values times 2^k move every interval rule's trajectory by exactly 2^k, or not at all for the lift."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_scaled_logs())
+    def test_power_of_two_scaling_is_exact(self, log):
+        snapshots = _scaled_log_snapshots(log)
+        original = snapshots(0)
+        schedule = _ldm_schedule(original)
+        expected = {method: analyze_snapshots(original, method, PARAMS, schedule=schedule) for method in SCALED_METHODS}
+        for k in (-500, -200, 200, 500):
+            scaled = snapshots(k)
+            for method in SCALED_METHODS:
+                # mSPRT's mixing variance is in squared data units; AsympCS's rho2 has none.
+                params = ConfSeqParams(PARAMS.alpha, math.ldexp(PARAMS.rho2, 2 * k)) if method == "msprt" else PARAMS
+                rows, crossed_at, _ = analyze_snapshots(scaled, method, params, schedule=schedule)
+                base_rows, base_crossed_at, _ = expected[method]
+                assert crossed_at == base_crossed_at, (method, k)
+                for row, base in zip(rows, base_rows, strict=True):
+                    assert row.verdict == base.verdict, (method, k, row.n)
+                    if method == "asympcs-lift":
+                        assert (row.center, row.lower, row.upper) == (base.center, base.lower, base.upper)
+                    else:
+                        for got, want in ((row.center, base.center), (row.lower, base.lower), (row.upper, base.upper)):
+                            assert got == (None if want is None else math.ldexp(want, k)), (method, k, row.n)
+
+    @settings(max_examples=10, deadline=None)
+    @given(_scaled_logs())
+    def test_out_of_range_scaling_crosses_only_on_sound_entries(self, log):
+        # At these k squared deviations overflow, or underflow to 0. No crossing
+        # may come from such moments, nor from a non-finite center or bound.
+        snapshots = _scaled_log_snapshots(log)
+        schedule = _ldm_schedule(snapshots(0))
+        for k in (520, 1000, -1000):
+            scaled = snapshots(k)
+            for method in SCALED_METHODS:
+                rows, crossed_at, statistic = analyze_snapshots(scaled, method, PARAMS, schedule=schedule)
+                if crossed_at is None:
+                    continue
+                snapshot = next(s for s in scaled if s[0] == crossed_at)
+                assert 0.0 < snapshot[3] < math.inf and 0.0 < snapshot[6] < math.inf, (method, k)
+                row = next(r for r in rows if r.n == crossed_at)
+                assert row.center is not None and math.isfinite(row.center), (method, k)
+                if method == "ldm":
+                    assert math.isfinite(statistic), (method, k)
+                else:
+                    # The bound on theta0's side decided the crossing.
+                    decisive = row.lower if row.lower is not None and row.lower > 0.0 else row.upper
+                    assert decisive is not None and math.isfinite(decisive), (method, k)
 
 
 class TestCrossTab:

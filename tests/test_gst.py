@@ -9,6 +9,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from anytime_ab import gst
 from anytime_ab.design import fixed_horizon_sample_size
 from anytime_ab.gst import SolverError, SpendingSchedule, _solve_boundaries, compute_boundaries, pocock_spend
 from anytime_ab.simlab.studies import _ldm_peek_ns
@@ -139,12 +140,26 @@ class TestBoundaries:
         assert np.all(np.diff(bounds[3:]) <= 1e-9)  # nonincreasing past the first few
         assert sched.cumulative_spend[-1] == pytest.approx(0.05, abs=1e-12)
 
-    def test_grid_doubling_invariance(self):
+    @pytest.mark.parametrize("m", [128, 512])
+    def test_grid_doubling_invariance(self, m):
         fr = np.arange(1, 21) / 20.0
         spends = pocock_spend(fr, 0.05)
-        a = _solve_boundaries(fr, spends, 512)
-        b = _solve_boundaries(fr, spends, 1024)
+        a = _solve_boundaries(fr, spends, m)
+        b = _solve_boundaries(fr, spends, 2 * m)
         assert np.max(np.abs(a - b)) <= 1e-4
+
+    def test_bench_schedule_settles_on_first_doubling(self, monkeypatch):
+        # The grid starts at 128 nodes, where the roots already sit at the
+        # Newton floor, so one doubling settles the bench's 100-peek schedule.
+        grids = []
+
+        def recorded(fracs, spends, m):
+            grids.append(m)
+            return _solve_boundaries(fracs, spends, m)
+
+        monkeypatch.setattr(gst, "_solve_boundaries", recorded)
+        compute_boundaries(type1_bench_fractions(), 0.05)
+        assert grids == [128, 256]
 
     @pytest.mark.parametrize(
         "fracs",
