@@ -26,7 +26,7 @@ from .design import (
 )
 from .engine import CrossTab, DecisionRecord, EventRecord, analyze, crosstab, ingest
 from .gst import SpendingSchedule, compute_boundaries, pocock_spend
-from .moments import StreamingMoments
+from .moments import welford_merge, welford_step
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "DesignSpec",
     "EventRecord",
     "SpendingSchedule",
-    "StreamingMoments",
     "analyze",
     "asympcs_ate",
     "bht_decide",
@@ -53,4 +52,6 @@ __all__ = [
     "radius_beta",
     "two_arm_expected_loss",
     "variance_guess_binary",
+    "welford_merge",
+    "welford_step",
 ]

@@ -147,6 +147,8 @@ def _cmd_design(args) -> int:
 
 def _study_config(conf: dict, method: str, seed: int | None) -> SimStudyConfig:
     alpha = conf.get("alpha", 0.05)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     rho2 = conf.get("rho2", DEFAULT_RHO2)
     if method in ("BHT-uninformed", "BHT-matched"):
         prior = conf.get("prior", [1.0, 1.0])

@@ -24,8 +24,7 @@ per-state API: a single state is a one-entry column.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .special import normal_quantile
+from scipy.special import ndtri
 
 DEFAULT_RHO2 = 1e-3
 
@@ -56,6 +55,12 @@ class ConfSeqParams:
             raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha}")
         if self.rho2 <= 0.0:
             raise ValueError(f"rho2 must be positive, got {self.rho2}")
+
+
+def normal_quantile(p: float) -> float:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"normal_quantile requires p in (0, 1), got {p}")
+    return float(ndtri(p))
 
 
 def radius_beta(n, alpha: float, rho2: float):
@@ -150,14 +155,19 @@ def msprt_log_lambda(n, estimate, sigma2, rho2: float, theta0=0.0):
 
     One-sample form over (n, mean, biased variance) for the engine's
     p-process; feed it ``two_sample_scale`` for the difference of means.
+    Each entry is evaluated in its own power-of-two units: sigma2 and rho2
+    times 4^-k and the deviation times 2^-k, with 4^k about sigma2.
+    Lambda is unchanged by this exact rescaling, so in-range entries keep
+    their bits, and data scaled near the float limits does not overflow
+    the products to a NaN.
     """
     valid = (n >= 2) & (sigma2 > 0)
     s2 = np.where(valid, sigma2, 1.0)
+    k = np.frexp(s2)[1] // 2
+    s2, rho2, deviation = np.ldexp(s2, -2 * k), np.ldexp(rho2, -2 * k), np.ldexp(estimate - theta0, -k)
     with np.errstate(divide="ignore", invalid="ignore"):
         nr = n * rho2
-        loglam = 0.5 * np.log(s2 / (nr + s2)) + (
-            n * n * rho2 * (estimate - theta0) ** 2
-        ) / (2.0 * s2 * (nr + s2))
+        loglam = 0.5 * np.log(s2 / (nr + s2)) + (n * n * rho2 * deviation**2) / (2.0 * s2 * (nr + s2))
     return np.where(valid, loglam, -np.inf), valid
 
 

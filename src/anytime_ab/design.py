@@ -18,8 +18,7 @@ n* - 1.
 import math
 from dataclasses import dataclass
 
-from .confseq import ConfSeqParams, radius_beta
-from .special import normal_quantile
+from .confseq import ConfSeqParams, normal_quantile, radius_beta
 
 DEFAULT_POPULATION_CAP = 10**9
 

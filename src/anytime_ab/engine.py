@@ -148,12 +148,13 @@ def _coerce_event(obj: dict, line_no: int) -> EventRecord:
 
 
 def parse_events(path: str):
-    """Yield (line_no, EventRecord) from a JSONL or CSV log file.
+    """Yield the EventRecords of a JSONL or CSV log file.
 
-    A JSONL line number is the line holding the event. A CSV line number
-    is the file line where the row ends (``csv.reader.line_num``), so
-    blank lines and quoted fields spanning lines are counted; a row the
-    CSV reader rejects is a ``LogParseError`` at that line.
+    A line number travels only in ``LogParseError``. A JSONL line number
+    is the line holding the event. A CSV line number is the file line
+    where the row ends (``csv.reader.line_num``), so blank lines and
+    quoted fields spanning lines are counted; a row the CSV reader
+    rejects is a ``LogParseError`` at that line.
     """
     fmt = "csv" if str(path).endswith(".csv") else "jsonl"
     with open(path, "r", encoding="utf-8") as fh:
@@ -171,8 +172,7 @@ def parse_events(path: str):
                     obj = dict(zip(header, row))
                     if len(row) < width:
                         obj.update(dict.fromkeys(header[len(row):]))
-                    line_no = reader.line_num
-                    yield line_no, _coerce_event(obj, line_no)
+                    yield _coerce_event(obj, reader.line_num)
             except csv.Error as exc:
                 raise LogParseError(reader.line_num, f"invalid CSV: {exc}") from None
         else:
@@ -195,7 +195,7 @@ def parse_events(path: str):
                     raise LogParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
                 except RecursionError:
                     raise LogParseError(line_no, "invalid JSON: nested too deeply") from None
-                yield line_no, _coerce_event(obj, line_no)
+                yield _coerce_event(obj, line_no)
 
 
 @dataclass
@@ -209,11 +209,11 @@ class IngestResult:
 def ingest(events, snapshot_every: int = 100, dedup: bool = False) -> IngestResult:
     """Fold events into per-arm (count, mean, m2) moments, snapshotting periodically.
 
-    ``events`` yields EventRecord (or (line_no, EventRecord) pairs as
-    produced by ``parse_events``). With ``dedup`` the first event per
-    unit wins. Each snapshot is the row (events used, count0, mean0,
-    m2_0, count1, mean1, m2_1); a final one is always taken at end of
-    stream when any events arrived after the last periodic one.
+    ``events`` yields EventRecords, as ``parse_events`` does. With
+    ``dedup`` the first event per unit wins. Each snapshot is the row
+    (events used, count0, mean0, m2_0, count1, mean1, m2_1); a final one
+    is always taken at end of stream when any events arrived after the
+    last periodic one.
     """
     if snapshot_every < 1:
         raise ValueError("snapshot cadence must be at least 1")
@@ -221,8 +221,7 @@ def ingest(events, snapshot_every: int = 100, dedup: bool = False) -> IngestResu
     seen_units: set[str] = set()
     snapshots: list[tuple] = []
     seen = used = 0
-    for item in events:
-        record = item if isinstance(item, EventRecord) else item[1]
+    for record in events:
         seen += 1
         if dedup:
             if record.unit in seen_units:

@@ -26,7 +26,7 @@ from anytime_ab.design import (
 )
 from anytime_ab.engine import CrossTab, analyze, crosstab
 from anytime_ab.gst import compute_boundaries
-from anytime_ab.moments import StreamingMoments
+from anytime_ab.moments import welford_merge, welford_step
 from anytime_ab.simlab import (
     SimStudyConfig,
     methods,
@@ -38,6 +38,7 @@ from anytime_ab.simlab import (
     run_type1_study,
     streams,
 )
+from test_moments import EMPTY, fold
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALPHA = 0.05
@@ -374,16 +375,16 @@ class TestCriterion10DeterminismAndProperties:
     def test_shard_invariance(self):
         rng = np.random.default_rng(515)
         values = rng.normal(size=50_000)
-        direct = StreamingMoments.from_values(values)
+        direct = fold(values)
         ok = True
         for n_shards in (1, 2, 5, 16, 64):
             parts = np.array_split(values, n_shards)
-            acc = StreamingMoments()
+            acc = EMPTY
             for part in parts:
-                acc = acc.merge(StreamingMoments.from_values(part))
-            ok = ok and acc.count == direct.count
-            ok = ok and abs(acc.mean - direct.mean) <= 1e-10 * max(1.0, abs(direct.mean))
-            ok = ok and abs(acc.m2 - direct.m2) <= 1e-10 * direct.m2
+                acc = welford_merge(acc, fold(part))
+            ok = ok and acc[0] == direct[0]
+            ok = ok and abs(acc[1] - direct[1]) <= 1e-10 * max(1.0, abs(direct[1]))
+            ok = ok and abs(acc[2] - direct[2]) <= 1e-10 * direct[2]
         _line("10", ok, "accumulator state invariant across 1/2/5/16/64 shards")
 
     def test_merge_property_suite(self):
@@ -394,14 +395,12 @@ class TestCriterion10DeterminismAndProperties:
             m = int(rng.integers(2, 25))
             values = rng.normal(scale=rng.choice([1e-6, 1.0, 1e6]), size=m)
             cut = int(rng.integers(0, m + 1))
-            left = StreamingMoments.from_values(values[:cut])
-            right = StreamingMoments.from_values(values[cut:])
-            merged = left.merge(right)
-            direct = StreamingMoments.from_values(values)
-            tol = 1e-10 * max(1.0, abs(direct.mean))
-            if merged.count != direct.count or abs(merged.mean - direct.mean) > tol:
+            merged = welford_merge(fold(values[:cut]), fold(values[cut:]))
+            direct = fold(values)
+            tol = 1e-10 * max(1.0, abs(direct[1]))
+            if merged[0] != direct[0] or abs(merged[1] - direct[1]) > tol:
                 failures += 1
-            elif abs(merged.m2 - direct.m2) > 1e-10 * max(1.0, direct.m2):
+            elif abs(merged[2] - direct[2]) > 1e-10 * max(1.0, direct[2]):
                 failures += 1
         _line("10", failures == 0, f"merge/update equivalence on {cases} randomized cases ({failures} failures)")
 
@@ -410,14 +409,14 @@ class TestCriterion10DeterminismAndProperties:
         steps_total = 0
         violations = 0
         while steps_total < 100_000:
-            arm0, arm1 = StreamingMoments(), StreamingMoments()
+            arm0 = arm1 = EMPTY
             drift = rng.choice([0.0, 0.03])
             rows = []
             for _ in range(500):
-                arm0 = arm0.update(float(rng.random() < 0.3))
-                arm1 = arm1.update(float(rng.random() < 0.3 + drift))
-                rows.append((arm0.count, arm1.count, arm0.mean, arm1.mean,
-                             arm0.m2 / max(arm0.count, 1), arm1.m2 / max(arm1.count, 1)))
+                arm0 = welford_step(*arm0, float(rng.random() < 0.3))
+                arm1 = welford_step(*arm1, float(rng.random() < 0.3 + drift))
+                rows.append((arm0[0], arm1[0], arm0[1], arm1[1],
+                             arm0[2] / max(arm0[0], 1), arm1[2] / max(arm1[0], 1)))
             # The always-valid p-process: running minimum of 1/lambda from p = 1,
             # stepping only where the mixture test is defined.
             loglam, valid = msprt_log_lambda(*two_sample_scale(*np.array(rows, dtype=float).T), PARAMS.rho2)

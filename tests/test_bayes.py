@@ -19,8 +19,8 @@ from anytime_ab.bayes import (
     log_bayes_factor,
     two_arm_expected_loss,
 )
-from anytime_ab.moments import StreamingMoments
 from anytime_ab.simlab.methods import bht_single_losses
+from test_moments import EMPTY, fold
 
 
 @mp.workdps(40)
@@ -234,16 +234,16 @@ class TestBhtDecide:
 
     def test_non_binary_rejected(self):
         # One non-binary entry anywhere in a column rejects the column.
-        arm0 = StreamingMoments.from_values([0.3, 0.7, 0.5])
-        arm1 = StreamingMoments.from_values([1.0, 0.0])
+        arm0 = fold([0.3, 0.7, 0.5])
+        arm1 = fold([1.0, 0.0])
         with pytest.raises(NonBinaryOutcomeError):
-            binary_counts([arm1.count, arm0.count], [arm1.mean, arm0.mean], [arm1.m2, arm0.m2])
+            binary_counts(*zip(arm1, arm0))
 
     def test_binary_counts_recovery(self):
         values0 = [1.0, 0.0, 0.0, 1.0, 1.0]
         values1 = [0.0, 0.0, 1.0]
-        arms = [StreamingMoments(), StreamingMoments.from_values(values0), StreamingMoments.from_values(values1)]
-        counts = binary_counts([a.count for a in arms], [a.mean for a in arms], [a.m2 for a in arms])
+        arms = [EMPTY, fold(values0), fold(values1)]
+        counts = binary_counts(*zip(*arms))
         assert counts.tolist() == [0, 3, 1]
 
 

@@ -155,6 +155,34 @@ class TestAnalyzeCommand:
         assert "inf" not in "".join(rows)
         assert rows[-1].split(",")[4:6] == ["", ""]
 
+    def test_scaled_msprt_statistic_is_strict_json(self, tmp_path, capsys):
+        # A log of 1s and 2s with an effect, scaled by 2^500, with rho2 scaled
+        # by 4^500: the mixture's products once overflowed, and decision.json
+        # held "statistic": NaN, which strict JSON readers reject.
+        rng = np.random.default_rng(1)
+        arms = rng.integers(0, 2, 3000)
+        values = np.where(rng.random(3000) < 0.5 + 0.1 * arms, 2, 1)
+        statistics = []
+        for k in (0, 500):
+            log = tmp_path / f"scaled{k}.jsonl"
+            log.write_text("".join(
+                json.dumps({"ts": i, "unit": f"u{i}", "arm": int(a), "value": math.ldexp(float(v), k)}) + "\n"
+                for i, (a, v) in enumerate(zip(arms, values))
+            ))
+            out_dir = tmp_path / f"out{k}"
+            argv = ["analyze", "--log", str(log), "--method", "msprt", "--rho2", repr(math.ldexp(1e-3, 2 * k)),
+                    "--snapshot-every", "50", "--out", str(out_dir)]
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, err
+
+            def reject(constant):
+                raise ValueError(f"decision.json holds {constant}")
+
+            record = json.loads((out_dir / "decision.json").read_text(), parse_constant=reject)
+            assert record["verdict"] == "significant"
+            statistics.append(record["statistic"])
+        assert statistics[1] == statistics[0]
+
     @pytest.mark.parametrize(
         "schedule, message",
         [
@@ -334,10 +362,12 @@ class TestSimulateCommand:
             ("type1", {**TINY_TYPE1, "theta0": 10**400}, "bad config values: theta0 must be a number, got 1000"),
             ("type1", {**TINY_TYPE1, "design_mde": 10**400},
              "bad config values: design_mde must be a number or null, got 1000"),
+            # BF's default odds threshold is 1 / alpha.
+            ("type1", {**TINY_TYPE1, "methods": ["BF-uninformed"], "alpha": 0}, "alpha must be in (0, 1), got 0"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
-             "theta0-beyond-float", "design_mde-beyond-float"],
+             "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"

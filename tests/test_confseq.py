@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from anytime_ab.confseq import (
     ConfSeqParams,
@@ -13,24 +14,27 @@ from anytime_ab.confseq import (
     mean_interval,
     msprt_interval,
     msprt_log_lambda,
+    normal_quantile,
     radius_beta,
     two_sample_scale,
 )
-from anytime_ab.moments import StreamingMoments
+from anytime_ab.moments import welford_step
+from test_moments import EMPTY, fold
 
 
 def binary_state(c0, n0, c1, n1):
-    """(arm0, arm1) accumulators of two binary arms with c of n ones each."""
+    """(arm0, arm1) (count, mean, m2) triples of two binary arms with c of n ones each."""
 
     def arm(c, n):
-        return StreamingMoments(count=n, mean=c / n, m2=c - c * c / n)
+        return n, c / n, c - c * c / n
 
     return arm(c0, n0), arm(c1, n1)
 
 
 def arm_columns(arm):
     """One arm's (count, mean, biased variance), as ``mean_interval`` and ``msprt_interval`` take them."""
-    return np.float64(arm.count), np.float64(arm.mean), np.float64(arm.m2 / max(arm.count, 1))
+    count, mean, m2 = arm
+    return np.float64(count), np.float64(mean), np.float64(m2 / max(count, 1))
 
 
 def state_columns(states):
@@ -126,20 +130,20 @@ class TestAteInterval:
             f = np.where(arms == 1, n / n1 * ys, -n / n0 * ys)
             theta = ys[arms == 1].mean() - ys[arms == 0].mean()
             oracle = np.mean(f**2) - theta**2
-            arm0 = StreamingMoments.from_values(ys[arms == 0])
-            arm1 = StreamingMoments.from_values(ys[arms == 1])
+            arm0 = fold(ys[arms == 0])
+            arm1 = fold(ys[arms == 1])
             _, hw, valid = asympcs_ate(*one_state((arm0, arm1)), 0.05, 1e-3)
             half_width = radius_beta(int(n), 0.05, 1e-3) * math.sqrt(n / (n - 1) * oracle)
             assert valid and hw == pytest.approx(half_width, rel=1e-9, abs=1e-12)
 
     def test_insufficient_data(self):
-        _, hw, valid = asympcs_ate(*one_state((StreamingMoments(), StreamingMoments().update(1.0))), 0.05, 1e-3)
+        _, hw, valid = asympcs_ate(*one_state((EMPTY, fold([1.0]))), 0.05, 1e-3)
         assert not valid and hw == math.inf
 
     def test_variance_guard(self):
         corrupt = (
-            StreamingMoments(count=10, mean=0.0, m2=-1.0),
-            StreamingMoments(count=10, mean=0.0, m2=0.0),
+            (10, 0.0, -1.0),
+            (10, 0.0, 0.0),
         )
         with pytest.raises(VarianceGuardError):
             asympcs_ate(*one_state(corrupt), 0.05, 1e-3)
@@ -186,16 +190,16 @@ class TestAteInterval:
 
 class TestMeanInterval:
     def test_constant_stream_degenerate(self):
-        arm = StreamingMoments.from_values([3.5] * 20)
+        arm = fold([3.5] * 20)
         assert arm_bounds(arm) == (3.5, 3.5)
 
     def test_two_point_half_width(self):
-        lower, upper = arm_bounds(StreamingMoments.from_values([0.0, 1.0]))
+        lower, upper = arm_bounds(fold([0.0, 1.0]))
         assert lower == pytest.approx(0.5 - 0.5 * radius_beta(2, 0.05, 1e-3), rel=1e-12)
         assert upper == pytest.approx(0.5 + 0.5 * radius_beta(2, 0.05, 1e-3), rel=1e-12)
 
     def test_needs_two_observations(self):
-        _, hw, valid = mean_interval(*arm_columns(StreamingMoments().update(1.0)), 0.05, 1e-3)
+        _, hw, valid = mean_interval(*arm_columns(fold([1.0])), 0.05, 1e-3)
         assert not valid and hw == math.inf
 
 
@@ -241,7 +245,7 @@ class TestLiftInterval:
             if l0 <= 0 or l1 <= 0:
                 continue
             lower, upper, _ = lift_interval(*one_state(state), 0.05, 1e-3)
-            estimate = arm1.mean / arm0.mean - 1.0
+            estimate = arm1[1] / arm0[1] - 1.0
             assert lower <= estimate <= upper
             checked += 1
         assert checked > 100
@@ -261,20 +265,20 @@ class TestMsprt:
 
     def test_trajectory_matches_direct_formula(self):
         rng = np.random.default_rng(88)
-        arm0, arm1 = StreamingMoments(), StreamingMoments()
+        arm0 = arm1 = EMPTY
         rho2 = 1e-3
         for i in range(500):
-            arm0 = arm0.update(float(rng.random() < 0.3))
-            arm1 = arm1.update(float(rng.random() < 0.35))
-            v0, v1 = arm0.m2 / arm0.count, arm1.m2 / arm1.count
+            arm0 = welford_step(*arm0, float(rng.random() < 0.3))
+            arm1 = welford_step(*arm1, float(rng.random() < 0.35))
+            v0, v1 = arm0[2] / arm0[0], arm1[2] / arm1[0]
             if v0 + v1 == 0.0:
                 continue
             loglam, valid = log_lambda((arm0, arm1))
             assert valid
             # Independent re-evaluation from raw counts.
-            n = float(arm0.count + arm1.count)
-            sigma2 = n * (v0 / arm0.count + v1 / arm1.count)
-            theta = arm1.mean - arm0.mean
+            n = float(arm0[0] + arm1[0])
+            sigma2 = n * (v0 / arm0[0] + v1 / arm1[0])
+            theta = arm1[1] - arm0[1]
             expected = math.sqrt(sigma2 / (n * rho2 + sigma2)) * math.exp(
                 n * n * rho2 * theta * theta / (2 * sigma2 * (n * rho2 + sigma2))
             )
@@ -285,13 +289,13 @@ class TestMsprt:
         # and the interval excludes the null at exactly the same steps.
         rng = np.random.default_rng(5150)
         for _ in range(20):
-            arm0, arm1 = StreamingMoments(), StreamingMoments()
+            arm0 = arm1 = EMPTY
             p = 1.0
             max_lam = 0.0
             drift = rng.choice([0.0, 0.05])
             for _ in range(400):
-                arm0 = arm0.update(float(rng.random() < 0.3))
-                arm1 = arm1.update(float(rng.random() < 0.3 + drift))
+                arm0 = welford_step(*arm0, float(rng.random() < 0.3))
+                arm1 = welford_step(*arm1, float(rng.random() < 0.3 + drift))
                 scale = two_sample_scale(*one_state((arm0, arm1)))
                 loglam, valid = msprt_log_lambda(*scale, 1e-3)
                 if not valid:
@@ -306,11 +310,11 @@ class TestMsprt:
 
     def test_p_process_nonincreasing(self):
         rng = np.random.default_rng(77)
-        arm0, arm1 = StreamingMoments(), StreamingMoments()
+        arm0 = arm1 = EMPTY
         states = []
         for _ in range(300):
-            arm0 = arm0.update(float(rng.random() < 0.4))
-            arm1 = arm1.update(float(rng.random() < 0.5))
+            arm0 = welford_step(*arm0, float(rng.random() < 0.4))
+            arm1 = welford_step(*arm1, float(rng.random() < 0.5))
             states.append((arm0, arm1))
         loglam, valid = msprt_log_lambda(*two_sample_scale(*state_columns(states)), 1e-3)
         p = np.minimum.accumulate(np.where(valid, np.exp(-loglam), 1.0))
@@ -325,10 +329,10 @@ class TestMsprt:
         assert not valid and hw == math.inf
 
     def test_one_sample_interval(self):
-        arm = StreamingMoments.from_values([0.0, 1.0, 1.0, 0.0, 1.0])
+        arm = fold([0.0, 1.0, 1.0, 0.0, 1.0])
         center, hw, valid = msprt_interval(*arm_columns(arm), 0.05, 1e-3)
         assert valid
-        assert center - hw < arm.mean < center + hw
+        assert center - hw < arm[1] < center + hw
 
 
 counts = st.integers(min_value=2, max_value=500)
@@ -343,3 +347,18 @@ def test_ate_interval_symmetric_under_arm_swap(n0, n1, data):
     swapped_lower, swapped_upper = ate_bounds(binary_state(c1, n1, c0, n0))
     assert lower == pytest.approx(-swapped_upper, rel=1e-12, abs=1e-12)
     assert upper == pytest.approx(-swapped_lower, rel=1e-12, abs=1e-12)
+
+
+def test_quantile_golden():
+    assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
+
+
+def test_cdf_quantile_roundtrip():
+    for p in np.linspace(0.001, 0.999, 57):
+        assert abs(ndtr(normal_quantile(p)) - p) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
+def test_quantile_domain(p):
+    with pytest.raises(ValueError):
+        normal_quantile(p)

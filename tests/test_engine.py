@@ -26,9 +26,10 @@ from anytime_ab.engine import (
     parse_events,
 )
 from anytime_ab.gst import ScheduleMismatchError, compute_boundaries
-from anytime_ab.moments import StreamingMoments
+from anytime_ab.moments import welford_merge
 from anytime_ab.simlab import SimStudyConfig, run_type1_study
 from test_bayes import mp_expected_loss
+from test_moments import EMPTY
 
 PARAMS = ConfSeqParams(0.05, 1e-3)
 
@@ -118,8 +119,8 @@ def json_loads_error(line):
 
 
 def reference_parse(path):
-    """``parse_events`` as one ``json.loads`` per line: the pairs read, then the error or None."""
-    pairs = []
+    """``parse_events`` as one ``json.loads`` per line: the records read, then the error or None."""
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -128,37 +129,37 @@ def reference_parse(path):
             try:
                 obj = json.loads(line)
             except (json.JSONDecodeError, RecursionError):
-                return pairs, f"line {line_no}: {json_loads_error(line)}"
+                return records, f"line {line_no}: {json_loads_error(line)}"
             try:
-                pairs.append((line_no, _coerce_event(obj, line_no)))
+                records.append(_coerce_event(obj, line_no))
             except LogParseError as exc:
-                return pairs, str(exc)
-    return pairs, None
+                return records, str(exc)
+    return records, None
 
 
 def program_parse(path):
-    pairs = []
+    records = []
     try:
-        for pair in parse_events(str(path)):
-            pairs.append(pair)
+        for record in parse_events(str(path)):
+            records.append(record)
     except LogParseError as exc:
-        return pairs, str(exc)
-    return pairs, None
+        return records, str(exc)
+    return records, None
 
 
 def dictreader_parse(path):
-    """``parse_events`` on a CSV log as ``csv.DictReader`` rows: the pairs read, then the error or None."""
-    pairs = []
+    """``parse_events`` on a CSV log as ``csv.DictReader`` rows: the records read, then the error or None."""
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
             for row in reader:
-                pairs.append((reader.line_num, _coerce_event(row, reader.line_num)))
+                records.append(_coerce_event(row, reader.line_num))
         except LogParseError as exc:
-            return pairs, str(exc)
+            return records, str(exc)
         except csv.Error as exc:
-            return pairs, f"line {reader.reader.line_num}: invalid CSV: {exc}"
-    return pairs, None
+            return records, f"line {reader.reader.line_num}: invalid CSV: {exc}"
+    return records, None
 
 
 VALID_LINE = '{"ts": 1, "unit": "a", "arm": 0, "value": 1.0}'
@@ -228,9 +229,7 @@ class TestParse:
             list(parse_events(str(path)))
         assert err.value.line_no == 7
         path.write_text('ts,unit,arm,value\n1,"a\nb",0,1\n2,"c\n\nd",1,0\n')
-        pairs = list(parse_events(str(path)))
-        assert [n for n, _ in pairs] == [3, 6]
-        assert [rec.unit for _, rec in pairs] == ["a\nb", "c\n\nd"]
+        assert [rec.unit for rec in parse_events(str(path))] == ["a\nb", "c\n\nd"]
 
     def test_csv_oversized_field_exits_2_with_line_number(self, tmp_path, capsys):
         path = tmp_path / "log.csv"
@@ -286,24 +285,24 @@ class TestCsvRows:
         return result
 
     def test_empty_rows_skipped(self, tmp_path):
-        pairs, error = self.parse(tmp_path, "ts,unit,arm,value\n\n1,a,0,1\n\n\n2,b,1,0\n\n")
+        records, error = self.parse(tmp_path, "ts,unit,arm,value\n\n1,a,0,1\n\n\n2,b,1,0\n\n")
         assert error is None
-        assert [(n, rec.unit) for n, rec in pairs] == [(3, "a"), (6, "b")]
+        assert [rec.unit for rec in records] == ["a", "b"]
 
     def test_missing_fields_are_none(self, tmp_path):
-        pairs, error = self.parse(tmp_path, "ts,unit,arm,value\n1,a,0,1\n2,b,1\n")
-        assert len(pairs) == 1
+        records, error = self.parse(tmp_path, "ts,unit,arm,value\n1,a,0,1\n2,b,1\n")
+        assert len(records) == 1
         assert error == "line 3: bad event fields: float() argument must be a string or a real number, not 'NoneType'"
 
     def test_extra_fields_ignored(self, tmp_path):
-        pairs, error = self.parse(tmp_path, "ts,unit,arm,value\n1,a,0,1,x,,y\n")
+        records, error = self.parse(tmp_path, "ts,unit,arm,value\n1,a,0,1,x,,y\n")
         assert error is None
-        assert pairs == [(2, EventRecord(1, "a", 0, 1.0))]
+        assert records == [EventRecord(1, "a", 0, 1.0)]
 
     def test_repeated_header_name_keeps_last_column(self, tmp_path):
-        pairs, error = self.parse(tmp_path, "ts,value,unit,arm,value\n1,x,a,0,7\n")
+        records, error = self.parse(tmp_path, "ts,value,unit,arm,value\n1,x,a,0,7\n")
         assert error is None
-        assert pairs == [(2, EventRecord(1, "a", 0, 7.0))]
+        assert records == [EventRecord(1, "a", 0, 7.0)]
         # A row too short for the last column has that field missing.
         _, error = self.parse(tmp_path, "ts,value,unit,arm,value\n1,7,a,0\n")
         assert error.startswith("line 2: bad event fields:") and "NoneType" in error
@@ -383,13 +382,6 @@ class TestIngest:
                 got = [(row[0], (row[1:4], row[4:7])) for row in result.snapshots]
                 assert got == expected
 
-    def test_accepts_records_or_pairs(self):
-        records = [EventRecord(i, f"u{i}", i % 2, float(i)) for i in range(20)]
-        assert isinstance(records[0], tuple)
-        bare = ingest(records, snapshot_every=3)
-        paired = ingest(enumerate(records, start=1), snapshot_every=3)
-        assert bare.snapshots == paired.snapshots and bare.events_used == paired.events_used == 20
-
     def test_dedup_first_event_wins(self):
         events = [
             EventRecord(1, "u1", 0, 1.0),
@@ -419,16 +411,16 @@ class TestIngest:
         records = [EventRecord(i, f"u{i}", int(a), float(y)) for i, (a, y) in enumerate(zip(arms, values))]
         sequential = ingest(records).snapshots[-1]
         shard_of = rng.integers(0, n_shards, n_events)
-        merged = [StreamingMoments(), StreamingMoments()]
+        merged = [EMPTY, EMPTY]
         for k in range(n_shards):
             rows = ingest([r for r, s in zip(records, shard_of) if s == k]).snapshots
             if rows:
                 last = rows[-1]
-                merged = [acc.merge(StreamingMoments(*arm)) for acc, arm in zip(merged, (last[1:4], last[4:7]))]
+                merged = [welford_merge(acc, arm) for acc, arm in zip(merged, (last[1:4], last[4:7]))]
         for acc, (count, mean, m2) in zip(merged, (sequential[1:4], sequential[4:7])):
-            assert acc.count == count
-            assert acc.mean == pytest.approx(mean, rel=1e-12)
-            assert acc.m2 == pytest.approx(m2, rel=1e-10)
+            assert acc[0] == count
+            assert acc[1] == pytest.approx(mean, rel=1e-12)
+            assert acc[2] == pytest.approx(m2, rel=1e-10)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -796,9 +788,10 @@ class TestScaleEquivariance:
             for method in SCALED_METHODS:
                 # mSPRT's mixing variance is in squared data units; AsympCS's rho2 has none.
                 params = ConfSeqParams(PARAMS.alpha, math.ldexp(PARAMS.rho2, 2 * k)) if method == "msprt" else PARAMS
-                rows, crossed_at, _ = analyze_snapshots(scaled, method, params, schedule=schedule)
-                base_rows, base_crossed_at, _ = expected[method]
+                rows, crossed_at, statistic = analyze_snapshots(scaled, method, params, schedule=schedule)
+                base_rows, base_crossed_at, base_statistic = expected[method]
                 assert crossed_at == base_crossed_at, (method, k)
+                assert statistic == base_statistic, (method, k)
                 for row, base in zip(rows, base_rows, strict=True):
                     assert row.verdict == base.verdict, (method, k, row.n)
                     if method == "asympcs-lift":

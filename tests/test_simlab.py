@@ -14,7 +14,6 @@ from anytime_ab.confseq import (
     two_sample_scale,
 )
 from anytime_ab.gst import compute_boundaries
-from anytime_ab.moments import StreamingMoments
 from anytime_ab.simlab import (
     SimReport,
     SimStudyConfig,
@@ -28,6 +27,7 @@ from anytime_ab.simlab import (
     streams,
     studies,
 )
+from test_moments import fold
 
 PARAMS = ConfSeqParams(0.05, 1e-3)
 
@@ -36,15 +36,15 @@ def welford_arm(rng, s, n):
     """Welford moments of a shuffled stream of s ones and n - s zeros."""
     values = np.zeros(int(n))
     values[: int(s)] = 1.0
-    return StreamingMoments.from_values(rng.permutation(values))
+    return fold(rng.permutation(values))
 
 
 def welford_summaries(rng, n0, n1, s0, s1):
     """Kernel columns (n0, n1, mu0, mu1, v0, v1) of each row's two Welford-updated arms."""
     rows = []
     for i in range(len(n0)):
-        a0, a1 = welford_arm(rng, s0[i], n0[i]), welford_arm(rng, s1[i], n1[i])
-        rows.append((a0.count, a1.count, a0.mean, a1.mean, a0.m2 / max(a0.count, 1), a1.m2 / max(a1.count, 1)))
+        (c0, mean0, m2_0), (c1, mean1, m2_1) = welford_arm(rng, s0[i], n0[i]), welford_arm(rng, s1[i], n1[i])
+        rows.append((c0, c1, mean0, mean1, m2_0 / max(c0, 1), m2_1 / max(c1, 1)))
     return tuple(np.array(rows, dtype=float).reshape(-1, 6).T)
 
 
