@@ -4,11 +4,12 @@ One (count, running mean, sum of squared deviations) triple per
 treatment arm is all the state any of the interval kernels need; they
 read it as (count, mean, m2 / count) columns. The sum follows Welford's
 one-pass recurrence, chosen over a naive sum of squares because
-conversion metrics are often near-constant. The engine folds events
-through ``welford_step``; ``welford_merge`` combines two triples as if
-their streams were concatenated (Chan, Golub and LeVeque), associatively
-and commutatively, so per-shard triples can be combined map-reduce style
-before evaluation.
+conversion metrics are often near-constant. ``welford_step`` is the
+one-step form; the engine's ``ingest`` inlines its expressions on local
+floats, and the tests hold it to ``welford_step`` bit for bit.
+``welford_merge`` combines two triples as if their streams were
+concatenated (Chan, Golub and LeVeque), associatively and commutatively,
+so per-shard triples can be combined map-reduce style before evaluation.
 """
 
 

@@ -14,10 +14,31 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def _rekey(rng: np.random.Generator, master_seed: int, rep: int) -> np.random.Generator:
+    """Restart ``rng``'s Philox as ``Philox(key=(master_seed << 64) | rep)`` starts.
+
+    The key words are little-endian, (rep, master_seed); the counter is 0
+    and the output buffer empty. Re-keying one generator per batch draws
+    no OS entropy, which each ``Philox(key=...)`` construction does
+    before the key replaces it.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([int(rep) & _MASK64, int(master_seed) & _MASK64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def replication_rng(master_seed: int, rep: int) -> np.random.Generator:
     """Counter-mode stream for one replication: key = (master_seed, rep)."""
-    key = ((int(master_seed) & _MASK64) << 64) | (int(rep) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _rekey(np.random.Generator(np.random.Philox()), master_seed, rep)
 
 
 def two_arm_count_matrices(
@@ -35,8 +56,9 @@ def two_arm_count_matrices(
     n1 = np.empty((reps, grid.size), dtype=np.float64)
     s0 = np.empty_like(n1)
     s1 = np.empty_like(n1)
+    rng = np.random.Generator(np.random.Philox())
     for r in range(reps):
-        rng = replication_rng(master_seed, r)
+        _rekey(rng, master_seed, r)
         m1 = rng.binomial(blocks, 0.5)
         c1 = rng.binomial(m1, p1)
         c0 = rng.binomial(blocks - m1, p0)
@@ -65,8 +87,9 @@ def single_arm_count_matrices(
         raise ValueError("grid must be strictly increasing and positive")
     theta = np.empty(reps, dtype=np.float64)
     s = np.empty((reps, grid.size), dtype=np.float64)
+    rng = np.random.Generator(np.random.Philox())
     for r in range(reps):
-        rng = replication_rng(master_seed, r)
+        _rekey(rng, master_seed, r)
         th = rng.beta(truth_prior[0], truth_prior[1])
         theta[r] = th
         s[r] = np.cumsum(rng.binomial(blocks, th))

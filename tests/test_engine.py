@@ -26,7 +26,7 @@ from anytime_ab.engine import (
     parse_events,
 )
 from anytime_ab.gst import ScheduleMismatchError, compute_boundaries
-from anytime_ab.moments import welford_merge
+from anytime_ab.moments import welford_merge, welford_step
 from anytime_ab.simlab import SimStudyConfig, run_type1_study
 from test_bayes import mp_expected_loss
 from test_moments import EMPTY
@@ -113,6 +113,8 @@ def json_loads_error(line):
         json.loads(line)
     except json.JSONDecodeError as exc:
         return f"invalid JSON: {exc.msg}"
+    except ValueError as exc:  # an integer too long to convert
+        return f"invalid JSON: {exc}"
     except RecursionError:
         return "invalid JSON: nested too deeply"
     raise AssertionError(f"{line[:40]!r} is valid JSON")
@@ -128,7 +130,7 @@ def reference_parse(path):
                 continue
             try:
                 obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):
                 return records, f"line {line_no}: {json_loads_error(line)}"
             try:
                 records.append(_coerce_event(obj, line_no))
@@ -163,6 +165,23 @@ def dictreader_parse(path):
 
 
 VALID_LINE = '{"ts": 1, "unit": "a", "arm": 0, "value": 1.0}'
+# Enough VALID_LINEs to fill the first 64 KB read chunk, so that the line
+# after them is parsed in a later chunk.
+PAD_LINES = 1_500
+# Raw texts placed in a JSONL line of the common shape, where float(text)
+# and JSON's reading of it could differ, or no float or int holds it.
+NUMBER_TEXTS = [
+    "0", "-0", "-0.0", "0e5", "-0e5", "01", "-01.5", "1E-5", "5e-324", "1e300", "1e99", "-1e-99", "1e400",
+    "1" * 17, "9" * 20, "7" * 200, "7" * 201, "1" * 300, "1" + "0" * 400, "1" + "0" * 5000,
+]
+TS_TEXTS = ["0", "-0", "-3", "01", str(10**18 - 1), str(10**18), "1.5", "1e3"]
+UNIT_TEXTS = ["", "u1", "\u00e9\u4e2d", "\u2028", "\x7f", "\x01", "a\\\\b", "\\u0041", "\U0001f600"]
+ARM_TEXTS = ["0", "1", "2", "-0", "1.0", '"1"', "true"]
+
+
+def common_line(ts="1", unit="a", arm="0", value="1"):
+    """A JSONL event line in the documented order with json.dumps' separators, from raw field texts."""
+    return f'{{"ts": {ts}, "unit": "{unit}", "arm": {arm}, "value": {value}}}'
 # Lines that a bulk "[" + ",".join(lines) + "]" decode reads as three events.
 BULK_JOIN_LINES = [
     '{"ts": 1, "unit": "a", "arm": 0, "value": 1, "x": "}',
@@ -259,6 +278,31 @@ class TestParse:
         assert err_text.startswith("error: line 2: ")
         assert "Traceback" not in err_text
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("pad", [0, 7_000], ids=["line-2", "past-first-chunk"])
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_invalid_utf8_exits_2_with_line_number(self, tmp_path, capsys, suffix, pad, newline):
+        # The line is counted as text mode reads lines: at \n, \r and \r\n.
+        if suffix == ".csv":
+            good = ["ts,unit,arm,value"] + [f"{i},u{i},{i % 2},1" for i in range(pad + 1)]
+            bad = b"2,b\xff,1,0"
+        else:
+            good = [common_line(ts=str(i), unit=f"u{i}", arm=str(i % 2)) for i in range(pad + 1)]
+            bad = common_line(ts="2", unit="b\udcff", arm="1").encode("utf-8", "surrogateescape")
+        path = tmp_path / f"log{suffix}"
+        eol = newline.encode()
+        path.write_bytes(eol.join([*(line.encode() for line in good), bad, good[-1].encode()]) + eol)
+        line_no = len(good) + 1
+        with pytest.raises(LogParseError) as err:
+            list(parse_events(str(path)))
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: invalid UTF-8: invalid start byte"
+        code = cli_main(["analyze", "--log", str(path), "--method", "asympcs", "--out", str(tmp_path / "out")])
+        err_text = capsys.readouterr().err
+        assert code == 2
+        assert err_text.startswith(f"error: line {line_no}: invalid UTF-8:")
+        assert "Traceback" not in err_text
+
     def test_unknown_arm_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         for arm in (2, 1.7, 1.0, True, False, "1.0", " 1", None, [1]):
@@ -319,6 +363,30 @@ class TestCsvRows:
     def test_rows_match_dictreader(self, tmp_path, header, rows):
         self.parse(tmp_path, "\n".join(",".join(fields) for fields in [header, *rows]) + "\n")
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.one_of(
+            st.builds(
+                lambda *fields: ",".join(fields),
+                st.sampled_from(["2", "-0", "007", "+4", " 5", "1_0", str(10**18)]),
+                st.sampled_from(["u", "", "\u00e9", "\u2028", "\x7f", " v ", "\x00"]),
+                st.sampled_from(["0", "1", "2", "-0", " 1"]),
+                st.sampled_from(["0", "1", "-0", "-0.0", "01", "1e400", "1" * 250, "nan", "inf", "1_0", ".5", "1."]),
+            ),
+            st.sampled_from([
+                "", "3,c,1", '4,"q\nr",1,0', '5,"a,b",0,1', "6,w,0,1,extra", "7," + "x" * 140_000 + ",1,0",
+            ]),
+        ), max_size=6),
+        st.sampled_from([0, 7_000]),
+    )
+    def test_canonical_header_rows_match_dictreader(self, tmp_path, rows, pad):
+        # Under the canonical header, common rows are scanned a chunk at a
+        # time; padded past the first chunk, the odd rows sit in a later one.
+        path = tmp_path / "log.csv"
+        common = [f"{i},u{i},{i % 2},{i % 3}" for i in range(pad)]
+        path.write_text("\n".join(["ts,unit,arm,value", *common, *rows]) + "\n", encoding="utf-8")
+        assert repr(program_parse(path)) == repr(dictreader_parse(path))
+
 
 class TestDecodeParity:
     def test_bulk_join_counterexample_fails_at_line_1(self, tmp_path):
@@ -338,14 +406,34 @@ class TestDecodeParity:
             st.sampled_from([0, 1, "0", "1", 2, 1.0, True, None]),
             st.one_of(st.floats(), st.integers(-3, 3), st.just("nan")),
         ),
+        st.builds(
+            common_line,
+            st.sampled_from(TS_TEXTS), st.one_of(st.sampled_from(UNIT_TEXTS), st.text(max_size=4)),
+            st.sampled_from(ARM_TEXTS), st.sampled_from(NUMBER_TEXTS),
+        ),
         st.builds(lambda head, tail: head + tail, st.just(VALID_LINE), st.text(" \t,}]x{\ufeff", max_size=3)),
         st.text('{}[]",:0123456789.e-tsunarmvlxy \t\\\ufeff', max_size=30),
         st.text(max_size=20),
-    ), max_size=10))
-    def test_parse_matches_per_line_json_loads(self, tmp_path, lines):
+    ), max_size=10), st.sampled_from([0, PAD_LINES]))
+    def test_parse_matches_per_line_json_loads(self, tmp_path, lines, pad):
+        # Padded past the first read chunk, an odd line's number counts the
+        # chunks before it. repr tells -0.0 from 0.0, where == does not.
         path = tmp_path / "fuzz.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert program_parse(path) == reference_parse(path)
+        path.write_text("\n".join([VALID_LINE] * pad + lines) + "\n", encoding="utf-8")
+        assert repr(program_parse(path)) == repr(reference_parse(path))
+
+    @pytest.mark.parametrize("pad", [0, PAD_LINES], ids=["first-chunk", "later-chunk"])
+    @pytest.mark.parametrize(
+        "field, texts",
+        [("value", NUMBER_TEXTS), ("ts", TS_TEXTS), ("unit", UNIT_TEXTS), ("arm", ARM_TEXTS)],
+    )
+    def test_common_shape_field_texts_match_json_loads(self, tmp_path, field, texts, pad):
+        # Each raw text, alone in an otherwise common line between common lines.
+        path = tmp_path / "log.jsonl"
+        for text in texts:
+            lines = [VALID_LINE] * pad + [common_line(**{field: text}), VALID_LINE]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert repr(program_parse(path)) == repr(reference_parse(path)), text[:20]
 
 
 class TestIngest:
@@ -381,6 +469,38 @@ class TestIngest:
                 expected = [(k, folded[k - 1]) for k in marks]
                 got = [(row[0], (row[1:4], row[4:7])) for row in result.snapshots]
                 assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([0, 1]),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 1.0, -1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+            ),
+            max_size=250,
+        ),
+        st.sampled_from([1, 7, 100]),
+        st.booleans(),
+    )
+    def test_rows_equal_welford_step_fold_bit_for_bit(self, events, every, dedup):
+        # ingest inlines welford_step; repr tells -0.0 from 0.0 and keeps NaN.
+        records = [EventRecord(i, f"u{unit}", arm, y) for i, (unit, arm, y) in enumerate(events)]
+        arms, rows, units, used = [EMPTY, EMPTY], [], set(), 0
+        for record in records:
+            if dedup and record.unit in units:
+                continue
+            units.add(record.unit)
+            arms[record.arm] = welford_step(*arms[record.arm], record.value)
+            used += 1
+            if used % every == 0:
+                rows.append((used, *arms[0], *arms[1]))
+        if used % every:
+            rows.append((used, *arms[0], *arms[1]))
+        assert repr(ingest(records, snapshot_every=every, dedup=dedup).snapshots) == repr(rows)
 
     def test_dedup_first_event_wins(self):
         events = [

@@ -80,6 +80,33 @@ class TestStreams:
         assert np.all(s0 <= n0) and np.all(s1 <= n1)
         assert np.all(np.diff(s0, axis=1) >= 0) and np.all(np.diff(s1, axis=1) >= 0)
 
+    @pytest.mark.parametrize("master_seed", [0, 404, 2**64 - 1])
+    def test_rekeyed_streams_match_keyed_philox(self, master_seed):
+        # Each replication's draws are those of a Philox constructed with the
+        # key (master_seed << 64) | rep, however the generator was re-keyed.
+        grid = np.array([3, 40, 1_000, 250_000])
+        blocks = np.diff(grid, prepend=0)
+        n0, n1, s0, s1 = streams.two_arm_count_matrices(master_seed, 3_000, grid, 0.1, 0.12)
+        theta, s = streams.single_arm_count_matrices(master_seed, 3_000, grid, truth_prior=(100, 100))
+        for rep in (0, 5, 2_999):
+            def keyed():
+                return np.random.Generator(np.random.Philox(key=(master_seed << 64) | rep))
+
+            rng = keyed()
+            m1 = rng.binomial(blocks, 0.5)
+            c1 = rng.binomial(m1, 0.12)
+            c0 = rng.binomial(blocks - m1, 0.1)
+            np.testing.assert_array_equal(n1[rep], np.cumsum(m1))
+            np.testing.assert_array_equal(s1[rep], np.cumsum(c1))
+            np.testing.assert_array_equal(s0[rep], np.cumsum(c0))
+            rng = keyed()
+            th = rng.beta(100, 100)
+            assert theta[rep] == th
+            np.testing.assert_array_equal(s[rep], np.cumsum(rng.binomial(blocks, th)))
+            expected, got = keyed(), streams.replication_rng(master_seed, rep)
+            assert got.random(5).tolist() == expected.random(5).tolist()
+            assert got.integers(0, 2**32, 3).tolist() == expected.integers(0, 2**32, 3).tolist()
+
     def test_single_arm_counts(self):
         grid = np.unique(np.round(np.geomspace(10, 10_000, 50)).astype(np.int64))
         theta, s = streams.single_arm_count_matrices(5, 30, grid, truth_prior=(100, 100))
