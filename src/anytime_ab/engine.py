@@ -161,9 +161,10 @@ _NUMBER = r"-?(?:0|[1-9]\d{0,199})(?:\.\d+)?(?:[eE][-+]?\d\d?)?"
 # The common JSONL line: the documented fields in order with json.dumps'
 # separators, and a unit with no escape, quote or control character, so
 # its raw text is the decoded string. The value -0 is left out: JSON
-# reads it as the integer 0, where float("-0") is -0.0.
+# reads it as the integer 0, where float("-0") is -0.0. Neither pattern
+# matches a lone surrogate (a byte that is not UTF-8; see parse_events).
 _JSONL_EVENT = re.compile(
-    r'^\{"ts": (-?(?:0|[1-9]\d{0,17})), "unit": "([^"\\\x00-\x1f]*)", "arm": ([01]), '
+    r'^\{"ts": (-?(?:0|[1-9]\d{0,17})), "unit": "([^"\\\x00-\x1f\udc80-\udcff]*)", "arm": ([01]), '
     rf'"value": (?!-0\}})({_NUMBER})\}}$',
     re.ASCII | re.MULTILINE,
 )
@@ -172,24 +173,50 @@ _JSONL_EVENT = re.compile(
 # float() calls on the same texts.
 _CSV_HEADER = "ts,unit,arm,value\n"
 _CSV_EVENT = re.compile(
-    rf'^(-?(?:0|[1-9]\d{{0,17}})),([^,"\r\n\x00]*),([01]),({_NUMBER})$',
+    rf'^(-?(?:0|[1-9]\d{{0,17}})),([^,"\r\n\x00\udc80-\udcff]*),([01]),({_NUMBER})$',
     re.ASCII | re.MULTILINE,
 )
 
 
-def _scan_chunk(pattern, lines: list[str]):
+def _chunks(fh):
+    """Yield (lines before, lines, their text) for each chunk of whole lines of ``fh``."""
+    before = 0
+    while lines := fh.readlines(_CHUNK_CHARS):
+        yield before, lines, "".join(lines)
+        before += len(lines)
+
+
+def _scan_chunk(pattern, lines: list[str], text: str):
     """Yield a chunk's EventRecords and return True, or yield none and return False.
 
     The chunk is taken when each line is one match of ``pattern``. A
     match lies within one line (no field matches a newline), so as many
     matches as lines means every line matched.
     """
-    rows = pattern.findall("".join(lines))
+    rows = pattern.findall(text)
     if len(rows) != len(lines):
         return False
     for ts, unit, arm, value in rows:
         yield tuple.__new__(EventRecord, (int(ts), unit, _ARMS[arm], float(value)))
     return True
+
+
+def _decoded(before: int, lines: list[str], text: str) -> list[str]:
+    """A chunk's lines, or LogParseError at its first line that is not UTF-8.
+
+    Text mode ends every line with a newline, so counting them finds the
+    line; its bytes are decoded again for the reason.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            index = text.count("\n", 0, exc.start)
+            try:
+                lines[index].rstrip("\n").encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as bad:
+                raise LogParseError(before + index + 1, f"invalid UTF-8: {bad.reason}") from None
+    return lines
 
 
 def _jsonl_events(fh):
@@ -198,13 +225,10 @@ def _jsonl_events(fh):
     # through json.loads, which raises exactly its usual error for that
     # line.
     decode = json.JSONDecoder().raw_decode
-    line_no = 0
-    while lines := fh.readlines(_CHUNK_CHARS):
-        if (yield from _scan_chunk(_JSONL_EVENT, lines)):
-            line_no += len(lines)
+    for before, lines, text in _chunks(fh):
+        if (yield from _scan_chunk(_JSONL_EVENT, lines, text)):
             continue
-        for line in lines:
-            line_no += 1
+        for line_no, line in enumerate(_decoded(before, lines, text), before + 1):
             line = line.strip()
             if not line:
                 continue
@@ -225,25 +249,26 @@ def _jsonl_events(fh):
 def _csv_events(fh):
     # Under the canonical header, whole chunks of common rows are scanned
     # until the first chunk that is not; it and the rest of the file go
-    # to csv.reader, its line numbers offset by the lines already read.
+    # to csv.reader, its line numbers offset by the lines before it.
     # A scanned chunk holds no quoted field, so the reader starts on a
     # record boundary, and a line no longer than the field size limit
     # holds no field over it. Any other first line goes to the reader.
+    chunks = _chunks(fh)
+    before, lines, text = next(chunks, (0, [], ""))
     header = None
-    offset = 0
-    lines = [fh.readline()]
-    if lines[0] == _CSV_HEADER:
+    if lines[:1] == [_CSV_HEADER]:
         header = _CSV_HEADER.rstrip().split(",")
-        offset = 1
+        chunks = chain([(1, lines[1:], text[len(_CSV_HEADER):])], chunks)
         limit = csv.field_size_limit()
-        while lines := fh.readlines(_CHUNK_CHARS):
-            if max(map(len, lines)) > limit or not (yield from _scan_chunk(_CSV_EVENT, lines)):
+        for before, lines, text in chunks:
+            if max(map(len, lines), default=0) > limit or not (yield from _scan_chunk(_CSV_EVENT, lines, text)):
                 break
-            offset += len(lines)
+        else:
+            return
     # Each row's dict is csv.DictReader's: empty rows are skipped, a short
     # row's missing fields are None, extra fields are ignored, and a
     # repeated header name keeps its last column.
-    reader = csv.reader(chain(lines, fh))
+    reader = csv.reader(chain(_decoded(before, lines, text), chain.from_iterable(_decoded(*c) for c in chunks)))
     try:
         if header is None:
             header = next(reader, [])
@@ -254,56 +279,31 @@ def _csv_events(fh):
             obj = dict(zip(header, row))
             if len(row) < width:
                 obj.update(dict.fromkeys(header[len(row):]))
-            yield _coerce_event(obj, offset + reader.line_num)
+            yield _coerce_event(obj, before + reader.line_num)
     except csv.Error as exc:
-        raise LogParseError(offset + reader.line_num, f"invalid CSV: {exc}") from None
-
-
-def _invalid_utf8(path: str) -> LogParseError | None:
-    """The error for the first line of ``path`` that is not UTF-8, counting lines as text mode does.
-
-    None if ``path`` is not a regular file, which cannot be read twice.
-    """
-    if not os.path.isfile(path):
-        return None
-    with open(path, "rb") as fh:
-        line_no = 0
-        for chunk in fh:  # split at b"\n"; splitlines also splits at b"\r", as text mode does
-            for raw in chunk.splitlines():
-                line_no += 1
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    return LogParseError(line_no, f"invalid UTF-8: {exc.reason}")
-    return None
+        raise LogParseError(before + reader.line_num, f"invalid CSV: {exc}") from None
 
 
 def parse_events(path: str):
     """Yield the EventRecords of a JSONL or CSV log file.
 
-    The file is read in chunks of whole lines. A chunk whose every line
-    is one event in the common shape (a JSONL line as ``json.dumps``
-    writes the documented fields; a CSV row of plain fields under the
-    header ``ts,unit,arm,value``) is converted by one regex scan; any
-    other chunk takes the per-line path, so records, errors and line
-    numbers are the same either way.
+    The file, or pipe, is read once in chunks of whole lines. A chunk
+    whose every line is one event in the common shape (a JSONL line as
+    ``json.dumps`` writes the documented fields; a CSV row of plain
+    fields under the header ``ts,unit,arm,value``) is converted by one
+    regex scan; any other chunk takes the per-line path, so records,
+    errors and line numbers are the same either way.
 
     A line number travels only in ``LogParseError``. A JSONL line number
     is the line holding the event. A CSV line number is the file line
     where the row ends (``csv.reader.line_num``), so blank lines and
     quoted fields spanning lines are counted; a row the CSV reader
-    rejects is a ``LogParseError`` at that line. A file that is not
-    UTF-8 is a ``LogParseError`` at its first undecodable line.
+    rejects is a ``LogParseError`` at that line, as is a line that is
+    not UTF-8, before any event of its chunk. Lines end at LF, CR or CRLF.
     """
     events = _csv_events if str(path).endswith(".csv") else _jsonl_events
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from events(fh)
-    except UnicodeDecodeError:
-        error = _invalid_utf8(path)
-        if error is None:
-            raise
-        raise error from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        yield from events(fh)
 
 
 @dataclass

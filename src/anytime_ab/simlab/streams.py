@@ -36,11 +36,6 @@ def _rekey(rng: np.random.Generator, master_seed: int, rep: int) -> np.random.Ge
     return rng
 
 
-def replication_rng(master_seed: int, rep: int) -> np.random.Generator:
-    """Counter-mode stream for one replication: key = (master_seed, rep)."""
-    return _rekey(np.random.Generator(np.random.Philox()), master_seed, rep)
-
-
 def two_arm_count_matrices(
     master_seed: int, reps: int, grid: np.ndarray, p0: float, p1: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ at.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +51,8 @@ STOP_QUALITY_PEEKS = 400
 HORIZON_MULTIPLES = (1.0, 2.0, 3.0)
 MISSPEC_HORIZON_MULTIPLE = 6.0
 MISSPEC_PEEKS = 500
+# The type of each method's ``params``; every other method takes ConfSeqParams.
+_PARAM_TYPES = {"BHT-uninformed": BhtConfig, "BHT-matched": BhtConfig, "BF-uninformed": BfConfig}
 
 
 @dataclass
@@ -59,7 +61,8 @@ class SimStudyConfig:
 
     ``params`` carries the method's own knobs: ConfSeqParams for the
     interval methods and for LDM (whose alpha sets the 100-peek spending
-    schedule), BhtConfig or BfConfig for the Bayesian rules.
+    schedule), BhtConfig or BfConfig for the Bayesian rules; None means
+    that type's defaults.
     ``design_mde`` anchors the fixed-horizon sample size that peek
     schedules and horizon multiples refer to, at ``DESIGN_POWER``; it
     defaults to the true difference of ``arm_means`` when they differ.
@@ -72,7 +75,7 @@ class SimStudyConfig:
     horizon: int | None = None
     peek_every: int = 100
     master_seed: int = 0
-    params: object = field(default_factory=ConfSeqParams)
+    params: ConfSeqParams | BhtConfig | BfConfig | None = None
     theta0: float = 0.0
     design_mde: float | None = None
     design_alpha: float = 0.05
@@ -86,12 +89,11 @@ class SimStudyConfig:
             raise ValueError("peek_every must be at least 1")
         if self.horizon is not None and self.horizon < self.peek_every:
             raise ValueError("horizon must be at least peek_every")
-
-
-def _confseq_params(cfg: SimStudyConfig) -> ConfSeqParams:
-    if isinstance(cfg.params, ConfSeqParams):
-        return cfg.params
-    raise ValueError(f"method {cfg.method!r} needs ConfSeqParams, got {type(cfg.params).__name__}")
+        kind = _PARAM_TYPES.get(self.method, ConfSeqParams)
+        if self.params is None:
+            self.params = kind()
+        elif not isinstance(self.params, kind):
+            raise ValueError(f"method {self.method!r} needs {kind.__name__}, got {type(self.params).__name__}")
 
 
 def _alpha(cfg: SimStudyConfig) -> float:
@@ -170,7 +172,7 @@ def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | No
     method, theta0, alpha = cfg.method, cfg.theta0, _alpha(cfg)
     look = np.ones(grid.size, dtype=bool)  # the peeks at which the rule may stop
     if method in ("AsympCS", "AsympCS-lift", "mSPRT"):
-        rho2 = _confseq_params(cfg).rho2
+        rho2 = cfg.params.rho2
         kernel = {"AsympCS": methods.ate_reject, "AsympCS-lift": methods.lift_reject,
                   "mSPRT": methods.msprt_reject}[method]
         rule = lambda block, cols: kernel(*block, alpha, rho2, theta0)
@@ -193,11 +195,10 @@ def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | No
             z, valid = methods.z_statistic_arrays(*block, theta0)
             return valid & (np.abs(z) >= bounds[cols])
     elif method == "BF-uninformed":
-        bf = cfg.params if isinstance(cfg.params, BfConfig) else BfConfig()
+        bf = cfg.params
         rule = lambda block, cols: methods.bf_reject(*block, bf.prior_a, bf.prior_b, bf.odds_threshold)
     elif method in ("BHT-uninformed", "BHT-matched"):
-        bht = cfg.params if isinstance(cfg.params, BhtConfig) else BhtConfig()
-        rule = lambda block, cols: _bht_two_arm_reject(*block, bht)
+        rule = lambda block, cols: _bht_two_arm_reject(*block, cfg.params)
     else:
         raise ValueError(f"unhandled method {method!r}")
     # Peeks after the last look cannot cross, so they are never evaluated.
@@ -368,7 +369,7 @@ def run_rho2_sweep(cfg: SimStudyConfig, rho2_grid) -> list[SimReport]:
     p0, p1 = cfg.arm_means
     if p1 <= p0 and cfg.design_mde is None:
         raise ValueError("sweep needs a positive effect or explicit design_mde")
-    p = _confseq_params(cfg)
+    p = cfg.params
     fht_total = _fht_total(cfg)
     horizon = cfg.horizon if cfg.horizon is not None else 3 * fht_total
     power_marker = min(2 * fht_total, horizon)
@@ -413,7 +414,7 @@ def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfi
     if cfg.arm_means is None:
         raise ValueError("misspecification study needs arm_means (baseline rate first)")
     p0 = cfg.arm_means[0]
-    p = _confseq_params(cfg)
+    p = cfg.params
     ratios = []
     per_effect = {}
     for theta in effect_distribution:
@@ -459,6 +460,10 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         raise ValueError("stop-quality study needs truth_prior")
     if cfg.horizon is None:
         raise ValueError("stop-quality study needs an explicit horizon")
+    if cfg.horizon < STOP_QUALITY_START:
+        raise ValueError(f"stop-quality study needs horizon of at least {STOP_QUALITY_START}, got {cfg.horizon}")
+    if num_peeks < 1:
+        raise ValueError(f"stop-quality study needs num_peeks of at least 1, got {num_peeks}")
     if not 0.0 <= cfg.theta0 <= 1.0:
         raise ValueError(f"stop-quality study needs theta0 in [0, 1], got {cfg.theta0}")
     horizon = cfg.horizon
@@ -473,7 +478,7 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         return np.broadcast_to(n_grid[cols], s_block.shape), s_block
 
     if cfg.method in ("AsympCS", "mSPRT"):
-        p = _confseq_params(cfg)
+        p = cfg.params
         interval = mean_interval if cfg.method == "AsympCS" else msprt_interval
 
         def rule(rows, cols):
@@ -486,7 +491,7 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         rows = np.flatnonzero(stop_idx >= 0)
         lower, upper, inferred = lower[rows], upper[rows], center[rows]
     elif cfg.method in ("BHT-uninformed", "BHT-matched"):
-        bht = cfg.params if isinstance(cfg.params, BhtConfig) else BhtConfig()
+        bht = cfg.params
 
         def rule(rows, cols):
             loss_below, loss_above = methods.bht_single_losses(*cells(rows, cols), bht.prior_a, bht.prior_b, theta0)

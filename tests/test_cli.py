@@ -213,6 +213,8 @@ class TestAnalyzeCommand:
 
 
 TINY_TYPE1 = {"methods": ["AsympCS"], "arm_means": [0.1, 0.1], "design_mde": 0.01, "replications": 5}
+TINY_STOP_QUALITY = {"methods": ["AsympCS"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 2000,
+                     "num_peeks": 20, "replications": 5}
 
 
 class TestSimulateCommand:
@@ -364,10 +366,16 @@ class TestSimulateCommand:
              "bad config values: design_mde must be a number or null, got 1000"),
             # BF's default odds threshold is 1 / alpha.
             ("type1", {**TINY_TYPE1, "methods": ["BF-uninformed"], "alpha": 0}, "alpha must be in (0, 1), got 0"),
+            # Stop-quality peeks are log spaced from 100 to the horizon.
+            ("stop-quality", {**TINY_STOP_QUALITY, "num_peeks": 0}, "num_peeks of at least 1, got 0"),
+            ("stop-quality", {**TINY_STOP_QUALITY, "num_peeks": -3}, "num_peeks of at least 1, got -3"),
+            ("stop-quality", {**TINY_STOP_QUALITY, "horizon": 50, "peek_every": 10},
+             "horizon of at least 100, got 50"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
-             "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero"],
+             "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero", "num_peeks-zero",
+             "num_peeks-negative", "horizon-below-start"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -182,6 +186,39 @@ ARM_TEXTS = ["0", "1", "2", "-0", "1.0", '"1"', "true"]
 def common_line(ts="1", unit="a", arm="0", value="1"):
     """A JSONL event line in the documented order with json.dumps' separators, from raw field texts."""
     return f'{{"ts": {ts}, "unit": "{unit}", "arm": {arm}, "value": {value}}}'
+
+
+# Valid JSONL events, the common shape's field texts, near-misses and arbitrary text, one per line.
+JSONL_LINES = st.one_of(
+    st.just(VALID_LINE),
+    st.builds(
+        lambda ts, unit, arm, value: json.dumps({"ts": ts, "unit": unit, "arm": arm, "value": value}),
+        st.one_of(st.integers(), st.just("7")), st.text(max_size=4),
+        st.sampled_from([0, 1, "0", "1", 2, 1.0, True, None]),
+        st.one_of(st.floats(), st.integers(-3, 3), st.just("nan")),
+    ),
+    st.builds(
+        common_line,
+        st.sampled_from(TS_TEXTS), st.one_of(st.sampled_from(UNIT_TEXTS), st.text(max_size=4)),
+        st.sampled_from(ARM_TEXTS), st.sampled_from(NUMBER_TEXTS),
+    ),
+    st.builds(lambda head, tail: head + tail, st.just(VALID_LINE), st.text(" \t,}]x{\ufeff", max_size=3)),
+    st.text('{}[]",:0123456789.e-tsunarmvlxy \t\\\ufeff', max_size=30),
+    st.text(max_size=20),
+)
+# CSV rows under the canonical header: odd field texts of the common shape, and rows that are not.
+CSV_ROWS = st.one_of(
+    st.builds(
+        lambda *fields: ",".join(fields),
+        st.sampled_from(["2", "-0", "007", "+4", " 5", "1_0", str(10**18)]),
+        st.sampled_from(["u", "", "\u00e9", "\u2028", "\x7f", " v ", "\x00"]),
+        st.sampled_from(["0", "1", "2", "-0", " 1"]),
+        st.sampled_from(["0", "1", "-0", "-0.0", "01", "1e400", "1" * 250, "nan", "inf", "1_0", ".5", "1."]),
+    ),
+    st.sampled_from([
+        "", "3,c,1", '4,"q\nr",1,0', '5,"a,b",0,1', "6,w,0,1,extra", "7," + "x" * 140_000 + ",1,0",
+    ]),
+)
 # Lines that a bulk "[" + ",".join(lines) + "]" decode reads as three events.
 BULK_JOIN_LINES = [
     '{"ts": 1, "unit": "a", "arm": 0, "value": 1, "x": "}',
@@ -364,21 +401,7 @@ class TestCsvRows:
         self.parse(tmp_path, "\n".join(",".join(fields) for fields in [header, *rows]) + "\n")
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        st.lists(st.one_of(
-            st.builds(
-                lambda *fields: ",".join(fields),
-                st.sampled_from(["2", "-0", "007", "+4", " 5", "1_0", str(10**18)]),
-                st.sampled_from(["u", "", "\u00e9", "\u2028", "\x7f", " v ", "\x00"]),
-                st.sampled_from(["0", "1", "2", "-0", " 1"]),
-                st.sampled_from(["0", "1", "-0", "-0.0", "01", "1e400", "1" * 250, "nan", "inf", "1_0", ".5", "1."]),
-            ),
-            st.sampled_from([
-                "", "3,c,1", '4,"q\nr",1,0', '5,"a,b",0,1', "6,w,0,1,extra", "7," + "x" * 140_000 + ",1,0",
-            ]),
-        ), max_size=6),
-        st.sampled_from([0, 7_000]),
-    )
+    @given(st.lists(CSV_ROWS, max_size=6), st.sampled_from([0, 7_000]))
     def test_canonical_header_rows_match_dictreader(self, tmp_path, rows, pad):
         # Under the canonical header, common rows are scanned a chunk at a
         # time; padded past the first chunk, the odd rows sit in a later one.
@@ -398,23 +421,7 @@ class TestDecodeParity:
         assert str(err.value) == f"line 1: {json_loads_error(BULK_JOIN_LINES[0])}"
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.one_of(
-        st.just(VALID_LINE),
-        st.builds(
-            lambda ts, unit, arm, value: json.dumps({"ts": ts, "unit": unit, "arm": arm, "value": value}),
-            st.one_of(st.integers(), st.just("7")), st.text(max_size=4),
-            st.sampled_from([0, 1, "0", "1", 2, 1.0, True, None]),
-            st.one_of(st.floats(), st.integers(-3, 3), st.just("nan")),
-        ),
-        st.builds(
-            common_line,
-            st.sampled_from(TS_TEXTS), st.one_of(st.sampled_from(UNIT_TEXTS), st.text(max_size=4)),
-            st.sampled_from(ARM_TEXTS), st.sampled_from(NUMBER_TEXTS),
-        ),
-        st.builds(lambda head, tail: head + tail, st.just(VALID_LINE), st.text(" \t,}]x{\ufeff", max_size=3)),
-        st.text('{}[]",:0123456789.e-tsunarmvlxy \t\\\ufeff', max_size=30),
-        st.text(max_size=20),
-    ), max_size=10), st.sampled_from([0, PAD_LINES]))
+    @given(st.lists(JSONL_LINES, max_size=10), st.sampled_from([0, PAD_LINES]))
     def test_parse_matches_per_line_json_loads(self, tmp_path, lines, pad):
         # Padded past the first read chunk, an odd line's number counts the
         # chunks before it. repr tells -0.0 from 0.0, where == does not.
@@ -434,6 +441,94 @@ class TestDecodeParity:
             lines = [VALID_LINE] * pad + [common_line(**{field: text}), VALID_LINE]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             assert repr(program_parse(path)) == repr(reference_parse(path)), text[:20]
+
+
+def fifo_parse(path, data: bytes):
+    """``program_parse`` of ``data`` written into a named pipe at ``path``, which can be read only once."""
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the parser stopped at an error and closed its end
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return program_parse(path)
+    finally:
+        writer.join(timeout=60)
+        os.unlink(path)
+        assert not writer.is_alive()
+
+
+def with_bytes(line: str, raw: bytes, at: int) -> bytes:
+    """``line`` as UTF-8 with ``raw`` inserted at byte ``at`` (or at its end)."""
+    data = line.encode("utf-8")
+    return data[:at] + raw + data[at:]
+
+
+# Bytes that leave a line invalid UTF-8 wherever they are inserted: a bad
+# start byte, a truncated sequence, an encoded surrogate and an overlong form.
+BAD_BYTES = [b"\xff", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+class TestReadOnce:
+    """A log is read once, so a pipe gives what a file with the same bytes gives."""
+
+    def test_piped_invalid_utf8_exits_2_with_line_number(self, tmp_path):
+        bad = common_line(ts="2", unit="b\udcff", arm="1").encode("utf-8", "surrogateescape")
+        log = (VALID_LINE + "\n").encode() + bad + b"\n"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "anytime_ab.cli", "analyze", "--log", "/dev/stdin", "--method", "asympcs",
+             "--out", str(tmp_path / "out")],
+            input=log, capture_output=True, env=env, timeout=120,
+        )
+        err_text = done.stderr.decode()
+        assert done.returncode == 2, err_text
+        assert err_text.startswith("error: line 2: invalid UTF-8: invalid start byte")
+        assert "Traceback" not in err_text
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_fifo_invalid_utf8_past_first_chunk(self, tmp_path, suffix):
+        # The bad line 5001 lies past the first 64 KB chunk.
+        if suffix == ".csv":
+            good = ["ts,unit,arm,value"] + [f"{i},u{i},{i % 2},1" for i in range(4_999)]
+            bad = with_bytes("5000,bad,1,0", b"\xe2\x82", 6)
+        else:
+            good = [common_line(ts=str(i), unit=f"u{i}", arm=str(i % 2)) for i in range(5_000)]
+            bad = with_bytes(common_line(ts="5000", unit="bad", arm="1"), b"\xe2\x82", 26)
+        data = b"\n".join([*(line.encode() for line in good), bad, good[-1].encode()]) + b"\n"
+        assert data.index(bad) > 1 << 16
+        (tmp_path / f"log{suffix}").write_bytes(data)
+        records, error = fifo_parse(tmp_path / f"pipe{suffix}", data)
+        assert error == "line 5001: invalid UTF-8: invalid continuation byte"
+        assert (records, error) == program_parse(tmp_path / f"log{suffix}")
+        # No event of the bad line's chunk is yielded before its error.
+        assert 0 < len(records) < len(good) - 1
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from([".jsonl", ".csv"]),
+        st.lists(st.tuples(st.one_of(JSONL_LINES, CSV_ROWS), st.sampled_from([b""] * 4 + BAD_BYTES),
+                           st.integers(0, 40)), max_size=8),
+        st.sampled_from([b"\n", b"\r\n", b"\r"]),
+        st.sampled_from([0, 7_000]),
+    )
+    def test_fifo_matches_file(self, tmp_path, suffix, lines, eol, pad):
+        # The same records or the same error, line number included, from a
+        # pipe as from a file, for lines in the first chunk or a later one.
+        if suffix == ".csv":
+            head = ["ts,unit,arm,value"] + [f"{i},u{i},{i % 2},1" for i in range(pad)]
+        else:
+            head = [VALID_LINE] * pad
+        data = eol.join([*(line.encode() for line in head), *(with_bytes(*line) for line in lines)]) + eol
+        (tmp_path / f"log{suffix}").write_bytes(data)
+        assert repr(fifo_parse(tmp_path / f"pipe{suffix}", data)) == repr(program_parse(tmp_path / f"log{suffix}"))
 
 
 class TestIngest:
@@ -778,11 +873,10 @@ class TestAnalyze:
         crossings = 0
         grid = np.arange(100, 4_001, 100)
         blocks = np.diff(grid, prepend=0)
+        counts = streams.two_arm_count_matrices(404, 8, grid, 0.3, 0.42)
         for rep in range(8):
-            rng = streams.replication_rng(404, rep)
-            m1 = rng.binomial(blocks, 0.5)
-            c1 = rng.binomial(m1, 0.42)
-            c0 = rng.binomial(blocks - m1, 0.3)
+            n0m, n1m, s0m, s1m = (matrix[rep:rep + 1] for matrix in counts)
+            m1, c1, c0 = (np.diff(matrix[0], prepend=0.0).astype(int) for matrix in (n1m, s1m, s0m))
             events = []
             ts = 0
             for b, k1, x1, x0 in zip(blocks, m1, c1, c0):
@@ -793,10 +887,6 @@ class TestAnalyze:
                         events.append(EventRecord(ts, f"u{ts}", arm, float(i < conv)))
             result = ingest(events, snapshot_every=100)
             rows, crossed_at, _ = analyze_snapshots(result.snapshots, method, PARAMS)
-            n1m = np.cumsum(m1).astype(float)[None, :]
-            s1m = np.cumsum(c1).astype(float)[None, :]
-            s0m = np.cumsum(c0).astype(float)[None, :]
-            n0m = grid.astype(float)[None, :] - n1m
             (stop_idx,) = sim_methods.first_crossing(simlab_reject(n0m, n1m, s0m, s1m))
             if stop_idx >= 0:
                 assert crossed_at == grid[stop_idx]

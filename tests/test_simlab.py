@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,9 +104,6 @@ class TestStreams:
             th = rng.beta(100, 100)
             assert theta[rep] == th
             np.testing.assert_array_equal(s[rep], np.cumsum(rng.binomial(blocks, th)))
-            expected, got = keyed(), streams.replication_rng(master_seed, rep)
-            assert got.random(5).tolist() == expected.random(5).tolist()
-            assert got.integers(0, 2**32, 3).tolist() == expected.integers(0, 2**32, 3).tolist()
 
     def test_single_arm_counts(self):
         grid = np.unique(np.round(np.geomspace(10, 10_000, 50)).astype(np.int64))
@@ -593,6 +591,43 @@ class TestStudies:
             SimStudyConfig(method="AsympCS", replications=0)
         with pytest.raises(ValueError):
             SimStudyConfig(method="AsympCS", horizon=10, peek_every=100)
+
+    @pytest.mark.parametrize("method", studies.METHODS)
+    def test_params_type_is_decided_by_method(self, method):
+        # The study runs with exactly the params its report names: the
+        # method's own type, or that type's defaults when none is given.
+        kind = {"BHT-uninformed": BhtConfig, "BHT-matched": BhtConfig, "BF-uninformed": BfConfig}.get(
+            method, ConfSeqParams
+        )
+        assert SimStudyConfig(method=method).params == kind()
+        for other in (ConfSeqParams(0.1, 1e-3), BhtConfig(), BfConfig(), 0.05):
+            if isinstance(other, kind):
+                assert SimStudyConfig(method=method, params=other).params is other
+            else:
+                with pytest.raises(ValueError, match=f"method {method!r} needs {kind.__name__}"):
+                    SimStudyConfig(method=method, params=other)
+
+    def test_bf_study_records_the_params_it_ran(self):
+        cfg = SimStudyConfig(
+            method="BF-uninformed", arm_means=(0.1, 0.1), design_mde=0.02, replications=20, master_seed=3,
+        )
+        report = run_type1_study(cfg)
+        assert report.meta["params"] == repr(BfConfig())
+        explicit = run_type1_study(replace(cfg, params=BfConfig()))
+        assert explicit.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize(
+        "horizon, num_peeks, message",
+        [(2_000, 0, "num_peeks of at least 1, got 0"), (2_000, -3, "num_peeks of at least 1, got -3"),
+         (50, 5, "horizon of at least 100, got 50")],
+    )
+    def test_stop_quality_rejects_bad_grid(self, horizon, num_peeks, message):
+        cfg = SimStudyConfig(
+            method="AsympCS", truth_prior=(100, 100), theta0=0.5, horizon=horizon, peek_every=10,
+            replications=5,
+        )
+        with pytest.raises(ValueError, match=message):
+            run_stop_quality_study(cfg, num_peeks=num_peeks)
 
 
 class TestReport:
