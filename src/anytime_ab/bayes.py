@@ -79,23 +79,85 @@ class BfConfig:
 def beta_prob_greater(a1: float, b1: float, a0: float, b0: float) -> float:
     """P(X > Y) for independent X ~ Beta(a1, b1), Y ~ Beta(a0, b0).
 
-    The a1-term sum t_i = B(a0 + i, b0 + b1) / ((b1 + i) B(1 + i, b1) B(a0, b0))
-    (Evan Miller, 2015), by its term ratio
+    The sum over i < a1 of t_i = B(a0 + i, b0 + b1) / ((b1 + i) B(1 + i, b1) B(a0, b0))
+    (Evan Miller, 2015), with term ratio
     r_i = t_{i+1} / t_i = (a0 + i)(b1 + i) / ((a0 + b0 + b1 + i)(1 + i)).
-    The terms rise while r_i >= 1 and then fall, so the sum is anchored at
-    its peak t_m: log t_0 = sum_{j < a0} log1p(-b1 / (b0 + b1 + j)) plus
-    the log ratios below m, then cumulative ratio products outward from
-    m. Requires a1 and a0 to be positive integers; O(a0 + a1) work.
+    t_i is the pmf of a beta-negative-binomial N ~ BNB(b1, b0, a0): the
+    terms over all i >= 0 sum to 1, so P(X > Y) = P(N < a1) =
+    sum_{i < a1} u_i / sum_i u_i for u_i = t_i / t_m. The terms rise to the
+    mode m = max(ceil(x), 0), x = (a0 b1 - a0 - b0 - b1) / (b0 + 1), and
+    fall after it. The u_i are cumulative ratio products outward from
+    u_m = 1 over a window of 10 standard deviations of N left of m and
+    10 + 15 skew of them right of it, where N's tail is heavier; a side
+    doubles until the terms it leaves out are provably below 2^-60 of
+    both sums, and the left side also until it holds terms below a1. So P
+    keeps its relative accuracy, with no log, at O(sd of N) work per call.
+    Inputs that no window shorter than the a0 + a1 terms of the whole sum
+    certifies take that sum instead, anchored at its peak, at O(a0 + a1):
+    b0 <= 3 (N's tail decays like i^-(b0 + 1), too slowly for a third
+    moment), small counts, and a1 far left of a distant mode.
+    Requires a1 and a0 to be positive integers.
     """
     k, j = int(round(a1)), int(round(a0))
     if abs(a1 - k) > 1e-9 or k < 1:
         raise BackendError(f"closed-form tail needs integer a1 >= 1, got {a1}")
     if abs(a0 - j) > 1e-9 or j < 1:
         raise BackendError(f"closed-form tail needs integer a0 >= 1, got {a0}")
+    if b0 > 3.0:
+        c = a0 + b0 + b1
+        x = (a0 * b1 - c) / (b0 + 1.0)
+        m = max(math.ceil(x), 0)
+        # N's right tail is the heavier: the window starts 10 standard
+        # deviations left of m and 10 + 15 skew right of it.
+        sd = math.sqrt(b1 * a0 * (b1 + b0 - 1.0) * (a0 + b0 - 1.0) / ((b0 - 2.0) * (b0 - 1.0) ** 2))
+        skew = (b0 + 2.0 * a0 - 1.0) * (2.0 * b1 + b0 - 1.0) / ((b0 - 3.0) * (b0 - 1.0) * sd)
+        wl, wr = math.ceil(10.0 * sd) + 1, math.ceil((10.0 + 15.0 * skew) * sd) + 1
+        while wl + wr < k + j:
+            lo, hi = max(m - wl, 0), m + wr
+            if k <= lo:  # no term of the sum is in the window yet
+                wl *= 2
+                continue
+            i = np.arange(lo, hi + 1, dtype=float)
+            num, den, peak = a0 + i, c + i, m - lo
+            num *= b1 + i
+            den *= 1.0 + i
+            u = np.empty(hi - lo + 2)  # u_lo .. u_{hi + 1}
+            u[peak] = 1.0
+            np.multiply.accumulate(num[peak:] / den[peak:], out=u[peak + 1:])
+            np.multiply.accumulate((den[:peak] / num[:peak])[::-1], out=u[:peak][::-1])
+            total = u[:-1].sum()
+            below = u[:k - lo].sum() if k <= hi else total
+            # 1 - r_i = (b0 + 1)(i - x) / ((c + i)(1 + i)). Left tail: for
+            # i < lo <= m - 1 < x, r_i - 1 falls as i rises, so each term
+            # below lo is at most 1 / r_{lo - 1} of the one above it and
+            # sum_{i < lo} u_i <= u_lo / (r_{lo - 1} - 1). Right tail: for
+            # i >= h = hi + 1, (b0 + 1)(i - x) / (1 + i) - 1 >= d, where d
+            # takes min((h - x) / (1 + h), 1) for (i - x) / (1 + i), so
+            # A_i = (i + c - 1) / d >= 0 has A_i - A_{i+1} r_i >= 1, i.e.
+            # u_i <= A_i u_i - A_{i+1} u_{i+1}; telescoping gives
+            # sum_{i >= h} u_i <= A_h u_h = (hi + c) u_{hi + 1} / d.
+            left = u[0] / ((a0 + lo - 1.0) * (b1 + lo - 1.0) / ((c + lo - 1.0) * lo) - 1.0) if lo else 0.0
+            d = (b0 + 1.0) * min((hi + 1.0 - x) / (hi + 2.0), 1.0) - 1.0
+            left_ok = left < 2.0**-60 * below
+            right_ok = d > 0.0 and u[-1] * (hi + c) <= 2.0**-60 * d * total
+            if left_ok and right_ok:
+                return float(below / total)
+            if not left_ok:
+                wl *= 2
+            if not right_ok:
+                wr *= 2
     i = np.arange(k - 1, dtype=float)
     r = (a0 + i) * (b1 + i) / ((a0 + b0 + b1 + i) * (1.0 + i))
     m = min(max(math.ceil((a0 * b1 - a0 - b0 - b1) / (b0 + 1.0)), 0), k - 1)
-    log_peak = np.log1p(-b1 / (b0 + b1 + np.arange(j))).sum() + np.log(r[:m]).sum()
+    # log t_0 = sum_{j < a0} log((b0 + j) / (b0 + b1 + j)). A factor with
+    # b1 >= b0 + j is taken by log, not log1p(-b1 / (b0 + b1 + j)), which
+    # would subtract nearly equal numbers.
+    s = b0 + b1 + np.arange(j)
+    log_t = np.log1p(-b1 / s)
+    if b1 >= b0:
+        n = min(math.floor(b1 - b0) + 1, j)
+        log_t[:n] = np.log((b0 + np.arange(n)) / s[:n])
+    log_peak = log_t.sum() + np.log(r[:m]).sum()
     return float(math.exp(log_peak) * (1.0 + np.cumprod(r[m:]).sum() + np.cumprod(1.0 / r[:m][::-1]).sum()))
 
 

@@ -255,6 +255,10 @@ def main(argv=None) -> int:
     except (LogParseError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory where a file belongs, a file where a directory belongs, ...
+        reason = exc.strerror or str(exc)
+        print(f"error: {reason}: {exc.filename}" if exc.filename is not None else f"error: {reason}", file=sys.stderr)
+        return 2
     return 0
 
 

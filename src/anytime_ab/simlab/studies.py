@@ -212,8 +212,14 @@ def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | No
 def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
     """Expected-loss stopping over count matrices, exact Beta tail sums, each row up to its first crossing.
 
-    Costs O(conversions) per cell, so this is meant for desk-scale runs;
-    the closed-form single-arm path covers the large calibration studies.
+    Each cell takes two ``bayes.beta_prob_greater`` tail sums. Each is
+    P(N < a1) for a beta-negative-binomial N whose terms sum to 1, summed
+    over a window of about 10 standard deviations of N either side of its
+    mode, widened until the terms left out are provably below 2^-60 of the
+    sums: O(sd of N) per cell. Where no window shorter than the whole sum
+    certifies (b0 <= 3, small counts), the whole sum is taken: O(conversions).
+    The Python loop over cells makes this a desk-scale path; the
+    closed-form single-arm path covers the large calibration studies.
     """
     reps, peeks = n0.shape
     reject = np.zeros((reps, peeks), dtype=bool)

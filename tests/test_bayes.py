@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -111,6 +112,27 @@ class TestSingleArmLoss:
         assert above >= 0.0
 
 
+# Inputs of beta_prob_greater by the sum that takes them: the window of
+# terms around the mode of N ~ BNB(b1, b0, a0), or the anchored sum of all
+# a1 terms where no window shorter than that sum is certified.
+WINDOWED = [
+    (2601, 22401, 2501, 22501),  # bench scale, a1 inside the window
+    (1775, 22401, 2501, 22501),  # a1 just inside its lower edge: the window widens left
+    (1760, 22401, 2501, 22501),  # a1 left of it, P = 3.2e-27: the window widens left
+    (2000, 900, 400, 600),  # a1 right of it: P rounds to 1
+    (1, 1.0, 50, 500.0),  # mode at 0
+    (2000, 2.0, 1, 8.0),  # a heavy tail: the right side doubles five times; P rounds to 1
+]
+ANCHORED = [
+    (30, 40.0, 20, 3.0),  # b0 <= 3: a heavy tail
+    (1, 15853, 4, 1),  # b1 >> b0: log1p(-b1 / (b0 + b1 + j)) alone is off by 1e-11
+    (50, 100, 60, 3.01),  # b0 just above 3: the window would outgrow the sum
+    (600, 2.0, 1, 3.5),  # b0 above 3: the right tail bound fails until the window outgrows the sum
+    (100, 900, 400, 600),  # a1 left of the window, which would outgrow the sum to reach it; P = 2.1e-57
+    (50, 20000, 40, 500),  # a1 far left of a distant mode; P = 1.3e-39
+]
+
+
 class TestProbGreater:
     def test_symmetric_half(self):
         assert beta_prob_greater(5, 7, 5, 7) == pytest.approx(0.5, abs=1e-12)
@@ -153,11 +175,32 @@ class TestProbGreater:
             (40, 3.0, 1, 50.0),  # peak at the first term
             (6, 50.0, 50, 1.0),  # peak at the last term
             (2, 0.2, 60, 0.3),  # one ratio, below one
+            *WINDOWED,
+            *ANCHORED,
         ],
     )
     def test_single_term_and_end_peaks(self, a1, b1, a0, b0):
         expected = float(mp_prob_greater_terms(a1, b1, a0, b0))
         assert beta_prob_greater(a1, b1, a0, b0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "args, anchored",
+        [(a, False) for a in WINDOWED] + [(a, True) for a in ANCHORED],
+        ids=["-".join(map(str, a)) for a in WINDOWED + ANCHORED],
+    )
+    def test_anchored_sum_only_where_the_window_cannot_certify(self, monkeypatch, args, anchored):
+        # Only the anchored sum takes a log1p.
+        calls, log1p = [], np.log1p
+        monkeypatch.setattr(np, "log1p", lambda x: calls.append(x) or log1p(x))
+        beta_prob_greater(*args)
+        assert bool(calls) == anchored
+
+    @given(st.integers(1, 6000), st.integers(1, 50000), st.integers(1, 6000), st.integers(1, 50000))
+    @settings(max_examples=25, deadline=None)
+    def test_bench_scale_integers_match_mpmath(self, a1, b1, a0, b0):
+        # A subnormal P cannot hold 1e-12 relative precision, hence abs.
+        expected = float(mp_prob_greater(a1, b1, a0, b0))
+        assert beta_prob_greater(a1, b1, a0, b0) == pytest.approx(expected, rel=1e-12, abs=sys.float_info.min)
 
 
 class TestTwoArmLoss:

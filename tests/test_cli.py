@@ -558,6 +558,52 @@ def test_unknown_subcommand(capsys):
     assert "usage" in captured.err.lower()
 
 
+# Every path argument of every subcommand, as an argv with PATH in its place,
+# and the bad paths it is given: a missing path (one under a missing
+# directory), a directory, a regular file, and a path that goes through a
+# regular file as if it were a directory. A missing output directory is
+# created and an existing one is used, so --out of analyze and simulate
+# takes only the last two.
+PATH = "<path>"
+PATH_ARGUMENTS = [
+    (["analyze", "--log", PATH, "--method", "asympcs", "--out", "{out}"], ("missing", "directory", "under-file")),
+    (["analyze", "--log", "{log}", "--method", "asympcs", "--out", PATH], ("file", "under-file")),
+    (["analyze", "--log", "{log}", "--method", "ldm", "--schedule", PATH, "--out", "{out}"],
+     ("missing", "directory", "under-file")),
+    (["simulate", "--study", "type1", "--config", PATH, "--out", "{out}"], ("missing", "directory", "under-file")),
+    (["simulate", "--study", "type1", "--config", "{config}", "--out", PATH], ("file", "under-file")),
+    (["report", "crosstab", "--decisions", PATH, "--out", "{out}/crosstab.json"], ("missing", "file", "under-file")),
+    (["report", "crosstab", "--decisions", "{decisions}", "--out", PATH], ("missing", "directory", "under-file")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [(argv, kind) for argv, kinds in PATH_ARGUMENTS for kind in kinds],
+    ids=[f"{argv[0]}{argv[argv.index(PATH) - 1]}-{kind}" for argv, kinds in PATH_ARGUMENTS for kind in kinds],
+)
+def test_bad_path_exits_2_with_message(tmp_path, capsys, argv, kind):
+    log = tmp_path / "log.jsonl"
+    write_log(log, np.random.default_rng(3), 300, 0.2, 0.2)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(TINY_TYPE1))
+    (tmp_path / "decisions").mkdir()
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "file").write_text("{}")
+    path = {
+        "missing": tmp_path / "missing" / "x",
+        "directory": tmp_path / "directory",
+        "file": tmp_path / "file",
+        "under-file": tmp_path / "file" / "x",
+    }[kind]
+    fields = {"log": log, "config": config, "decisions": tmp_path / "decisions", "out": tmp_path / "out"}
+    code, out, err = run_cli([str(path) if a == PATH else a.format(**fields) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_type1_battery_draws_one_stream(tmp_path, capsys, monkeypatch):
     from anytime_ab.simlab import streams, studies
 
