@@ -93,7 +93,8 @@ def beta_prob_greater(a1: float, b1: float, a0: float, b0: float) -> float:
     both sums, and the left side also until it holds terms below a1. So P
     keeps its relative accuracy, with no log, at O(sd of N) work per call.
     Inputs that no window shorter than the a0 + a1 terms of the whole sum
-    certifies take that sum instead, anchored at its peak, at O(a0 + a1):
+    certifies take that sum instead, anchored at its peak through one
+    fsum of logs, at O(a0 + a1):
     b0 <= 3 (N's tail decays like i^-(b0 + 1), too slowly for a third
     moment), small counts, and a1 far left of a distant mode.
     Requires a1 and a0 to be positive integers.
@@ -157,7 +158,9 @@ def beta_prob_greater(a1: float, b1: float, a0: float, b0: float) -> float:
     if b1 >= b0:
         n = min(math.floor(b1 - b0) + 1, j)
         log_t[:n] = np.log((b0 + np.arange(n)) / s[:n])
-    log_peak = log_t.sum() + np.log(r[:m]).sum()
+    # Each part is up to ~1e4 in size while log t_m is near -600, so one
+    # fsum adds them without the cancellation of two rounded partial sums.
+    log_peak = math.fsum(np.concatenate((log_t, np.log(r[:m]))).tolist())
     return float(math.exp(log_peak) * (1.0 + np.cumprod(r[m:]).sum() + np.cumprod(1.0 / r[:m][::-1]).sum()))
 
 

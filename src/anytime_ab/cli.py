@@ -252,12 +252,8 @@ def main(argv=None) -> int:
             return _cmd_simulate(args)
         if args.command == "report":
             return _cmd_report_crosstab(args)
-    except (LogParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (LogParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a directory where a file belongs, a file where a directory belongs, ...
-        reason = exc.strerror or str(exc)
-        print(f"error: {reason}: {exc.filename}" if exc.filename is not None else f"error: {reason}", file=sys.stderr)
         return 2
     return 0
 

@@ -4,7 +4,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -197,8 +197,12 @@ class TestProbGreater:
 
     @given(st.integers(1, 6000), st.integers(1, 50000), st.integers(1, 6000), st.integers(1, 50000))
     @settings(max_examples=25, deadline=None)
+    @example(6000, 37578, 4283, 12093)
+    @example(4921, 45464.81, 4375, 18198)
     def test_bench_scale_integers_match_mpmath(self, a1, b1, a0, b0):
         # A subnormal P cannot hold 1e-12 relative precision, hence abs.
+        # The examples take the anchored sum with log t_m near -600 from
+        # parts of ~1e4, which two rounded partial sums put off by 1.1e-12.
         expected = float(mp_prob_greater(a1, b1, a0, b0))
         assert beta_prob_greater(a1, b1, a0, b0) == pytest.approx(expected, rel=1e-12, abs=sys.float_info.min)
 
