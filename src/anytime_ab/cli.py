@@ -252,7 +252,7 @@ def main(argv=None) -> int:
             return _cmd_simulate(args)
         if args.command == "report":
             return _cmd_report_crosstab(args)
-    except (LogParseError, OSError, ValueError, KeyError) as exc:
+    except (LogParseError, OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

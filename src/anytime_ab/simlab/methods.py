@@ -8,6 +8,13 @@ interval rule. The engine calls the same kernels and the same test on
 its snapshot moments. Studies evaluate a rule one block of peeks at a
 time through ``blocked_first_crossing``; entries where a rule's
 preconditions fail never reject.
+
+Count matrices hold integers (int32 up to 2^31 - 1). They become float64
+per evaluated block where they enter a kernel, and every cast is exact:
+``bernoulli_summaries`` casts the trial counts for the interval rules,
+``log_bayes_factor`` casts all four counts, and the expected-loss rules
+add them to float priors. So no kernel multiplies two integer counts,
+whose product can pass 2^31.
 """
 
 import numpy as np
@@ -24,7 +31,12 @@ def bernoulli_arm(n, s):
 
 
 def bernoulli_summaries(n0, n1, s0, s1):
-    """Per-arm (count, mean, biased variance) from count matrices, in kernel argument order."""
+    """Per-arm (count, mean, biased variance) from count matrices, in kernel argument order.
+
+    The counts are returned as float64; the conversions enter only the
+    means, whose division casts them.
+    """
+    n0, n1 = np.asarray(n0, dtype=np.float64), np.asarray(n1, dtype=np.float64)
     (mu0, v0), (mu1, v1) = bernoulli_arm(n0, s0), bernoulli_arm(n1, s1)
     return n0, n1, mu0, mu1, v0, v1
 
@@ -63,7 +75,8 @@ def bht_single_losses(n, s, prior_a, prior_b, theta0):
     """Directional expected linear losses of one arm against a baseline rate.
 
     The posterior is Beta(prior_a + s, prior_b + n - s), the prior itself
-    when n = s = 0. Returns (loss_below, loss_above): loss_below =
+    when n = s = 0; float priors make it float64 for integer counts too.
+    Returns (loss_below, loss_above): loss_below =
     E[max(theta0 - theta, 0)] is the regret of declaring the arm above
     theta0 when it is not; loss_above is its mirror image. In the
     regularized incomplete beta I, with theta0 in [0, 1]:
@@ -71,8 +84,8 @@ def bht_single_losses(n, s, prior_a, prior_b, theta0):
         below: theta0 * I(theta0; a, b) - a/(a+b) * I(theta0; a+1, b)
         above: a/(a+b) * I(1-theta0; b, a+1) - theta0 * I(1-theta0; b, a)
     """
-    a = prior_a + s
-    b = prior_b + (n - s)
+    a = float(prior_a) + s
+    b = float(prior_b) + (n - s)
     mean = a / (a + b)
     loss_below = theta0 * betainc(a, b, theta0) - mean * betainc(a + 1.0, b, theta0)
     loss_above = mean * betainc(b, a + 1.0, 1.0 - theta0) - theta0 * betainc(b, a, 1.0 - theta0)

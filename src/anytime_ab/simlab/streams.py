@@ -6,7 +6,9 @@ the batch is chunked or which method consumes it; method comparisons are
 therefore paired by construction. Outcomes are Bernoulli, and only the
 sufficient statistics at the peek grid are materialized: per grid block,
 the number of arm-1 assignments and the per-arm conversion counts, drawn
-in that fixed order.
+in that fixed order. The cumulative counts are kept as integers, int32
+unless the grid runs past 2^31 - 1, since no count exceeds the grid's
+last point; the rules cast each block they evaluate to float64.
 """
 
 import numpy as np
@@ -36,19 +38,25 @@ def _rekey(rng: np.random.Generator, master_seed: int, rep: int) -> np.random.Ge
     return rng
 
 
+def _count_dtype(grid: np.ndarray) -> type:
+    """int32 when the grid's last point, the largest any count can be, fits in it; else int64."""
+    return np.int32 if grid[-1] <= np.iinfo(np.int32).max else np.int64
+
+
 def two_arm_count_matrices(
     master_seed: int, reps: int, grid: np.ndarray, p0: float, p1: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative per-arm sizes and conversions at each grid point.
 
-    Returns float64 matrices (n0, n1, s0, s1) of shape (reps, len(grid));
-    grid entries are cumulative total sample sizes.
+    Returns integer matrices (n0, n1, s0, s1) of shape (reps, len(grid)),
+    of ``_count_dtype(grid)``; grid entries are cumulative total sample sizes.
     """
     grid = np.asarray(grid, dtype=np.int64)
     blocks = np.diff(grid, prepend=0)
     if np.any(blocks <= 0):
         raise ValueError("grid must be strictly increasing and positive")
-    n1 = np.empty((reps, grid.size), dtype=np.float64)
+    dtype = _count_dtype(grid)
+    n1 = np.empty((reps, grid.size), dtype=dtype)
     s0 = np.empty_like(n1)
     s1 = np.empty_like(n1)
     rng = np.random.Generator(np.random.Philox())
@@ -60,7 +68,7 @@ def two_arm_count_matrices(
         n1[r] = np.cumsum(m1)
         s1[r] = np.cumsum(c1)
         s0[r] = np.cumsum(c0)
-    n0 = grid.astype(np.float64)[None, :] - n1
+    n0 = grid.astype(dtype)[None, :] - n1
     return n0, n1, s0, s1
 
 
@@ -73,15 +81,16 @@ def single_arm_count_matrices(
     """Per-replication true rates and cumulative conversion counts.
 
     Each replication draws its rate from Beta(truth_prior), then its
-    conversions at that rate. Returns (theta, s) with theta shape (reps,)
-    and s shape (reps, len(grid)).
+    conversions at that rate. Returns (theta, s): theta is float64 of
+    shape (reps,), s an integer matrix of ``_count_dtype(grid)`` and shape
+    (reps, len(grid)).
     """
     grid = np.asarray(grid, dtype=np.int64)
     blocks = np.diff(grid, prepend=0)
     if np.any(blocks <= 0):
         raise ValueError("grid must be strictly increasing and positive")
     theta = np.empty(reps, dtype=np.float64)
-    s = np.empty((reps, grid.size), dtype=np.float64)
+    s = np.empty((reps, grid.size), dtype=_count_dtype(grid))
     rng = np.random.Generator(np.random.Philox())
     for r in range(reps):
         _rekey(rng, master_seed, r)

@@ -128,7 +128,11 @@ def _cached_two_arm_counts(master_seed: int, reps: int, grid: tuple, p0: float, 
 
 
 def _two_arm_counts(cfg: SimStudyConfig, grid: np.ndarray, p0: float, p1: float) -> tuple:
-    """Read-only (n0, n1, s0, s1); consecutive studies on the same stream draw it once."""
+    """Read-only integer (n0, n1, s0, s1); consecutive studies on the same stream draw it once.
+
+    The rules cast each block they evaluate to float64, so the shared
+    matrices keep 4 bytes a cell (8 past 2^31 - 1) for the whole battery.
+    """
     return _cached_two_arm_counts(cfg.master_seed, cfg.replications, tuple(grid.tolist()), p0, p1)
 
 
@@ -223,12 +227,15 @@ def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
     """
     reps, peeks = n0.shape
     reject = np.zeros((reps, peeks), dtype=bool)
+    # Float priors make each posterior parameter a float64, so the tail
+    # sum never multiplies two integer counts.
+    prior_a, prior_b = float(cfg.prior_a), float(cfg.prior_b)
     for r in range(reps):
         for j in range(peeks):
             if n0[r, j] < 1 or n1[r, j] < 1:
                 continue
-            post0 = BetaPosterior(cfg.prior_a + s0[r, j], cfg.prior_b + n0[r, j] - s0[r, j])
-            post1 = BetaPosterior(cfg.prior_a + s1[r, j], cfg.prior_b + n1[r, j] - s1[r, j])
+            post0 = BetaPosterior(prior_a + s0[r, j], prior_b + n0[r, j] - s0[r, j])
+            post1 = BetaPosterior(prior_a + s1[r, j], prior_b + n1[r, j] - s1[r, j])
             loss0 = two_arm_expected_loss(post0, post1, "arm0")
             loss1 = max(loss0 - (post1.mean - post0.mean), 0.0)
             if min(loss0, loss1) < cfg.epsilon:
@@ -506,7 +513,7 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         stop_idx, (loss_below, loss_above) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
         rows = np.flatnonzero(stop_idx >= 0)
         s_stop = s[rows, stop_idx[rows]]
-        post_a = bht.prior_a + s_stop
+        post_a = float(bht.prior_a) + s_stop
         post_b = bht.prior_b + n_grid[stop_idx[rows]] - s_stop
         level = 0.95
         tail = (1.0 - level) / 2.0

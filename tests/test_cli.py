@@ -371,11 +371,14 @@ class TestSimulateCommand:
             ("stop-quality", {**TINY_STOP_QUALITY, "num_peeks": -3}, "num_peeks of at least 1, got -3"),
             ("stop-quality", {**TINY_STOP_QUALITY, "horizon": 50, "peek_every": 10},
              "horizon of at least 100, got 50"),
+            # A 1e-8 MDE puts ~8.5e14 peeks on the grid: 6 PiB, beyond any
+            # 47-bit address space, so numpy's request fails at once.
+            ("type1", {**TINY_TYPE1, "design_mde": 1e-8}, "error: Unable to allocate"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
              "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero", "num_peeks-zero",
-             "num_peeks-negative", "horizon-below-start"],
+             "num_peeks-negative", "horizon-below-start", "grid-beyond-memory"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"
@@ -625,6 +628,30 @@ def test_type1_battery_draws_one_stream(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert len(json.loads((tmp_path / "out" / "report.json").read_text())) == 4
+
+
+def test_stop_quality_past_int32_keeps_its_counts(tmp_path, capsys, monkeypatch):
+    # A grid ending past 2^31 - 1 holds int64 counts; at a true rate near 0.9
+    # the last ones pass 2^31 - 1, where an int32 would have wrapped negative.
+    from anytime_ab.simlab import streams
+
+    drawn = []
+    draw = streams.single_arm_count_matrices
+
+    def recording(*args):
+        drawn.append((args[2], draw(*args)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(streams, "single_arm_count_matrices", recording)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY_STOP_QUALITY, "truth_prior": [900, 100], "horizon": 3_000_000_000,
+                                  "num_peeks": 5, "replications": 2}))
+    code, _, err = run_cli(["simulate", "--study", "stop-quality", "--config", str(config),
+                            "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+    ((grid, (_, s)),) = drawn
+    assert grid[-1] == 3_000_000_000 and s.dtype == np.int64
+    assert (s >= 0).all() and (s <= grid).all() and (s[:, -1] > 2**31 - 1).all()
 
 
 def test_cli_import_and_stop_quality_leave_scipy_stats_unloaded(tmp_path):

@@ -113,6 +113,70 @@ class TestStreams:
         assert np.all(s <= grid[None, :])
 
 
+class TestIntegerCounts:
+    """Count matrices are int32 up to a grid end of 2^31 - 1 and int64 past it; the rules read them exactly."""
+
+    @pytest.mark.parametrize("end, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_count_dtype_follows_grid_end(self, end, dtype):
+        grid = np.array([7, 1_000, end])
+        blocks = np.diff(grid, prepend=0)
+        counts = streams.two_arm_count_matrices(12, 3, grid, 0.3, 0.9)
+        theta, s = streams.single_arm_count_matrices(12, 3, grid, truth_prior=(90, 10))
+        assert [m.dtype for m in counts] == [dtype] * 4 and s.dtype == dtype and theta.dtype == np.float64
+        n0, n1, s0, s1 = counts
+        for rep in range(3):
+            rng = np.random.Generator(np.random.Philox(key=(12 << 64) | rep))
+            m1 = rng.binomial(blocks, 0.5)
+            c1 = rng.binomial(m1, 0.9)
+            c0 = rng.binomial(blocks - m1, 0.3)
+            n1_f = np.cumsum(m1, dtype=np.float64)
+            for got, want in ((n0, grid - n1_f), (n1, n1_f), (s0, np.cumsum(c0, dtype=np.float64)),
+                              (s1, np.cumsum(c1, dtype=np.float64))):
+                np.testing.assert_array_equal(got[rep].astype(np.float64), want)
+            rng = np.random.Generator(np.random.Philox(key=(12 << 64) | rep))
+            draws = rng.binomial(blocks, rng.beta(90, 10))
+            np.testing.assert_array_equal(s[rep].astype(np.float64), np.cumsum(draws, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "bht", [BhtConfig(1.0, 1.0, 1e-4), BhtConfig(1, 1, 1e-4)], ids=["float-prior", "int-prior"]
+    )
+    def test_int32_block_gives_float64_bits(self, bht):
+        # About 10^5 trials per arm from the first peek on, so n0 * n1 and
+        # the two-arm tail sum's (1 + s0)(1 + n1 - s1) pass 2^31 - 1 in every
+        # cell a rule evaluates: no rule may multiply int32 counts.
+        grid = np.array([200_000, 240_000, 280_000, 320_000, 360_000, 400_000])
+        counts = streams.two_arm_count_matrices(29, 12, grid, 0.5, 0.505)
+        assert counts[0].dtype == np.int32
+        n0, n1, s0, s1 = (m[:, 0].astype(np.int64) for m in counts)
+        assert (n0 * n1 > 2**31 - 1).all() and ((1 + s0) * (1 + n1 - s1) > 2**31 - 1).all()
+        as_float = [m.astype(np.float64) for m in counts]
+        rules = {
+            "ate": lambda *c: methods.ate_reject(*c, 0.05, 1e-3),
+            "lift": lambda *c: methods.lift_reject(*c, 0.05, 1e-3),
+            "msprt": lambda *c: methods.msprt_reject(*c, 0.05, 1e-3),
+            "z": lambda *c: methods.z_reject(*c, 0.05),
+            "z-stat": lambda *c: methods.z_statistic_arrays(*c, 0.001),
+            "bf": lambda *c: methods.bf_reject(*c, 1.0, 1.0, 20.0),
+            "bht-single": lambda n0, n1, s0, s1: methods.bht_single_losses(n1, s1, bht.prior_a, bht.prior_b, 0.45),
+            "bht-two-arm": lambda *c: studies._bht_two_arm_reject(*c, bht),
+        }
+        for name, rule in rules.items():
+            got, want = rule(*counts), rule(*as_float)
+            if isinstance(got, np.ndarray):
+                got, want = (got,), (want,)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype, name
+                assert np.array_equal(g, w, equal_nan=g.dtype.kind == "f"), name
+
+    def test_single_arm_losses_at_int32_limit(self):
+        # A count at 2^31 - 1 plus an integer prior would wrap in int32.
+        n = np.array([[2**31 - 1, 2**31 - 1]], dtype=np.int32)
+        s = np.array([[2**31 - 1, 2**30]], dtype=np.int32)
+        for got, want in zip(methods.bht_single_losses(n, s, 1, 1, 0.5),
+                             methods.bht_single_losses(n.astype(np.float64), s.astype(np.float64), 1, 1, 0.5)):
+            assert np.array_equal(got, want)
+
+
 class TestVectorizedAgainstScalar:
     """Bernoulli count summaries and Welford moments must give the same rule values.
 
