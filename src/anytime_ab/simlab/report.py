@@ -1,7 +1,7 @@
 """Study result container and its serializations."""
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -41,7 +41,8 @@ class SimReport:
             raise ValueError("cumulative rejection curve must be nondecreasing")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, sharing their values; ``asdict``'s deep copy is not needed to serialize."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

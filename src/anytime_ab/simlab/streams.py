@@ -9,29 +9,39 @@ the number of arm-1 assignments and the per-arm conversion counts, drawn
 in that fixed order. The cumulative counts are kept as integers, int32
 unless the grid runs past 2^31 - 1, since no count exceeds the grid's
 last point; the rules cast each block they evaluate to float64.
+
+A single-arm stream can also be drawn in stages: ``SavedStreams`` keeps
+where each replication's generator stopped, so a later call extends only
+the replications a study still reads, with the bits one call over the
+whole grid would give.
 """
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+MAX_SEED = 2**64 - 1  # a master seed is one 64-bit word of each replication's Philox key
 
 
-def _rekey(rng: np.random.Generator, master_seed: int, rep: int) -> np.random.Generator:
-    """Restart ``rng``'s Philox as ``Philox(key=(master_seed << 64) | rep)`` starts.
+def _rekey(rng: np.random.Generator, master_seed: int, rep: int,
+           counter=None, buffer=None, buffer_pos: int = 4) -> np.random.Generator:
+    """Point ``rng``'s Philox at replication ``rep``'s stream, at its start or at a saved position.
 
-    The key words are little-endian, (rep, master_seed); the counter is 0
-    and the output buffer empty. Re-keying one generator per batch draws
-    no OS entropy, which each ``Philox(key=...)`` construction does
-    before the key replaces it.
+    At the start, the stream is the one ``Philox(key=(master_seed << 64) | rep)``
+    gives: key words little-endian, (rep, master_seed); counter 0 and the
+    output buffer empty. Re-keying one generator per batch draws no OS
+    entropy, which each ``Philox(key=...)`` construction does before the
+    key replaces it. A saved position is the counter words, the buffer
+    words and the buffer position; the binomial and beta samplers draw
+    only 64-bit words, so no half-used 32-bit word is ever pending.
+    A master seed above ``MAX_SEED`` or below 0 raises OverflowError.
     """
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([int(rep) & _MASK64, int(master_seed) & _MASK64], dtype=np.uint64),
+            "counter": np.zeros(4, dtype=np.uint64) if counter is None else counter,
+            "key": np.array([int(rep), int(master_seed)], dtype=np.uint64),
         },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
+        "buffer": np.zeros(4, dtype=np.uint64) if buffer is None else buffer,
+        "buffer_pos": int(buffer_pos),
         "has_uint32": 0,
         "uinteger": 0,
     }
@@ -72,29 +82,78 @@ def two_arm_count_matrices(
     return n0, n1, s0, s1
 
 
+class SavedStreams:
+    """Where each replication's single-arm stream stopped, so a later draw resumes it.
+
+    Per replication: its true rate, its cumulative conversions at the last
+    drawn column, and its Philox position as arrays (4 counter words, 4
+    buffer words and the buffer position; the key follows from the master
+    seed and the replication). ``column`` is the number of grid columns
+    drawn so far by the replications the last draw covered.
+    """
+
+    def __init__(self, reps: int):
+        self.column = 0
+        self.theta = np.full(reps, np.nan)
+        self.count = np.zeros(reps, dtype=np.int64)
+        self.counter = np.zeros((reps, 4), dtype=np.uint64)
+        self.buffer = np.zeros((reps, 4), dtype=np.uint64)
+        self.buffer_pos = np.zeros(reps, dtype=np.int64)
+
+
 def single_arm_count_matrices(
     master_seed: int,
-    reps: int,
+    reps,
     grid: np.ndarray,
     truth_prior: tuple[float, float],
+    saved: SavedStreams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replication true rates and cumulative conversion counts.
 
     Each replication draws its rate from Beta(truth_prior), then its
-    conversions at that rate. Returns (theta, s): theta is float64 of
-    shape (reps,), s an integer matrix of ``_count_dtype(grid)`` and shape
-    (reps, len(grid)).
+    conversions at that rate, one binomial per grid block. ``reps`` is a
+    replication count, for replications 0..reps-1, or an index array of
+    replications. Without ``saved``, each stream is drawn from its start
+    over all of ``grid``. With ``saved``, the draw covers columns
+    ``saved.column`` to the end of ``grid``, resuming each replication
+    where the previous call left it (or starting it, at column 0), and
+    saves where each stream stopped. So a study can draw its grid's
+    prefixes in stages, for fewer replications each time, and every drawn
+    cell holds the bits of one call over the whole grid.
+
+    Returns (theta, s): theta is float64 with one rate per drawn
+    replication; s an integer matrix of ``_count_dtype(grid)`` with one
+    row per drawn replication and one column per drawn grid point.
     """
     grid = np.asarray(grid, dtype=np.int64)
     blocks = np.diff(grid, prepend=0)
     if np.any(blocks <= 0):
         raise ValueError("grid must be strictly increasing and positive")
-    theta = np.empty(reps, dtype=np.float64)
-    s = np.empty((reps, grid.size), dtype=_count_dtype(grid))
+    rows = np.arange(reps) if np.ndim(reps) == 0 else np.asarray(reps)
+    resume = saved is not None and saved.column > 0
+    if saved is not None:
+        blocks = blocks[saved.column:]
+    theta = np.empty(rows.size, dtype=np.float64)
+    s = np.empty((rows.size, blocks.size), dtype=_count_dtype(grid))
     rng = np.random.Generator(np.random.Philox())
-    for r in range(reps):
-        _rekey(rng, master_seed, r)
-        th = rng.beta(truth_prior[0], truth_prior[1])
-        theta[r] = th
-        s[r] = np.cumsum(rng.binomial(blocks, th))
+    for i, r in enumerate(rows):
+        if resume:
+            _rekey(rng, master_seed, r, saved.counter[r], saved.buffer[r], saved.buffer_pos[r])
+            th = saved.theta[r]
+            draws = rng.binomial(blocks, th)
+            draws[0] += saved.count[r]
+        else:
+            _rekey(rng, master_seed, r)
+            th = rng.beta(truth_prior[0], truth_prior[1])
+            draws = rng.binomial(blocks, th)
+        s[i] = draws.cumsum()
+        theta[i] = th
+        if saved is not None:
+            state = rng.bit_generator.state
+            saved.counter[r] = state["state"]["counter"]
+            saved.buffer[r] = state["buffer"]
+            saved.buffer_pos[r] = state["buffer_pos"]
+            saved.theta[r], saved.count[r] = th, s[i, -1]
+    if saved is not None:
+        saved.column = grid.size
     return theta, s

@@ -11,7 +11,9 @@ its stream once. A study needs only each replication's first crossing,
 so every study, two-arm or stop-quality, evaluates its rule in blocks of
 peeks through ``methods.blocked_first_crossing`` and stops evaluating a
 replication once it has crossed; ``_stop_idx`` is the one two-arm
-dispatch, and reports are built from the stop indices.
+dispatch, and reports are built from the stop indices. Stop-quality
+studies also draw their single-arm streams only as far as that loop
+reads them.
 
 Default scales are desk sized (thousands of replications, peeks every
 hundred observations); each report's ``meta`` records the scale it ran
@@ -48,6 +50,9 @@ LDM_PEEK_COUNT = 100
 DESIGN_POWER = 0.8
 STOP_QUALITY_START = 100
 STOP_QUALITY_PEEKS = 400
+# Columns of a stop-quality study's first stream draw; later draws extend
+# only the replications still alive (see ``run_stop_quality_study``).
+STOP_QUALITY_FIRST_DRAW = 64
 HORIZON_MULTIPLES = (1.0, 2.0, 3.0)
 MISSPEC_HORIZON_MULTIPLE = 6.0
 MISSPEC_PEEKS = 500
@@ -63,6 +68,8 @@ class SimStudyConfig:
     interval methods and for LDM (whose alpha sets the 100-peek spending
     schedule), BhtConfig or BfConfig for the Bayesian rules; None means
     that type's defaults.
+    ``master_seed`` is one 64-bit word of each replication's Philox key,
+    so it must lie in [0, 2^64 - 1]; masking it would alias seeds.
     ``design_mde`` anchors the fixed-horizon sample size that peek
     schedules and horizon multiples refer to, at ``DESIGN_POWER``; it
     defaults to the true difference of ``arm_means`` when they differ.
@@ -83,6 +90,8 @@ class SimStudyConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if not 0 <= self.master_seed <= streams.MAX_SEED:
+            raise ValueError(f"master_seed must be in [0, 2^64 - 1], got {self.master_seed}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.peek_every < 1:
@@ -468,6 +477,15 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
     compared against the fixed baseline ``theta0``, a rate in [0, 1].
     Peeks are log spaced between ``STOP_QUALITY_START`` and the horizon.
     Supports the one-sample interval methods and the expected-loss rule.
+
+    Streams are drawn in stages as the crossing loop reads them: each
+    replication's rate and its first ``STOP_QUALITY_FIRST_DRAW`` peeks,
+    then, for the replications still alive, stages that double the drawn
+    peeks (or reach the last while more than half are alive), each
+    resuming every replication's Philox stream where it stopped
+    (``streams.SavedStreams``). On the bench's 3000 x 500 BHT
+    study about 0.34M of the 1.5M cells are drawn, and the report holds
+    the bits of one full draw.
     """
     if cfg.truth_prior is None:
         raise ValueError("stop-quality study needs truth_prior")
@@ -481,12 +499,32 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         raise ValueError(f"stop-quality study needs theta0 in [0, 1], got {cfg.theta0}")
     horizon = cfg.horizon
     grid = np.unique(np.round(np.geomspace(STOP_QUALITY_START, horizon, num_peeks)).astype(np.int64))
-    theta, s = streams.single_arm_count_matrices(cfg.master_seed, cfg.replications, grid, cfg.truth_prior)
+    # Columns of s are drawn as the crossing loop first reads them, for the
+    # replications it still reads. The first draw covers
+    # STOP_QUALITY_FIRST_DRAW columns and each later one twice as many as
+    # drawn so far; but while more than half the replications are alive, a
+    # draw runs to the grid's end: a draw's fixed cost per replication is
+    # about that of 250 binomial cells, so a study where few cross draws
+    # each stream in two calls, not four.
+    saved = streams.SavedStreams(cfg.replications)
+    theta = saved.theta  # every replication's rate, from the first draw
+    s = np.empty((cfg.replications, grid.size), dtype=streams._count_dtype(grid))
     n_grid = grid.astype(float)
     theta0 = cfg.theta0
     mean_loss = None
 
     def cells(rows, cols):
+        if cols.stop > saved.column:
+            start = saved.column
+            if start == 0:
+                stop = STOP_QUALITY_FIRST_DRAW
+            elif 2 * rows.size > cfg.replications:
+                stop = grid.size
+            else:
+                stop = 2 * start
+            stop = min(max(stop, cols.stop), grid.size)
+            _, s[rows, start:stop] = streams.single_arm_count_matrices(
+                cfg.master_seed, rows, grid[:stop], cfg.truth_prior, saved)
         s_block = s[rows, cols]
         return np.broadcast_to(n_grid[cols], s_block.shape), s_block
 

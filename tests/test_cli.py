@@ -263,6 +263,24 @@ class TestSimulateCommand:
             outs.append(json.loads((out_dir / "report.json").read_text()))
         assert outs[0][0]["master_seed"] != outs[1][0]["master_seed"]
 
+    @pytest.mark.parametrize("study, conf", [("type1", TINY_TYPE1), ("stop-quality", TINY_STOP_QUALITY)])
+    @pytest.mark.parametrize("seed, ok", [(-1, False), (2**64, False), (0, True), (2**64 - 1, True)])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, study, conf, seed, ok):
+        # Seeds outside [0, 2^64 - 1] would alias a seed inside it, so they exit 2 and write nothing.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(conf))
+        out_dir = tmp_path / "study"
+        code, _, err = run_cli(
+            ["simulate", "--study", study, "--config", str(config), "--seed", str(seed), "--out", str(out_dir)], capsys
+        )
+        if ok:
+            assert code == 0, err
+            assert json.loads((out_dir / "report.json").read_text())[0]["master_seed"] == seed
+        else:
+            assert code == 2
+            assert f"error: master_seed must be in [0, 2^64 - 1], got {seed}" in err
+            assert "Traceback" not in err and not out_dir.exists()
+
     def test_lift_power_rejects_nonzero_theta0(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"methods": ["AsympCS-lift"], "arm_means": [0.1, 0.11], "theta0": 0.05}))
@@ -374,11 +392,13 @@ class TestSimulateCommand:
             # A 1e-8 MDE puts ~8.5e14 peeks on the grid: 6 PiB, beyond any
             # 47-bit address space, so numpy's request fails at once.
             ("type1", {**TINY_TYPE1, "design_mde": 1e-8}, "error: Unable to allocate"),
+            # A master seed is one 64-bit key word; masking it would alias seeds.
+            ("type1", {**TINY_TYPE1, "master_seed": -1}, "error: master_seed must be in [0, 2^64 - 1], got -1"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
              "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero", "num_peeks-zero",
-             "num_peeks-negative", "horizon-below-start", "grid-beyond-memory"],
+             "num_peeks-negative", "horizon-below-start", "grid-beyond-memory", "master_seed-negative"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"

@@ -386,6 +386,112 @@ class TestEarlyExit:
         assert methods.cumulative_fraction(stop_idx, grid.size).tolist() == full_matrix_curve(reject).tolist()
 
 
+class TestAdaptiveBlocks:
+    """Block widths double across quiet blocks up to the cap and reset after any crossing."""
+
+    def test_widths_and_crossings_match_full_matrix(self):
+        reps, peeks = 6, 200
+        reject = np.zeros((reps, peeks), dtype=bool)
+        value = np.arange(reps * peeks, dtype=float).reshape(reps, peeks)
+        reject[0, 3] = True  # in the first block
+        # Quiet until 88, where blocks of 8, 16, 32 and 32 peeks end; then
+        # crossings on the first and the last column of [88, 120), and on
+        # the first of [144, 176), after blocks of 8 and 16.
+        reject[1, 88] = reject[2, 119] = True
+        reject[3, [144, 150]] = True
+        reject[4, 199] = True  # the last, clamped block
+        widths = []
+
+        def rule(rows, cols):
+            widths.append((cols.start, cols.stop))
+            return reject[rows, cols], value[rows, cols]
+
+        stop_idx, (at_stop,) = methods.blocked_first_crossing(rule, reps, peeks)
+        want = methods.first_crossing(reject)
+        np.testing.assert_array_equal(stop_idx, want)
+        np.testing.assert_array_equal(at_stop, np.where(want >= 0, value[np.arange(reps), want], np.nan))
+
+        cap = methods._CROSSING_BLOCK_MAX
+        assert widths[0] == (0, methods._CROSSING_BLOCK)
+        assert [b[0] for b in widths[1:]] == [b[1] for b in widths[:-1]] and widths[-1][1] == peeks
+        width = methods._CROSSING_BLOCK
+        for start, stop in widths:
+            assert stop - start == min(width, peeks - start) <= cap
+            crossed = ((want >= start) & (want < stop)).any()
+            width = methods._CROSSING_BLOCK if crossed else min(2 * width, cap)
+        # The crossings sit on the first and the last column of blocks wider than the first.
+        wide = [(a, b) for a, b in widths if b - a > methods._CROSSING_BLOCK]
+        assert any(a in want for a, _ in wide) and any(b - 1 in want for _, b in wide)
+        assert max(b - a for a, b in widths) == cap
+
+
+class TestStagedDraws:
+    """Stop-quality streams are drawn in stages, only as far as the crossing loop reads."""
+
+    def test_stages_match_one_call(self):
+        grid = np.unique(np.round(np.geomspace(100, 200_000, 90)).astype(np.int64))
+        reps, prior = 10, (50, 50)
+        theta, s = streams.single_arm_count_matrices(17, reps, grid, prior)
+        saved = streams.SavedStreams(reps)
+        # Replication 7 survives every stage: four stage boundaries.
+        stages = [(reps, 5), ([0, 2, 3, 7, 9], 11), ([2, 7, 9], 20), ([7, 9], 33), ([7], grid.size)]
+        start = 0
+        for rows, stop in stages:
+            got_theta, got = streams.single_arm_count_matrices(17, rows, grid[:stop], prior, saved)
+            rows = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
+            assert saved.column == stop and got.shape == (rows.size, stop - start)
+            np.testing.assert_array_equal(got_theta, theta[rows])
+            np.testing.assert_array_equal(got, s[rows, start:stop])
+            start = stop
+
+    @staticmethod
+    def _drawn(monkeypatch, cfg, num_peeks):
+        """Times each (replication, peek) cell was drawn, and the report."""
+        draw = streams.single_arm_count_matrices
+        hits = np.zeros((cfg.replications, num_peeks), dtype=int)
+
+        def recording(seed, reps, grid, prior, saved=None):
+            start = saved.column if saved is not None else 0
+            result = draw(seed, reps, grid, prior, saved)
+            rows = np.arange(reps) if np.ndim(reps) == 0 else np.asarray(reps)
+            hits[np.ix_(rows, np.arange(start, len(grid)))] += 1
+            assert result[1].size == rows.size * (len(grid) - start)
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(streams, "single_arm_count_matrices", recording)
+            report = run_stop_quality_study(cfg, num_peeks=num_peeks)
+        assert len(report.peek_ns) == num_peeks
+        return hits, report
+
+    def test_bht_study_draws_fewer_cells(self, monkeypatch):
+        cfg = SimStudyConfig(
+            method="BHT-uninformed", truth_prior=(100, 100), theta0=0.5, horizon=100_000,
+            replications=500, master_seed=11, params=BhtConfig(1.0, 1.0, 1e-3),
+        )
+        hits, report = self._drawn(monkeypatch, cfg, 200)
+        assert hits.max() == 1 and (hits[:, : studies.STOP_QUALITY_FIRST_DRAW] == 1).all()
+        assert hits.sum() < cfg.replications * 200
+        # The report is the full matrix's, and every cell up to and including
+        # each replication's crossing was drawn.
+        rejects = []
+        with monkeypatch.context() as m:
+            m.setattr(methods, "blocked_first_crossing", _full_matrix_first_crossing(rejects))
+            assert run_stop_quality_study(cfg, num_peeks=200).to_json() == report.to_json()
+        crossed = methods.first_crossing(rejects[0])
+        last = np.where(crossed >= 0, crossed, 199)
+        assert all(hits[r, : last[r] + 1].all() for r in range(cfg.replications))
+
+    def test_nothing_crosses_draws_each_cell_once(self, monkeypatch):
+        cfg = SimStudyConfig(
+            method="BHT-uninformed", truth_prior=(1e6, 1e6), theta0=0.5, horizon=20_000,
+            replications=100, master_seed=5, params=BhtConfig(1.0, 1.0, 1e-12),
+        )
+        hits, report = self._drawn(monkeypatch, cfg, 150)
+        assert report.power == 0.0
+        assert (hits == 1).all()
+
+
 TWO_ARM_PARAMS = {
     "BF-uninformed": BfConfig(),
     "BHT-uninformed": BhtConfig(1.0, 1.0, 1e-3),
