@@ -18,9 +18,15 @@ from .confseq import DEFAULT_RHO2, ConfSeqParams
 from .engine import VALUE_TYPES, DecisionRecord, LogParseError, analyze, crosstab
 from .gst import SpendingSchedule
 from .simlab import SimStudyConfig
-from .simlab.studies import HORIZON_MULTIPLES, STOP_QUALITY_PEEKS
 
 STUDIES = ("type1", "power", "lift-power", "rho2-sweep", "mde-misspec", "stop-quality")
+# The key each study cannot run without, beyond a method.
+REQUIRED_KEYS = {"rho2-sweep": "rho2_grid", "mde-misspec": "effects"}
+# The keys passed on as they are to SimStudyConfig, a pair as a tuple. A key
+# left out of a config, here or among a study function's keyword arguments,
+# takes the default its callee declares.
+SIM_KEYS = ("arm_means", "truth_prior", "replications", "horizon", "peek_every", "master_seed", "theta0",
+            "design_mde")
 
 
 # Every key that _study_config or _cmd_simulate reads, with the type of its
@@ -39,7 +45,6 @@ CONFIG_TYPES = {
     "method": "a string",
     "methods": "a list of strings",
     "num_peeks": "an integer",
-    "odds_threshold": "a number",
     "peek_every": "an integer",
     "prior": "a pair of numbers",
     "replications": "an integer",
@@ -149,28 +154,17 @@ def _study_config(conf: dict, method: str, seed: int | None) -> SimStudyConfig:
     alpha = conf.get("alpha", 0.05)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    rho2 = conf.get("rho2", DEFAULT_RHO2)
+    prior = conf.get("prior", [1.0, 1.0])
     if method in ("BHT-uninformed", "BHT-matched"):
-        prior = conf.get("prior", [1.0, 1.0])
-        params = BhtConfig(prior[0], prior[1], conf.get("epsilon", DEFAULT_EPSILON))
+        params = BhtConfig(*prior, conf.get("epsilon", DEFAULT_EPSILON))
     elif method == "BF-uninformed":
-        prior = conf.get("prior", [1.0, 1.0])
-        params = BfConfig(prior[0], prior[1], conf.get("odds_threshold", 1.0 / alpha))
+        params = BfConfig(*prior, 1.0 / alpha)
     else:
-        params = ConfSeqParams(alpha, rho2)
-    return SimStudyConfig(
-        method=method,
-        arm_means=tuple(conf["arm_means"]) if "arm_means" in conf else None,
-        truth_prior=tuple(conf["truth_prior"]) if "truth_prior" in conf else None,
-        replications=conf.get("replications", 2000),
-        horizon=conf.get("horizon"),
-        peek_every=conf.get("peek_every", 100),
-        master_seed=seed if seed is not None else conf.get("master_seed", 0),
-        params=params,
-        theta0=conf.get("theta0", 0.0),
-        design_mde=conf.get("design_mde"),
-        design_alpha=alpha,
-    )
+        params = ConfSeqParams(alpha, conf.get("rho2", DEFAULT_RHO2))
+    kwargs = {key: tuple(conf[key]) if isinstance(conf[key], list) else conf[key] for key in SIM_KEYS if key in conf}
+    if seed is not None:
+        kwargs["master_seed"] = seed
+    return SimStudyConfig(method=method, params=params, design_alpha=alpha, **kwargs)
 
 
 def _cmd_simulate(args) -> int:
@@ -188,28 +182,32 @@ def _cmd_simulate(args) -> int:
     ]
     if wrong:
         raise ValueError(f"bad config values: {'; '.join(wrong)}")
-    methods_list = conf.get("methods") or [conf["method"]]
+    methods_list = conf.get("methods") or ([conf["method"]] if "method" in conf else [])
+    if not methods_list:
+        raise ValueError(f"{args.study} config needs method or a nonempty methods list")
+    required = REQUIRED_KEYS.get(args.study)
+    if required is not None and required not in conf:
+        raise ValueError(f"{args.study} config needs {required}")
+
+    def given(*keys):
+        return {key: conf[key] for key in keys if key in conf}
+
     reports = []
     for method in methods_list:
         cfg = _study_config(conf, method, args.seed)
         if args.study == "type1":
             reports.append(simlab.run_type1_study(cfg))
         elif args.study == "power":
-            reports.append(simlab.run_power_study(cfg, conf.get("horizon_multiples", HORIZON_MULTIPLES)))
+            reports.append(simlab.run_power_study(cfg, **given("horizon_multiples")))
         elif args.study == "lift-power":
-            out = simlab.run_lift_power_study(
-                cfg,
-                conf.get("horizon_multiples", HORIZON_MULTIPLES),
-                conf.get("lift_grid"),
-            )
-            reports.extend(out.values())
+            reports.extend(simlab.run_lift_power_study(cfg, **given("horizon_multiples", "lift_grid")).values())
         elif args.study == "rho2-sweep":
             reports.extend(simlab.run_rho2_sweep(cfg, conf["rho2_grid"]))
         elif args.study == "mde-misspec":
             for factor in conf.get("factors", [1.0]):
                 reports.append(simlab.run_mde_misspec_study(conf["effects"], factor, cfg))
         elif args.study == "stop-quality":
-            reports.append(simlab.run_stop_quality_study(cfg, num_peeks=conf.get("num_peeks", STOP_QUALITY_PEEKS)))
+            reports.append(simlab.run_stop_quality_study(cfg, **given("num_peeks")))
     os.makedirs(args.out, exist_ok=True)
     simlab.write_json(reports, os.path.join(args.out, "report.json"))
     simlab.write_csv(reports, os.path.join(args.out, "report.csv"))

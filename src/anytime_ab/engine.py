@@ -432,9 +432,8 @@ def analyze_snapshots(
         stat, valid = z_statistic(*arms, theta0)
         crossed = valid & ~underflow & (np.abs(stat) >= np.asarray(schedule.boundaries))
     elif method == "bf":
-        cfg = BfConfig()
-        stat = log_bayes_factor(binary_counts(n0, mu0, m2_0), n0, binary_counts(n1, mu1, m2_1), n1, cfg)
-        crossed = stat >= np.log(cfg.odds_threshold)
+        stat = log_bayes_factor(binary_counts(n0, mu0, m2_0), n0, binary_counts(n1, mu1, m2_1), n1, BfConfig())
+        crossed = stat >= np.log(1.0 / params.alpha)
     else:  # bht: the exact two-arm loss is evaluated one snapshot at a time
         cfg = bht_config or BhtConfig()
         counts = (binary_counts(n0, mu0, m2_0), n0, binary_counts(n1, mu1, m2_1), n1)

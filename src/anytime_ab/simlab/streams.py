@@ -10,10 +10,10 @@ in that fixed order. The cumulative counts are kept as integers, int32
 unless the grid runs past 2^31 - 1, since no count exceeds the grid's
 last point; the rules cast each block they evaluate to float64.
 
-A single-arm stream can also be drawn in stages: ``SavedStreams`` keeps
-where each replication's generator stopped, so a later call extends only
-the replications a study still reads, with the bits one call over the
-whole grid would give.
+A single-arm stream is drawn in stages: ``SavedStreams`` keeps where
+each replication's generator stopped, so a later call extends only the
+replications a study still reads, with the bits one call over the whole
+grid would give.
 """
 
 import numpy as np
@@ -103,36 +103,32 @@ class SavedStreams:
 
 def single_arm_count_matrices(
     master_seed: int,
-    reps,
+    rows: np.ndarray,
     grid: np.ndarray,
     truth_prior: tuple[float, float],
-    saved: SavedStreams | None = None,
+    saved: SavedStreams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replication true rates and cumulative conversion counts.
+    """True rates and cumulative conversion counts of replications ``rows``, resumed from ``saved``.
 
     Each replication draws its rate from Beta(truth_prior), then its
-    conversions at that rate, one binomial per grid block. ``reps`` is a
-    replication count, for replications 0..reps-1, or an index array of
-    replications. Without ``saved``, each stream is drawn from its start
-    over all of ``grid``. With ``saved``, the draw covers columns
-    ``saved.column`` to the end of ``grid``, resuming each replication
-    where the previous call left it (or starting it, at column 0), and
-    saves where each stream stopped. So a study can draw its grid's
+    conversions at that rate, one binomial per grid block. The draw covers
+    columns ``saved.column`` to the end of ``grid``, resuming each
+    replication where the previous call left it (or starting it, at column
+    0), and saves where each stream stopped. So a study can draw its grid's
     prefixes in stages, for fewer replications each time, and every drawn
     cell holds the bits of one call over the whole grid.
 
-    Returns (theta, s): theta is float64 with one rate per drawn
-    replication; s an integer matrix of ``_count_dtype(grid)`` with one
-    row per drawn replication and one column per drawn grid point.
+    Returns (theta, s): theta is float64 with one rate per row; s an
+    integer matrix of ``_count_dtype(grid)`` with one row per row of
+    ``rows`` and one column per drawn grid point.
     """
     grid = np.asarray(grid, dtype=np.int64)
     blocks = np.diff(grid, prepend=0)
     if np.any(blocks <= 0):
         raise ValueError("grid must be strictly increasing and positive")
-    rows = np.arange(reps) if np.ndim(reps) == 0 else np.asarray(reps)
-    resume = saved is not None and saved.column > 0
-    if saved is not None:
-        blocks = blocks[saved.column:]
+    rows = np.asarray(rows)
+    resume = saved.column > 0
+    blocks = blocks[saved.column:]
     theta = np.empty(rows.size, dtype=np.float64)
     s = np.empty((rows.size, blocks.size), dtype=_count_dtype(grid))
     rng = np.random.Generator(np.random.Philox())
@@ -140,20 +136,17 @@ def single_arm_count_matrices(
         if resume:
             _rekey(rng, master_seed, r, saved.counter[r], saved.buffer[r], saved.buffer_pos[r])
             th = saved.theta[r]
-            draws = rng.binomial(blocks, th)
-            draws[0] += saved.count[r]
         else:
             _rekey(rng, master_seed, r)
             th = rng.beta(truth_prior[0], truth_prior[1])
-            draws = rng.binomial(blocks, th)
+        draws = rng.binomial(blocks, th)
+        draws[0] += saved.count[r]
         s[i] = draws.cumsum()
         theta[i] = th
-        if saved is not None:
-            state = rng.bit_generator.state
-            saved.counter[r] = state["state"]["counter"]
-            saved.buffer[r] = state["buffer"]
-            saved.buffer_pos[r] = state["buffer_pos"]
-            saved.theta[r], saved.count[r] = th, s[i, -1]
-    if saved is not None:
-        saved.column = grid.size
+        state = rng.bit_generator.state
+        saved.counter[r] = state["state"]["counter"]
+        saved.buffer[r] = state["buffer"]
+        saved.buffer_pos[r] = state["buffer_pos"]
+        saved.theta[r], saved.count[r] = th, s[i, -1]
+    saved.column = grid.size
     return theta, s

@@ -30,7 +30,7 @@ from scipy.special import betaincinv
 from .. import design
 from ..bayes import BetaPosterior, BfConfig, BhtConfig, two_arm_expected_loss
 from ..confseq import ConfSeqParams, excludes, mean_interval, msprt_interval
-from ..gst import SpendingSchedule, compute_boundaries
+from ..gst import compute_boundaries
 from . import methods, streams
 from .report import SimReport
 
@@ -123,11 +123,6 @@ def _fht_total(cfg: SimStudyConfig) -> int:
     return 2 * per_arm
 
 
-@lru_cache(maxsize=32)
-def _cached_schedule(fractions: tuple, alpha: float) -> SpendingSchedule:
-    return compute_boundaries(fractions, alpha)
-
-
 @lru_cache(maxsize=1)
 def _cached_two_arm_counts(master_seed: int, reps: int, grid: tuple, p0: float, p1: float) -> tuple:
     counts = streams.two_arm_count_matrices(master_seed, reps, np.asarray(grid, dtype=np.int64), p0, p1)
@@ -195,7 +190,7 @@ def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | No
         rule = lambda block, cols: methods.z_reject(*block, alpha, theta0) & look[cols]
     elif method == "LDM":
         ldm_ns = _ldm_peek_ns(fht_total)
-        schedule = _cached_schedule(tuple((ldm_ns / fht_total).tolist()), alpha)
+        schedule = compute_boundaries(ldm_ns / fht_total, alpha)
         cols = np.searchsorted(grid, ldm_ns)
         if np.any(cols >= grid.size) or np.any(grid[cols] != ldm_ns):
             raise ValueError("schedule peeks are not on the study grid")
@@ -210,10 +205,8 @@ def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | No
     elif method == "BF-uninformed":
         bf = cfg.params
         rule = lambda block, cols: methods.bf_reject(*block, bf.prior_a, bf.prior_b, bf.odds_threshold)
-    elif method in ("BHT-uninformed", "BHT-matched"):
+    else:  # BHT-uninformed, BHT-matched
         rule = lambda block, cols: _bht_two_arm_reject(*block, cfg.params)
-    else:
-        raise ValueError(f"unhandled method {method!r}")
     # Peeks after the last look cannot cross, so they are never evaluated.
     stop_idx, _ = methods.blocked_first_crossing(
         lambda rows, cols: (rule([matrix[rows, cols] for matrix in counts], cols),),
@@ -231,8 +224,10 @@ def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
     mode, widened until the terms left out are provably below 2^-60 of the
     sums: O(sd of N) per cell. Where no window shorter than the whole sum
     certifies (b0 <= 3, small counts), the whole sum is taken: O(conversions).
-    The Python loop over cells makes this a desk-scale path; the
-    closed-form single-arm path covers the large calibration studies.
+    An arm with no trials yet has its prior as its posterior, as in
+    ``bayes.bht_decide``. The Python loop over cells makes this a
+    desk-scale path; the closed-form single-arm path covers the large
+    calibration studies.
     """
     reps, peeks = n0.shape
     reject = np.zeros((reps, peeks), dtype=bool)
@@ -241,8 +236,6 @@ def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
     prior_a, prior_b = float(cfg.prior_a), float(cfg.prior_b)
     for r in range(reps):
         for j in range(peeks):
-            if n0[r, j] < 1 or n1[r, j] < 1:
-                continue
             post0 = BetaPosterior(prior_a + s0[r, j], prior_b + n0[r, j] - s0[r, j])
             post1 = BetaPosterior(prior_a + s1[r, j], prior_b + n1[r, j] - s1[r, j])
             loss0 = two_arm_expected_loss(post0, post1, "arm0")

@@ -382,7 +382,7 @@ class TestSimulateCommand:
             ("type1", {**TINY_TYPE1, "theta0": 10**400}, "bad config values: theta0 must be a number, got 1000"),
             ("type1", {**TINY_TYPE1, "design_mde": 10**400},
              "bad config values: design_mde must be a number or null, got 1000"),
-            # BF's default odds threshold is 1 / alpha.
+            # BF's odds threshold is 1 / alpha.
             ("type1", {**TINY_TYPE1, "methods": ["BF-uninformed"], "alpha": 0}, "alpha must be in (0, 1), got 0"),
             # Stop-quality peeks are log spaced from 100 to the horizon.
             ("stop-quality", {**TINY_STOP_QUALITY, "num_peeks": 0}, "num_peeks of at least 1, got 0"),
@@ -394,11 +394,18 @@ class TestSimulateCommand:
             ("type1", {**TINY_TYPE1, "design_mde": 1e-8}, "error: Unable to allocate"),
             # A master seed is one 64-bit key word; masking it would alias seeds.
             ("type1", {**TINY_TYPE1, "master_seed": -1}, "error: master_seed must be in [0, 2^64 - 1], got -1"),
+            # A required key that is missing is named before any study runs.
+            ("mde-misspec", TINY_TYPE1, "error: mde-misspec config needs effects"),
+            ("rho2-sweep", {**TINY_TYPE1, "arm_means": [0.1, 0.12]}, "error: rho2-sweep config needs rho2_grid"),
+            ("type1", {key: v for key, v in TINY_TYPE1.items() if key != "methods"},
+             "error: type1 config needs method or a nonempty methods list"),
+            ("type1", {**TINY_TYPE1, "methods": []}, "error: type1 config needs method or a nonempty methods list"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
              "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero", "num_peeks-zero",
-             "num_peeks-negative", "horizon-below-start", "grid-beyond-memory", "master_seed-negative"],
+             "num_peeks-negative", "horizon-below-start", "grid-beyond-memory", "master_seed-negative",
+             "effects-missing", "rho2_grid-missing", "method-missing", "methods-empty"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"
@@ -485,6 +492,27 @@ def test_report_digest_pinned(tmp_path, capsys, name):
     )
     assert code == 0
     assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["type1", "power", "lift_power", "rho2_sweep", "mde_misspec", "stop_quality"])
+def test_method_key_matches_one_item_methods(tmp_path, capsys, name):
+    # A config may name its one method with "method" (as the benchmark's
+    # stop-quality config does) or as a one-item "methods"; both run alike.
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", f"{name}.json"), encoding="utf-8") as fh:
+        conf = json.load(fh)
+    method = conf.pop("methods")[0]
+    reports = []
+    for key, value in (("method", method), ("methods", [method])):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({**conf, key: value, "replications": 20}))
+        out_dir = tmp_path / key
+        code, _, err = run_cli(
+            ["simulate", "--study", GOLDEN_REPORTS[name][0], "--config", str(config), "--out", str(out_dir)], capsys
+        )
+        assert code == 0, err
+        reports.append((out_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # A well-formed decision file; analyze writes an infinite bound as JSON's Infinity.

@@ -860,19 +860,25 @@ class TestAnalyze:
         files = (out / "trajectory.csv").read_bytes() + (out / "decision.json").read_bytes()
         assert hashlib.sha256(files).hexdigest() == MORE_ANALYZE_DIGESTS[case]
 
-    @pytest.mark.parametrize("method", ["asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf"])
-    def test_matches_simlab_decisions_on_identical_stream(self, method):
+    @pytest.mark.parametrize(
+        "method, alpha",
+        [pytest.param(method, alpha, id=method if alpha == 0.05 else f"{method}-alpha-{alpha}")
+         for alpha in (0.05, 0.1) for method in ("asympcs", "asympcs-lift", "msprt", "fht-peeking", "bf")],
+    )
+    def test_matches_simlab_decisions_on_identical_stream(self, method, alpha):
         # Build an event list whose block statistics equal a harness stream,
-        # then check the engine replay reaches the same first crossing.
+        # then check the engine replay reaches the same first crossing. On
+        # this stream, BF's thresholds 10 and 20 cross apart in 3 of 8
+        # replications, so alpha = 0.1 tells 1 / alpha from a fixed 20.
         from anytime_ab.simlab import methods as sim_methods
         from anytime_ab.simlab import streams
 
         simlab_reject = {
-            "asympcs": lambda *c: sim_methods.ate_reject(*c, 0.05, 1e-3),
-            "asympcs-lift": lambda *c: sim_methods.lift_reject(*c, 0.05, 1e-3),
-            "msprt": lambda *c: sim_methods.msprt_reject(*c, 0.05, 1e-3),
-            "fht-peeking": lambda *c: sim_methods.z_reject(*c, 0.05),
-            "bf": lambda *c: sim_methods.bf_reject(*c, 1.0, 1.0, 20.0),
+            "asympcs": lambda *c: sim_methods.ate_reject(*c, alpha, 1e-3),
+            "asympcs-lift": lambda *c: sim_methods.lift_reject(*c, alpha, 1e-3),
+            "msprt": lambda *c: sim_methods.msprt_reject(*c, alpha, 1e-3),
+            "fht-peeking": lambda *c: sim_methods.z_reject(*c, alpha),
+            "bf": lambda *c: sim_methods.bf_reject(*c, 1.0, 1.0, 1 / alpha),
         }[method]
         crossings = 0
         grid = np.arange(100, 4_001, 100)
@@ -890,7 +896,7 @@ class TestAnalyze:
                         ts += 1
                         events.append(EventRecord(ts, f"u{ts}", arm, float(i < conv)))
             result = ingest(events, snapshot_every=100)
-            rows, crossed_at, _ = analyze_snapshots(result.snapshots, method, PARAMS)
+            rows, crossed_at, _ = analyze_snapshots(result.snapshots, method, ConfSeqParams(alpha, 1e-3))
             (stop_idx,) = sim_methods.first_crossing(simlab_reject(n0m, n1m, s0m, s1m))
             if stop_idx >= 0:
                 assert crossed_at == grid[stop_idx]

@@ -88,7 +88,8 @@ class TestStreams:
         grid = np.array([3, 40, 1_000, 250_000])
         blocks = np.diff(grid, prepend=0)
         n0, n1, s0, s1 = streams.two_arm_count_matrices(master_seed, 3_000, grid, 0.1, 0.12)
-        theta, s = streams.single_arm_count_matrices(master_seed, 3_000, grid, truth_prior=(100, 100))
+        theta, s = streams.single_arm_count_matrices(
+            master_seed, np.arange(3_000), grid, (100, 100), streams.SavedStreams(3_000))
         for rep in (0, 5, 2_999):
             def keyed():
                 return np.random.Generator(np.random.Philox(key=(master_seed << 64) | rep))
@@ -107,7 +108,7 @@ class TestStreams:
 
     def test_single_arm_counts(self):
         grid = np.unique(np.round(np.geomspace(10, 10_000, 50)).astype(np.int64))
-        theta, s = streams.single_arm_count_matrices(5, 30, grid, truth_prior=(100, 100))
+        theta, s = streams.single_arm_count_matrices(5, np.arange(30), grid, (100, 100), streams.SavedStreams(30))
         assert theta.shape == (30,) and s.shape == (30, grid.size)
         assert np.all((theta > 0) & (theta < 1))
         assert np.all(s <= grid[None, :])
@@ -121,7 +122,7 @@ class TestIntegerCounts:
         grid = np.array([7, 1_000, end])
         blocks = np.diff(grid, prepend=0)
         counts = streams.two_arm_count_matrices(12, 3, grid, 0.3, 0.9)
-        theta, s = streams.single_arm_count_matrices(12, 3, grid, truth_prior=(90, 10))
+        theta, s = streams.single_arm_count_matrices(12, np.arange(3), grid, (90, 10), streams.SavedStreams(3))
         assert [m.dtype for m in counts] == [dtype] * 4 and s.dtype == dtype and theta.dtype == np.float64
         n0, n1, s0, s1 = counts
         for rep in range(3):
@@ -431,10 +432,10 @@ class TestStagedDraws:
     def test_stages_match_one_call(self):
         grid = np.unique(np.round(np.geomspace(100, 200_000, 90)).astype(np.int64))
         reps, prior = 10, (50, 50)
-        theta, s = streams.single_arm_count_matrices(17, reps, grid, prior)
+        theta, s = streams.single_arm_count_matrices(17, np.arange(reps), grid, prior, streams.SavedStreams(reps))
         saved = streams.SavedStreams(reps)
         # Replication 7 survives every stage: four stage boundaries.
-        stages = [(reps, 5), ([0, 2, 3, 7, 9], 11), ([2, 7, 9], 20), ([7, 9], 33), ([7], grid.size)]
+        stages = [(np.arange(reps), 5), ([0, 2, 3, 7, 9], 11), ([2, 7, 9], 20), ([7, 9], 33), ([7], grid.size)]
         start = 0
         for rows, stop in stages:
             got_theta, got = streams.single_arm_count_matrices(17, rows, grid[:stop], prior, saved)
@@ -620,20 +621,24 @@ class TestStudies:
         assert 0.0 <= report.power <= 1.0
 
     def test_bht_two_arm_matches_scalar_rule(self):
-        grid = np.arange(200, 2001, 200)
-        counts = streams.two_arm_count_matrices(61, 10, grid, 0.3, 0.4)
         from anytime_ab.simlab.studies import _bht_two_arm_reject
         from anytime_ab.bayes import bht_decide
 
-        cfg = BhtConfig(epsilon=5e-3)
-        reject = _bht_two_arm_reject(*counts, cfg)
-        n0, n1, s0, s1 = counts
-        for r in range(10):
-            for j in range(grid.size):
-                scalar = bht_decide(s0[r, j], n0[r, j], s1[r, j], n1[r, j], cfg).stopped
-                assert reject[r, j] == scalar
-                if scalar:
-                    break  # row loop stops at first crossing by construction
+        # The second input peeks after every event, so at n = 1 one arm is
+        # still empty and both rules read its prior.
+        for seed, grid, means, cfg in (
+            (61, np.arange(200, 2001, 200), (0.3, 0.4), BhtConfig(epsilon=5e-3)),
+            (3, np.arange(1, 41), (0.1, 0.1), BhtConfig(10, 90, 0.02)),
+        ):
+            counts = streams.two_arm_count_matrices(seed, 10, grid, *means)
+            reject = _bht_two_arm_reject(*counts, cfg)
+            n0, n1, s0, s1 = counts
+            for r in range(10):
+                for j in range(grid.size):
+                    scalar = bht_decide(s0[r, j], n0[r, j], s1[r, j], n1[r, j], cfg).stopped
+                    assert reject[r, j] == scalar
+                    if scalar:
+                        break  # row loop stops at first crossing by construction
 
     def test_power_ordering_small_scale(self):
         kwargs = dict(arm_means=(0.1, 0.11), replications=400, master_seed=19)
