@@ -22,6 +22,7 @@ from scipy.special import betainc
 
 from .. import confseq
 from ..bayes import BfConfig, log_bayes_factor
+from . import threads
 
 
 def bernoulli_arm(n, s):
@@ -83,9 +84,28 @@ def bht_single_losses(n, s, prior_a, prior_b, theta0):
 
         below: theta0 * I(theta0; a, b) - a/(a+b) * I(theta0; a+1, b)
         above: a/(a+b) * I(1-theta0; b, a+1) - theta0 * I(1-theta0; b, a)
+
+    A 2-D block with a scalar theta0 is split by rows across the usable
+    CPUs (``threads.split_rows``); scalar and 1-D calls run inline.
     """
     a = float(prior_a) + s
     b = float(prior_b) + (n - s)
+    if np.ndim(theta0) or max(np.ndim(a), np.ndim(b)) < 2:
+        return _losses(a, b, theta0)
+    a, b = np.broadcast_arrays(a, b)
+    parts = threads.split_rows(lambda lo, hi: _losses(a[lo:hi], b[lo:hi], theta0), a.shape[0], a[0].size)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(side) for side in zip(*parts))
+
+
+def _losses(a, b, theta0):
+    """``bht_single_losses`` on posterior parameters.
+
+    ``betainc`` is looked up by its module name on every call, from
+    whichever thread runs the part, so a wrapper put there sees every
+    evaluation.
+    """
     mean = a / (a + b)
     loss_below = theta0 * betainc(a, b, theta0) - mean * betainc(a + 1.0, b, theta0)
     loss_above = mean * betainc(b, a + 1.0, 1.0 - theta0) - theta0 * betainc(b, a, 1.0 - theta0)
@@ -101,9 +121,14 @@ def bht_single_losses(n, s, prior_a, prior_b, theta0):
 # the type-I rules 284/214/186/122 ms but the 3000 x 500 BHT stop-quality
 # study 651/665/710/833 ms; 8 doubling to 32 took 159 and 556 ms. Caps of
 # 8/16/32/64 took the type-I rules 170/139/125/124 ms, and 64 added
-# 0.6-0.9 MB to the type-I command's peak RSS.
+# 0.6-0.9 MB to the type-I command's peak RSS. A block also widens only
+# while it stays within ``_CROSSING_BLOCK_CELLS`` cells: a 3000 x 500 BHT
+# study in which nothing crosses peaked at 74.6 MB with 3000 x 32 loss
+# blocks and at 69.3-69.9 MB with this cap's 3000 x 8. The bench's blocks
+# stay within it (3000 x 8 stop-quality, 400 x 32 type-I).
 _CROSSING_BLOCK = 8
 _CROSSING_BLOCK_MAX = 32
+_CROSSING_BLOCK_CELLS = 2**15
 
 
 def blocked_first_crossing(rule, reps: int, peeks: int):
@@ -115,10 +140,11 @@ def blocked_first_crossing(rule, reps: int, peeks: int):
     in column blocks, and a replication is dropped once it has crossed. A
     block is ``_CROSSING_BLOCK`` wide after any block with a crossing, and
     twice the previous width, up to ``_CROSSING_BLOCK_MAX``, after a block
-    without one; so the null streams of a type-I battery, where almost
-    nothing crosses, take few wide blocks. The rule kernels are
-    elementwise, so every evaluated cell holds the bits the full
-    (replications x peeks) matrix would.
+    without one, unless the wider block would pass
+    ``_CROSSING_BLOCK_CELLS`` cells of live replications; so the null
+    streams of a type-I battery, where almost nothing crosses, take few
+    wide blocks. The rule kernels are elementwise, so every evaluated cell
+    holds the bits the full (replications x peeks) matrix would.
 
     Returns (stop_idx, values_at_stop): stop_idx is -1 for replications
     that never cross; each entry of values_at_stop holds one value per
@@ -139,7 +165,11 @@ def blocked_first_crossing(rule, reps: int, peeks: int):
             out[alive[hit]] = value[hit, col[hit]]
         alive = np.delete(alive, hit)
         start += width
-        width = _CROSSING_BLOCK if hit.size else min(2 * width, _CROSSING_BLOCK_MAX)
+        wider = min(2 * width, _CROSSING_BLOCK_MAX)
+        if hit.size:
+            width = _CROSSING_BLOCK
+        elif alive.size * wider <= _CROSSING_BLOCK_CELLS:
+            width = wider
     return stop_idx, at_stop
 
 

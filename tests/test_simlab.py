@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +33,7 @@ from anytime_ab.simlab import (
     run_type1_study,
     streams,
     studies,
+    threads,
 )
 from test_moments import fold
 
@@ -425,6 +432,24 @@ class TestAdaptiveBlocks:
         assert any(a in want for a, _ in wide) and any(b - 1 in want for _, b in wide)
         assert max(b - a for a, b in widths) == cap
 
+    def test_widening_stops_at_the_cell_cap(self):
+        reps, peeks = 3000, 200
+        assert reps * 2 * methods._CROSSING_BLOCK > methods._CROSSING_BLOCK_CELLS >= 1000 * methods._CROSSING_BLOCK_MAX
+        reject = np.zeros((reps, peeks), dtype=bool)
+        reject[:2000, 20] = True  # leaves 1,000 replications alive after the third block
+        blocks = []
+
+        def rule(rows, cols):
+            blocks.append((rows.size, cols.start, cols.stop))
+            return (reject[rows, cols],)
+
+        stop_idx, _ = methods.blocked_first_crossing(rule, reps, peeks)
+        np.testing.assert_array_equal(stop_idx, methods.first_crossing(reject))
+        # 3,000 x 16 would pass the cap, so the quiet blocks stay 8 wide; 1,000 x 32 does not.
+        assert blocks[:6] == [(3000, 0, 8), (3000, 8, 16), (3000, 16, 24), (1000, 24, 32), (1000, 32, 48),
+                              (1000, 48, 80)]
+        assert all(rows * (stop - start) <= methods._CROSSING_BLOCK_CELLS for rows, start, stop in blocks[3:])
+
 
 class TestStagedDraws:
     """Stop-quality streams are drawn in stages, only as far as the crossing loop reads."""
@@ -820,3 +845,124 @@ class TestReport:
         )
         rows = list(report.csv_rows())
         assert rows == [("type1", "AsympCS", 10, 0.0), ("type1", "AsympCS", 20, 0.5)]
+
+
+class TestThreadSplit:
+    """Blocks split across threads hold the bits of one inline call, whatever the usable CPUs."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """``cpus(n, min_cells)`` sets the usable CPUs and the part minimum; a fresh pool serves the test."""
+        monkeypatch.setattr(threads, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # trade the GIL as often as possible
+
+        def set_cpus(n, min_cells=1):
+            monkeypatch.setattr(threads, "usable_cpus", lambda: n)
+            monkeypatch.setattr(threads, "MIN_PART_CELLS", min_cells)
+
+        try:
+            yield set_cpus
+        finally:
+            sys.setswitchinterval(interval)
+            if threads._pool is not None:
+                threads._pool.shutdown()
+
+    @staticmethod
+    def _spy(monkeypatch, module, name):
+        """Record the thread of every call to ``module.name``."""
+        seen, original = [], getattr(module, name)
+
+        def spy(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return seen
+
+    def test_bht_losses(self, monkeypatch, cpus):
+        rng = np.random.default_rng(41)
+        s = rng.integers(0, 900, size=(7, 5)).astype(np.int32)
+        n = np.broadcast_to(np.array([900.0, 1e3, 2e3, 5e3, 1e4]), s.shape)
+        cases = {  # (n, s, minimum part cells, threads that run parts)
+            "scalar": (50.0, 20.0, 1, 1),
+            "1-D": (n[0], s[0], 1, 1),
+            "2-D odd rows": (n, s, 1, 3),
+            "below minimum": (n, s, 1024, 1),
+        }
+        calls = self._spy(monkeypatch, methods, "_losses")
+        for name, (n_, s_, min_cells, parts) in cases.items():
+            cpus(1)
+            want = methods.bht_single_losses(n_, s_, 30, 70, 0.3)
+            cpus(3, min_cells)
+            del calls[:]
+            got = methods.bht_single_losses(n_, s_, 30, 70, 0.3)
+            assert len(calls) == parts and (len(set(calls)) > 1) == (parts > 1), name
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and np.shape(g) == np.shape(w), name
+                np.testing.assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    def test_two_arm_draws(self, monkeypatch, cpus, reps):
+        grid = 10 * np.arange(1, streams._THREADED_MIN_COLUMNS + 1)
+        rekeys = self._spy(monkeypatch, streams, "_rekey")
+        cpus(1)
+        want = streams.two_arm_count_matrices(31, reps, grid, 0.2, 0.3)
+        cpus(3)
+        del rekeys[:]
+        got = streams.two_arm_count_matrices(31, reps, grid, 0.2, 0.3)
+        assert len(rekeys) == reps and (len(set(rekeys)) > 1) == (reps > 1)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        del rekeys[:]
+        streams.two_arm_count_matrices(31, reps, grid[:-1], 0.2, 0.3)
+        assert set(rekeys) == {threading.get_ident()}  # short rows are drawn inline
+
+    def test_worker_exception_reaches_caller(self, cpus):
+        cpus(3)
+        done = []
+
+        def fail_in(part_lo):
+            def fn(lo, hi):
+                if lo == part_lo:
+                    raise ValueError(f"part {lo}")
+                time.sleep(0.05)
+                done.append(lo)
+                return lo, hi
+            return fn
+
+        with pytest.raises(ValueError, match="part 6"):
+            threads.split_rows(fail_in(6), 9, 1)
+        assert sorted(done) == [0, 3]
+        with pytest.raises(ValueError, match="part 0"):
+            threads.split_rows(fail_in(0), 9, 1)
+        assert sorted(done) == [0, 3, 3, 6]  # the caller's own error waits for every worker part
+        assert threads.split_rows(lambda lo, hi: (lo, hi), 9, 1) == [(0, 3), (3, 6), (6, 9)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_one_cpu_writes_the_same_reports(self, tmp_path):
+        # Large enough to split two-arm draws (984 peeks) and BHT loss blocks (2,000 x 8) on two CPUs.
+        configs = {
+            "type1": {"methods": ["AsympCS", "mSPRT", "FHT-peeking", "LDM", "BF-uninformed"],
+                      "arm_means": [0.1, 0.1], "design_mde": 0.01, "replications": 60},
+            "stop-quality": {"method": "BHT-uninformed", "truth_prior": [100, 100], "theta0": 0.5,
+                             "horizon": 1000000, "num_peeks": 500, "replications": 2000, "epsilon": 0.001},
+        }
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        one_cpu = min(os.sched_getaffinity(0))
+        for study, config in configs.items():
+            path = tmp_path / f"{study}.json"
+            path.write_text(json.dumps(config))
+            reports = []
+            for pin in (True, False):
+                out = tmp_path / f"{study}-{pin}"
+                subprocess.run(
+                    [sys.executable, "-m", "anytime_ab.cli", "simulate", "--study", study, "--config", str(path),
+                     "--out", str(out)],
+                    env=env, check=True, timeout=120,
+                    preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu})) if pin else None,
+                )
+                reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+            assert reports[0] == reports[1], study
