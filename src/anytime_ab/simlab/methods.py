@@ -9,7 +9,10 @@ its snapshot moments. Studies evaluate a rule one block of peeks at a
 time through ``blocked_first_crossing``; entries where a rule's
 preconditions fail never reject.
 
-Count matrices hold integers (int32 up to 2^31 - 1). They become float64
+Streams are stored as per-block increments in the narrowest unsigned
+type (``streams``), and ``cumulative_blocks`` turns them into cumulative
+count blocks as the crossing loop reads them, keeping each replication's
+running totals as integers (int32 up to 2^31 - 1). They become float64
 per evaluated block where they enter a kernel, and every cast is exact:
 ``bernoulli_summaries`` casts the trial counts for the interval rules,
 ``log_bayes_factor`` casts all four counts, and the expected-loss rules
@@ -171,6 +174,35 @@ def blocked_first_crossing(rule, reps: int, peeks: int):
         elif alive.size * wider <= _CROSSING_BLOCK_CELLS:
             width = wider
     return stop_idx, at_stop
+
+
+def cumulative_blocks(increments: np.ndarray, dtype: type):
+    """Reader of cumulative counts from per-block increments, for a ``blocked_first_crossing`` rule.
+
+    ``increments`` is (..., reps, peeks). The returned ``block(rows, cols)``
+    gives the cumulative counts of replications ``rows`` at peeks ``cols``,
+    shape (..., rows, cols), in ``dtype``: one gather and one cumsum over
+    the block, plus each replication's running total through the columns
+    before it. So it relies on the crossing loop's order: each call's
+    columns start where the previous call's stopped, and rows only drop,
+    so a row's total always ends where its next block starts. Integer
+    sums are exact, so every block holds the bits of a cumsum over the
+    whole matrix.
+    """
+    totals = np.zeros(increments.shape[:-1], dtype=dtype)
+    column = 0
+
+    def block(rows, cols):
+        nonlocal column
+        if cols.start != column:
+            raise ValueError(f"cumulative blocks are read in order: expected column {column}, got {cols.start}")
+        out = np.cumsum(increments[..., rows, cols], axis=-1, dtype=dtype)
+        out += totals[..., rows, None]
+        totals[..., rows] = out[..., -1]
+        column = cols.stop
+        return out
+
+    return block
 
 
 def first_crossing(reject: np.ndarray) -> np.ndarray:

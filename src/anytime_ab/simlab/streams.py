@@ -6,9 +6,17 @@ the batch is chunked or which method consumes it; method comparisons are
 therefore paired by construction. Outcomes are Bernoulli, and only the
 sufficient statistics at the peek grid are materialized: per grid block,
 the number of arm-1 assignments and the per-arm conversion counts, drawn
-in that fixed order. The cumulative counts are kept as integers, int32
-unless the grid runs past 2^31 - 1, since no count exceeds the grid's
-last point; the rules cast each block they evaluate to float64.
+in that fixed order. They are stored as per-block increments, not
+cumulative counts, in the narrowest unsigned type that holds the grid's
+largest block (``_increment_dtype``): a two-arm stream takes 3 bytes a
+cell where no block passes 255 events and 6 where none passes 65,535,
+against 16 for four int32 cumulative matrices; a single-arm stream takes
+2 bytes a cell on a grid whose blocks stay within 65,535, against 4.
+``methods.cumulative_blocks`` turns them into cumulative counts one
+evaluated block at a time, keeping each replication's running totals in
+``_count_dtype(grid)``: int32 unless the grid runs past 2^31 - 1, since
+no count exceeds the grid's last point. The rules cast each block they
+evaluate to float64.
 
 A single-arm stream is drawn in stages: ``SavedStreams`` keeps where
 each replication's generator stopped, so a later call extends only the
@@ -55,6 +63,20 @@ def _count_dtype(grid: np.ndarray) -> type:
     return np.int32 if grid[-1] <= np.iinfo(np.int32).max else np.int64
 
 
+def _blocks(grid: np.ndarray) -> np.ndarray:
+    """Events in each grid block, as int64; a grid that is not strictly increasing and positive raises ValueError."""
+    blocks = np.diff(np.asarray(grid, dtype=np.int64), prepend=0)
+    if np.any(blocks <= 0):
+        raise ValueError("grid must be strictly increasing and positive")
+    return blocks
+
+
+def _increment_dtype(blocks: np.ndarray) -> type:
+    """The narrowest of uint8, uint16 and uint32 that holds the largest block, and so every increment; else int64."""
+    largest = blocks.max(initial=0)
+    return next((t for t in (np.uint8, np.uint16, np.uint32) if largest <= np.iinfo(t).max), np.int64)
+
+
 # Shortest grid whose two-arm draws are split across threads. A row's
 # re-key and six numpy calls hold the GIL for about 100 us, so threads that
 # trade the GIL that often lose: on a 2-vCPU VM, two threads drew 500
@@ -63,59 +85,49 @@ def _count_dtype(grid: np.ndarray) -> type:
 _THREADED_MIN_COLUMNS = 500
 
 
-def two_arm_count_matrices(
-    master_seed: int, reps: int, grid: np.ndarray, p0: float, p1: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative per-arm sizes and conversions at each grid point.
+def two_arm_count_matrices(master_seed: int, reps: int, grid: np.ndarray, p0: float, p1: float) -> np.ndarray:
+    """Per-block arm-1 sizes and per-arm conversions at each grid point.
 
-    Returns integer matrices (n0, n1, s0, s1) of shape (reps, len(grid)),
-    of ``_count_dtype(grid)``; grid entries are cumulative total sample sizes.
-    From ``_THREADED_MIN_COLUMNS`` grid points up, replications are drawn
-    in parts across the usable CPUs (``threads.split_rows``), each part
-    with its own generator.
+    Returns a read-only (3, reps, len(grid)) array of ``_increment_dtype``
+    of the grid's blocks: the events assigned to arm 1 in each block, then
+    arm 0's and arm 1's conversions in it; arm 0's size is the block minus
+    arm 1's. Grid entries are cumulative total sample sizes, and
+    ``methods.cumulative_blocks`` turns the increments into cumulative
+    counts. From ``_THREADED_MIN_COLUMNS`` grid points up, replications
+    are drawn in parts across the usable CPUs (``threads.split_rows``),
+    each part with its own generator.
     """
-    grid = np.asarray(grid, dtype=np.int64)
-    blocks = np.diff(grid, prepend=0)
-    if np.any(blocks <= 0):
-        raise ValueError("grid must be strictly increasing and positive")
-    dtype = _count_dtype(grid)
-    n1 = np.empty((reps, grid.size), dtype=dtype)
-    s0 = np.empty_like(n1)
-    s1 = np.empty_like(n1)
+    blocks = _blocks(grid)
+    counts = np.empty((3, reps, blocks.size), dtype=_increment_dtype(blocks))
 
     def draw(lo, hi):
         rng = np.random.Generator(np.random.Philox())
         for r in range(lo, hi):
             _rekey(rng, master_seed, r)
-            m1 = rng.binomial(blocks, 0.5)
-            c1 = rng.binomial(m1, p1)
-            c0 = rng.binomial(blocks - m1, p0)
-            n1[r] = np.cumsum(m1)
-            s1[r] = np.cumsum(c1)
-            s0[r] = np.cumsum(c0)
+            m1 = counts[0, r] = rng.binomial(blocks, 0.5)
+            counts[2, r] = rng.binomial(m1, p1)
+            counts[1, r] = rng.binomial(blocks - m1, p0)
 
-    if grid.size < _THREADED_MIN_COLUMNS:
+    if blocks.size < _THREADED_MIN_COLUMNS:
         draw(0, reps)
     else:
-        threads.split_rows(draw, reps, grid.size)
-    n0 = grid.astype(dtype)[None, :] - n1
-    return n0, n1, s0, s1
+        threads.split_rows(draw, reps, blocks.size)
+    counts.flags.writeable = False
+    return counts
 
 
 class SavedStreams:
     """Where each replication's single-arm stream stopped, so a later draw resumes it.
 
-    Per replication: its true rate, its cumulative conversions at the last
-    drawn column, and its Philox position as arrays (4 counter words, 4
-    buffer words and the buffer position; the key follows from the master
-    seed and the replication). ``column`` is the number of grid columns
-    drawn so far by the replications the last draw covered.
+    Per replication: its true rate and its Philox position as arrays (4
+    counter words, 4 buffer words and the buffer position; the key follows
+    from the master seed and the replication). ``column`` is the number of
+    grid columns drawn so far by the replications the last draw covered.
     """
 
     def __init__(self, reps: int):
         self.column = 0
         self.theta = np.full(reps, np.nan)
-        self.count = np.zeros(reps, dtype=np.int64)
         self.counter = np.zeros((reps, 4), dtype=np.uint64)
         self.buffer = np.zeros((reps, 4), dtype=np.uint64)
         self.buffer_pos = np.zeros(reps, dtype=np.int64)
@@ -128,7 +140,7 @@ def single_arm_count_matrices(
     truth_prior: tuple[float, float],
     saved: SavedStreams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """True rates and cumulative conversion counts of replications ``rows``, resumed from ``saved``.
+    """True rates and per-block conversion counts of replications ``rows``, resumed from ``saved``.
 
     Each replication draws its rate from Beta(truth_prior), then its
     conversions at that rate, one binomial per grid block. The draw covers
@@ -138,19 +150,18 @@ def single_arm_count_matrices(
     prefixes in stages, for fewer replications each time, and every drawn
     cell holds the bits of one call over the whole grid.
 
-    Returns (theta, s): theta is float64 with one rate per row; s an
-    integer matrix of ``_count_dtype(grid)`` with one row per row of
-    ``rows`` and one column per drawn grid point.
+    Returns (theta, s): theta is float64 with one rate per row; s holds
+    the conversions in each drawn block, of ``_increment_dtype`` of the
+    grid's blocks, with one row per row of ``rows`` and one column per
+    drawn grid point.
     """
-    grid = np.asarray(grid, dtype=np.int64)
-    blocks = np.diff(grid, prepend=0)
-    if np.any(blocks <= 0):
-        raise ValueError("grid must be strictly increasing and positive")
+    blocks = _blocks(grid)
+    dtype = _increment_dtype(blocks)
     rows = np.asarray(rows)
     resume = saved.column > 0
     blocks = blocks[saved.column:]
     theta = np.empty(rows.size, dtype=np.float64)
-    s = np.empty((rows.size, blocks.size), dtype=_count_dtype(grid))
+    s = np.empty((rows.size, blocks.size), dtype=dtype)
     rng = np.random.Generator(np.random.Philox())
     for i, r in enumerate(rows):
         if resume:
@@ -159,14 +170,12 @@ def single_arm_count_matrices(
         else:
             _rekey(rng, master_seed, r)
             th = rng.beta(truth_prior[0], truth_prior[1])
-        draws = rng.binomial(blocks, th)
-        draws[0] += saved.count[r]
-        s[i] = draws.cumsum()
+        s[i] = rng.binomial(blocks, th)
         theta[i] = th
         state = rng.bit_generator.state
         saved.counter[r] = state["state"]["counter"]
         saved.buffer[r] = state["buffer"]
         saved.buffer_pos[r] = state["buffer_pos"]
-        saved.theta[r], saved.count[r] = th, s[i, -1]
-    saved.column = grid.size
+        saved.theta[r] = th
+    saved.column += blocks.size
     return theta, s

@@ -124,18 +124,16 @@ def _fht_total(cfg: SimStudyConfig) -> int:
 
 
 @lru_cache(maxsize=1)
-def _cached_two_arm_counts(master_seed: int, reps: int, grid: tuple, p0: float, p1: float) -> tuple:
-    counts = streams.two_arm_count_matrices(master_seed, reps, np.asarray(grid, dtype=np.int64), p0, p1)
-    for matrix in counts:
-        matrix.flags.writeable = False
-    return counts
+def _cached_two_arm_counts(master_seed: int, reps: int, grid: tuple, p0: float, p1: float) -> np.ndarray:
+    return streams.two_arm_count_matrices(master_seed, reps, np.asarray(grid, dtype=np.int64), p0, p1)
 
 
-def _two_arm_counts(cfg: SimStudyConfig, grid: np.ndarray, p0: float, p1: float) -> tuple:
-    """Read-only integer (n0, n1, s0, s1); consecutive studies on the same stream draw it once.
+def _two_arm_counts(cfg: SimStudyConfig, grid: np.ndarray, p0: float, p1: float) -> np.ndarray:
+    """The read-only (3, reps, peeks) increments; consecutive studies on the same stream draw it once.
 
-    The rules cast each block they evaluate to float64, so the shared
-    matrices keep 4 bytes a cell (8 past 2^31 - 1) for the whole battery.
+    Each rule cumulates and casts only the blocks it evaluates, so the
+    shared stream keeps its narrowest type for the whole battery: 3
+    bytes a cell where no block passes 255 events.
     """
     return _cached_two_arm_counts(cfg.master_seed, cfg.replications, tuple(grid.tolist()), p0, p1)
 
@@ -173,9 +171,10 @@ def _marker_grid(cfg: SimStudyConfig, fht_total: int, horizon_multiples):
 def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | None = None) -> np.ndarray:
     """Each replication's first-crossing peek under ``cfg.method``, -1 if none.
 
-    ``counts`` are the (n0, n1, s0, s1) matrices on ``grid``. Every rule
-    sees one block of peeks at a time, so a replication is evaluated no
-    further than the block where it crosses.
+    ``counts`` are the (3, reps, peeks) increments on ``grid`` from
+    ``streams.two_arm_count_matrices``. Every rule sees one block of peeks
+    at a time as cumulative (n0, n1, s0, s1), so a replication is
+    evaluated no further than the block where it crosses.
     """
     method, theta0, alpha = cfg.method, cfg.theta0, _alpha(cfg)
     look = np.ones(grid.size, dtype=bool)  # the peeks at which the rule may stop
@@ -207,11 +206,16 @@ def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | No
         rule = lambda block, cols: methods.bf_reject(*block, bf.prior_a, bf.prior_b, bf.odds_threshold)
     else:  # BHT-uninformed, BHT-matched
         rule = lambda block, cols: _bht_two_arm_reject(*block, cfg.params)
+    dtype = streams._count_dtype(grid)
+    cumulative = methods.cumulative_blocks(counts, dtype)
+    sizes = grid.astype(dtype)
+
+    def evaluate(rows, cols):
+        n1, s0, s1 = cumulative(rows, cols)
+        return (rule((sizes[cols] - n1, n1, s0, s1), cols),)
+
     # Peeks after the last look cannot cross, so they are never evaluated.
-    stop_idx, _ = methods.blocked_first_crossing(
-        lambda rows, cols: (rule([matrix[rows, cols] for matrix in counts], cols),),
-        cfg.replications, int(np.flatnonzero(look)[-1]) + 1,
-    )
+    stop_idx, _ = methods.blocked_first_crossing(evaluate, cfg.replications, int(np.flatnonzero(look)[-1]) + 1)
     return stop_idx
 
 
@@ -492,16 +496,19 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         raise ValueError(f"stop-quality study needs theta0 in [0, 1], got {cfg.theta0}")
     horizon = cfg.horizon
     grid = np.unique(np.round(np.geomspace(STOP_QUALITY_START, horizon, num_peeks)).astype(np.int64))
-    # Columns of s are drawn as the crossing loop first reads them, for the
-    # replications it still reads. The first draw covers
-    # STOP_QUALITY_FIRST_DRAW columns and each later one twice as many as
-    # drawn so far; but while more than half the replications are alive, a
-    # draw runs to the grid's end: a draw's fixed cost per replication is
-    # about that of 250 binomial cells, so a study where few cross draws
-    # each stream in two calls, not four.
+    # s holds per-block increments; columns of s are drawn as the crossing
+    # loop first reads them, for the replications it still reads. The first
+    # draw covers STOP_QUALITY_FIRST_DRAW columns and each later one twice
+    # as many as drawn so far; but while more than half the replications
+    # are alive, a draw runs to the grid's end: a draw's fixed cost per
+    # replication is about that of 250 binomial cells, so a study where few
+    # cross draws each stream in two calls, not four. s is column-major, so
+    # while the large early loss blocks are alive only the columns drawn so
+    # far are resident.
     saved = streams.SavedStreams(cfg.replications)
     theta = saved.theta  # every replication's rate, from the first draw
-    s = np.empty((cfg.replications, grid.size), dtype=streams._count_dtype(grid))
+    s = np.empty((cfg.replications, grid.size), dtype=streams._increment_dtype(streams._blocks(grid)), order="F")
+    cumulative = methods.cumulative_blocks(s, streams._count_dtype(grid))
     n_grid = grid.astype(float)
     theta0 = cfg.theta0
     mean_loss = None
@@ -518,7 +525,7 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
             stop = min(max(stop, cols.stop), grid.size)
             _, s[rows, start:stop] = streams.single_arm_count_matrices(
                 cfg.master_seed, rows, grid[:stop], cfg.truth_prior, saved)
-        s_block = s[rows, cols]
+        s_block = cumulative(rows, cols)
         return np.broadcast_to(n_grid[cols], s_block.shape), s_block
 
     if cfg.method in ("AsympCS", "mSPRT"):
@@ -538,12 +545,14 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
         bht = cfg.params
 
         def rule(rows, cols):
-            loss_below, loss_above = methods.bht_single_losses(*cells(rows, cols), bht.prior_a, bht.prior_b, theta0)
-            return np.minimum(loss_below, loss_above) < bht.epsilon, loss_below, loss_above
+            n_block, s_block = cells(rows, cols)
+            loss_below, loss_above = methods.bht_single_losses(n_block, s_block, bht.prior_a, bht.prior_b, theta0)
+            return np.minimum(loss_below, loss_above) < bht.epsilon, loss_below, loss_above, s_block
 
-        stop_idx, (loss_below, loss_above) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
+        stop_idx, (loss_below, loss_above, s_stop) = methods.blocked_first_crossing(
+            rule, cfg.replications, grid.size)
         rows = np.flatnonzero(stop_idx >= 0)
-        s_stop = s[rows, stop_idx[rows]]
+        s_stop = s_stop[rows]
         post_a = float(bht.prior_a) + s_stop
         post_b = bht.prior_b + n_grid[stop_idx[rows]] - s_stop
         level = 0.95

@@ -39,6 +39,7 @@ from anytime_ab.simlab import (
     streams,
 )
 from test_moments import EMPTY, fold
+from test_simlab import cumulative_counts
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALPHA = 0.05
@@ -185,7 +186,7 @@ def grid_results():
         grid = np.arange(step, n_star + 1, step, dtype=np.int64)
         if grid[-1] != n_star:
             grid = np.append(grid, n_star)
-        counts = streams.two_arm_count_matrices(20240504, 10_000, grid, 0.1, 0.1 + mde)
+        counts = cumulative_counts(streams.two_arm_count_matrices(20240504, 10_000, grid, 0.1, 0.1 + mde), grid)
         reject = methods.ate_reject(*counts, ALPHA, RHO2)
         stop_idx = methods.first_crossing(reject)
         stop_n = np.where(stop_idx >= 0, grid[stop_idx].astype(float), np.inf)

@@ -446,6 +446,10 @@ GOLDEN_REPORTS = {
     "power_bht_matched": ("power", "9db1f69e8a468cec9cd2eb241f2b6d962f7e6e885f0f223ce391af2e70b8e7cb"),
     "rho2_sweep_msprt": ("rho2-sweep", "40418b9a95264f6863841ac8b1856e4081500e374e710bb941ec872ca5cb0d15"),
     "type1_fht_lift": ("type1", "ffa466ccd092911ab20a54c5af91de650a9bdbfbd6e51bff4e192ca3cdae50ee"),
+    # Blocks of up to 300 events: two-arm increments in uint16.
+    "type1_peek300": ("type1", "a78317017b18de9ee269b694696ad786a7952056db3efe2bcf99719f7e0cff67"),
+    # Blocks past 65,535 events and a grid past 2^31 - 1: uint32 increments, int64 running totals.
+    "stop_quality_bht_wide": ("stop-quality", "7a96156aba4e5d02b8b8bb29ae61922964e42d004305dc7bce1a17b05715a914"),
 }
 INLINE_CONFIGS = {
     "stop_quality_bht": {
@@ -471,6 +475,14 @@ INLINE_CONFIGS = {
     "type1_fht_lift": {
         "methods": ["FHT", "AsympCS-lift"], "arm_means": [0.1, 0.1], "design_mde": 0.02, "peek_every": 100,
         "alpha": 0.3, "master_seed": 33,
+    },
+    "type1_peek300": {
+        "methods": ["AsympCS", "mSPRT", "FHT-peeking", "LDM", "BF-uninformed"], "arm_means": [0.1, 0.1],
+        "design_mde": 0.01, "peek_every": 300, "alpha": 0.05, "rho2": 0.001, "master_seed": 20240501,
+    },
+    "stop_quality_bht_wide": {
+        "methods": ["BHT-uninformed"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 3_000_000_000,
+        "num_peeks": 60, "epsilon": 1e-3, "master_seed": 20240508,
     },
 }
 
@@ -679,9 +691,10 @@ def test_type1_battery_draws_one_stream(tmp_path, capsys, monkeypatch):
 
 
 def test_stop_quality_past_int32_keeps_its_counts(tmp_path, capsys, monkeypatch):
-    # A grid ending past 2^31 - 1 holds int64 counts; at a true rate near 0.9
-    # the last ones pass 2^31 - 1, where an int32 would have wrapped negative.
-    from anytime_ab.simlab import streams
+    # A grid ending past 2^31 - 1 cumulates into int64 counts; at a true rate
+    # near 0.9 the last ones pass 2^31 - 1, where an int32 would have wrapped
+    # negative. Its blocks pass 65,535 events, so the increments are uint32.
+    from anytime_ab.simlab import methods, streams
 
     drawn = []
     draw = streams.single_arm_count_matrices
@@ -697,8 +710,9 @@ def test_stop_quality_past_int32_keeps_its_counts(tmp_path, capsys, monkeypatch)
     code, _, err = run_cli(["simulate", "--study", "stop-quality", "--config", str(config),
                             "--out", str(tmp_path / "out")], capsys)
     assert code == 0, err
-    ((grid, (_, s)),) = drawn
-    assert grid[-1] == 3_000_000_000 and s.dtype == np.int64
+    ((grid, (_, increments)),) = drawn
+    s = methods.cumulative_blocks(increments, streams._count_dtype(grid))(np.arange(2), slice(0, len(grid)))
+    assert grid[-1] == 3_000_000_000 and increments.dtype == np.uint32 and s.dtype == np.int64
     assert (s >= 0).all() and (s <= grid).all() and (s[:, -1] > 2**31 - 1).all()
 
 

@@ -10,6 +10,7 @@ from anytime_ab.design import (
     hypothesized_sample_size,
     variance_guess_binary,
 )
+from test_simlab import cumulative_counts
 
 PARAMS = ConfSeqParams(0.05, 1e-3)
 
@@ -112,7 +113,7 @@ class TestHypothesizedSampleSize:
         grid = np.arange(step, n_star + 1, step, dtype=np.int64)
         from anytime_ab.simlab import methods, streams
 
-        counts = streams.two_arm_count_matrices(77, reps, grid, p0, p0 + mde)
+        counts = cumulative_counts(streams.two_arm_count_matrices(77, reps, grid, p0, p0 + mde), grid)
         reject = methods.ate_reject(*counts, 0.05, 1e-3)
         frac = reject.any(axis=1).mean()
         assert frac >= 0.78

@@ -34,6 +34,7 @@ from anytime_ab.moments import welford_merge, welford_step
 from anytime_ab.simlab import SimStudyConfig, run_type1_study
 from test_bayes import mp_expected_loss
 from test_moments import EMPTY
+from test_simlab import cumulative_counts
 
 PARAMS = ConfSeqParams(0.05, 1e-3)
 
@@ -883,7 +884,7 @@ class TestAnalyze:
         crossings = 0
         grid = np.arange(100, 4_001, 100)
         blocks = np.diff(grid, prepend=0)
-        counts = streams.two_arm_count_matrices(404, 8, grid, 0.3, 0.42)
+        counts = cumulative_counts(streams.two_arm_count_matrices(404, 8, grid, 0.3, 0.42), grid)
         for rep in range(8):
             n0m, n1m, s0m, s1m = (matrix[rep:rep + 1] for matrix in counts)
             m1, c1, c0 = (np.diff(matrix[0], prepend=0.0).astype(int) for matrix in (n1m, s1m, s0m))

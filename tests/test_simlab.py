@@ -56,6 +56,13 @@ def welford_summaries(rng, n0, n1, s0, s1):
     return tuple(np.array(rows, dtype=float).reshape(-1, 6).T)
 
 
+def cumulative_counts(increments, grid):
+    """Cumulative (n0, n1, s0, s1) of a two-arm stream's increments, each in ``streams._count_dtype(grid)``."""
+    dtype = streams._count_dtype(np.asarray(grid))
+    n1, s0, s1 = np.cumsum(increments, axis=-1, dtype=dtype)
+    return np.asarray(grid).astype(dtype) - n1, n1, s0, s1
+
+
 def random_counts(rng, size):
     n0 = rng.integers(2, 400, size=size).astype(float)
     n1 = rng.integers(2, 400, size=size).astype(float)
@@ -67,23 +74,23 @@ def random_counts(rng, size):
 class TestStreams:
     def test_replication_streams_are_chunk_invariant(self):
         grid = np.arange(50, 1001, 50)
-        full = streams.two_arm_count_matrices(9, 20, grid, 0.1, 0.12)
+        full = cumulative_counts(streams.two_arm_count_matrices(9, 20, grid, 0.1, 0.12), grid)
         # Regenerating any single replication reproduces its row exactly.
         for r in (0, 7, 19):
-            single = streams.two_arm_count_matrices(9, r + 1, grid, 0.1, 0.12)
+            single = cumulative_counts(streams.two_arm_count_matrices(9, r + 1, grid, 0.1, 0.12), grid)
             for a, b in zip(full, single):
                 np.testing.assert_array_equal(a[r], b[r])
 
     def test_streams_method_independent(self):
         grid = np.arange(100, 2001, 100)
-        a = streams.two_arm_count_matrices(3, 10, grid, 0.1, 0.1)
-        b = streams.two_arm_count_matrices(3, 10, grid, 0.1, 0.1)
+        a = cumulative_counts(streams.two_arm_count_matrices(3, 10, grid, 0.1, 0.1), grid)
+        b = cumulative_counts(streams.two_arm_count_matrices(3, 10, grid, 0.1, 0.1), grid)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_counts_are_consistent(self):
         grid = np.arange(100, 5001, 100)
-        n0, n1, s0, s1 = streams.two_arm_count_matrices(5, 50, grid, 0.2, 0.25)
+        n0, n1, s0, s1 = cumulative_counts(streams.two_arm_count_matrices(5, 50, grid, 0.2, 0.25), grid)
         assert np.all(n0 + n1 == grid[None, :])
         assert np.all(s0 <= n0) and np.all(s1 <= n1)
         assert np.all(np.diff(s0, axis=1) >= 0) and np.all(np.diff(s1, axis=1) >= 0)
@@ -94,9 +101,10 @@ class TestStreams:
         # key (master_seed << 64) | rep, however the generator was re-keyed.
         grid = np.array([3, 40, 1_000, 250_000])
         blocks = np.diff(grid, prepend=0)
-        n0, n1, s0, s1 = streams.two_arm_count_matrices(master_seed, 3_000, grid, 0.1, 0.12)
+        n0, n1, s0, s1 = cumulative_counts(streams.two_arm_count_matrices(master_seed, 3_000, grid, 0.1, 0.12), grid)
         theta, s = streams.single_arm_count_matrices(
             master_seed, np.arange(3_000), grid, (100, 100), streams.SavedStreams(3_000))
+        s = np.cumsum(s, axis=1)
         for rep in (0, 5, 2_999):
             def keyed():
                 return np.random.Generator(np.random.Philox(key=(master_seed << 64) | rep))
@@ -116,21 +124,25 @@ class TestStreams:
     def test_single_arm_counts(self):
         grid = np.unique(np.round(np.geomspace(10, 10_000, 50)).astype(np.int64))
         theta, s = streams.single_arm_count_matrices(5, np.arange(30), grid, (100, 100), streams.SavedStreams(30))
+        s = np.cumsum(s, axis=1)
         assert theta.shape == (30,) and s.shape == (30, grid.size)
         assert np.all((theta > 0) & (theta < 1))
         assert np.all(s <= grid[None, :])
 
 
 class TestIntegerCounts:
-    """Count matrices are int32 up to a grid end of 2^31 - 1 and int64 past it; the rules read them exactly."""
+    """Cumulative counts are int32 up to a grid end of 2^31 - 1 and int64 past it; the rules read them exactly."""
 
     @pytest.mark.parametrize("end, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
     def test_count_dtype_follows_grid_end(self, end, dtype):
         grid = np.array([7, 1_000, end])
         blocks = np.diff(grid, prepend=0)
-        counts = streams.two_arm_count_matrices(12, 3, grid, 0.3, 0.9)
+        increments = streams.two_arm_count_matrices(12, 3, grid, 0.3, 0.9)
         theta, s = streams.single_arm_count_matrices(12, np.arange(3), grid, (90, 10), streams.SavedStreams(3))
-        assert [m.dtype for m in counts] == [dtype] * 4 and s.dtype == dtype and theta.dtype == np.float64
+        assert increments.dtype == s.dtype == np.uint32 and theta.dtype == np.float64
+        counts = cumulative_counts(increments, grid)
+        s = methods.cumulative_blocks(s, streams._count_dtype(grid))(np.arange(3), slice(0, grid.size))
+        assert [m.dtype for m in counts] == [dtype] * 4 and s.dtype == dtype
         n0, n1, s0, s1 = counts
         for rep in range(3):
             rng = np.random.Generator(np.random.Philox(key=(12 << 64) | rep))
@@ -153,7 +165,7 @@ class TestIntegerCounts:
         # the two-arm tail sum's (1 + s0)(1 + n1 - s1) pass 2^31 - 1 in every
         # cell a rule evaluates: no rule may multiply int32 counts.
         grid = np.array([200_000, 240_000, 280_000, 320_000, 360_000, 400_000])
-        counts = streams.two_arm_count_matrices(29, 12, grid, 0.5, 0.505)
+        counts = cumulative_counts(streams.two_arm_count_matrices(29, 12, grid, 0.5, 0.505), grid)
         assert counts[0].dtype == np.int32
         n0, n1, s0, s1 = (m[:, 0].astype(np.int64) for m in counts)
         assert (n0 * n1 > 2**31 - 1).all() and ((1 + s0) * (1 + n1 - s1) > 2**31 - 1).all()
@@ -183,6 +195,110 @@ class TestIntegerCounts:
         for got, want in zip(methods.bht_single_losses(n, s, 1, 1, 0.5),
                              methods.bht_single_losses(n.astype(np.float64), s.astype(np.float64), 1, 1, 0.5)):
             assert np.array_equal(got, want)
+
+
+BENCH_CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "configs")
+
+
+def _bench_config(name):
+    with open(os.path.join(BENCH_CONFIGS, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestIncrementStreams:
+    """Streams are per-block increments in the narrowest unsigned type, cumulated block by block as they are read."""
+
+    def test_bench_type1_stream_takes_three_bytes_a_cell(self):
+        conf = _bench_config("type1")
+        cfg = SimStudyConfig(method="AsympCS", arm_means=tuple(conf["arm_means"]), design_mde=conf["design_mde"],
+                             replications=conf["replications"], peek_every=conf["peek_every"])
+        fht_total = studies._fht_total(cfg)
+        grid = studies._study_grid(cfg, 3 * fht_total, fht_total, markers=[fht_total])
+        stream = streams.two_arm_count_matrices(1, cfg.replications, grid, *cfg.arm_means)
+        assert stream.shape == (3, cfg.replications, grid.size) and stream.dtype == np.uint8
+        assert stream.nbytes == 3 * cfg.replications * grid.size
+
+    def test_bench_stop_quality_increments_are_uint16(self, monkeypatch):
+        conf = _bench_config("stop_bht")
+        matrices = []
+        cumulative_blocks = methods.cumulative_blocks
+
+        def recording(increments, dtype):
+            matrices.append((increments, dtype))
+            return cumulative_blocks(increments, dtype)
+
+        monkeypatch.setattr(methods, "cumulative_blocks", recording)
+        cfg = SimStudyConfig(method=conf["method"], truth_prior=tuple(conf["truth_prior"]), theta0=conf["theta0"],
+                             horizon=conf["horizon"], replications=50, params=BhtConfig(epsilon=conf["epsilon"]))
+        report = run_stop_quality_study(cfg, num_peeks=conf["num_peeks"])
+        ((increments, dtype),) = matrices
+        assert increments.dtype == np.uint16 and dtype == np.int32 and increments.flags.f_contiguous
+        assert increments.nbytes == 2 * cfg.replications * len(report.peek_ns)
+
+    def test_blocks_match_full_cumsum_along_the_crossing_loop(self):
+        # Random rejects shrink the rows and reset the widths; uint8 increments sum past 255.
+        rng = np.random.default_rng(41)
+        reps, peeks = 60, 150
+        increments = rng.integers(0, 256, size=(3, reps, peeks)).astype(np.uint8)
+        reject = rng.random((reps, peeks)) < 0.01
+        full = np.cumsum(increments, axis=-1, dtype=np.int64)
+        cumulative = methods.cumulative_blocks(increments, np.int32)
+        seen = []
+
+        def rule(rows, cols):
+            block = cumulative(rows, cols)
+            assert block.dtype == np.int32
+            np.testing.assert_array_equal(block, full[:, rows, cols])
+            seen.append((rows.size, cols.stop - cols.start))
+            return (reject[rows, cols],)
+
+        stop_idx, _ = methods.blocked_first_crossing(rule, reps, peeks)
+        np.testing.assert_array_equal(stop_idx, methods.first_crossing(reject))
+        assert len({rows for rows, _ in seen}) > 2 and len({width for _, width in seen}) > 1
+
+    def test_blocks_read_out_of_order_raise(self):
+        cumulative = methods.cumulative_blocks(np.ones((4, 10), dtype=np.uint8), np.int32)
+        cumulative(np.arange(4), slice(0, 8))
+        with pytest.raises(ValueError, match="expected column 8, got 0"):
+            cumulative(np.arange(4), slice(0, 8))
+
+    def test_stop_quality_blocks_match_full_cumsum_across_draw_stages(self, monkeypatch):
+        reps = 200
+        cfg = SimStudyConfig(
+            method="BHT-uninformed", truth_prior=(1e4, 1e4), theta0=0.5, horizon=1_000_000,
+            replications=reps, master_seed=11, params=BhtConfig(1.0, 1.0, 1e-6),
+        )
+        blocks, stages = [], []
+        cumulative_blocks, draw = methods.cumulative_blocks, streams.single_arm_count_matrices
+
+        def recording_blocks(increments, dtype):
+            cumulative = cumulative_blocks(increments, dtype)
+
+            def block(rows, cols):
+                out = cumulative(rows, cols)
+                blocks.append((rows.copy(), cols, out.copy()))
+                return out
+
+            return block
+
+        def recording_draw(seed, rows, grid, prior, saved):
+            stages.append(saved.column)
+            return draw(seed, rows, grid, prior, saved)
+
+        with monkeypatch.context() as m:
+            m.setattr(methods, "cumulative_blocks", recording_blocks)
+            m.setattr(streams, "single_arm_count_matrices", recording_draw)
+            report = run_stop_quality_study(cfg, num_peeks=150)
+        assert 0.0 < report.power < 1.0
+        grid = np.asarray(report.peek_ns)
+        _, s = draw(cfg.master_seed, np.arange(reps), grid, cfg.truth_prior, streams.SavedStreams(reps))
+        full = np.cumsum(s, axis=1, dtype=np.int64)
+        for rows, cols, out in blocks:
+            assert out.dtype == np.int32
+            np.testing.assert_array_equal(out, full[rows, cols])
+        # A block straddles the second draw stage, and the rows shrink after it.
+        assert any(cols.start < stage < cols.stop for _, cols, _ in blocks for stage in stages[1:])
+        assert blocks[-1][0].size < reps
 
 
 class TestVectorizedAgainstScalar:
@@ -564,7 +680,7 @@ class TestTwoArmEarlyExit:
         counts = studies._two_arm_counts(cfg, grid, 0.1, 0.13)
         stop_idx = studies._stop_idx(cfg, grid, counts, fht_total)
 
-        reject = _full_matrix_reject(cfg, grid, [np.array(m) for m in counts], fht_total)
+        reject = _full_matrix_reject(cfg, grid, cumulative_counts(counts, grid), fht_total)
         np.testing.assert_array_equal(stop_idx, np.where(reject.any(axis=1), np.argmax(reject, axis=1), -1))
         crossed = stop_idx[stop_idx >= 0]
         assert crossed.size > 0
@@ -655,7 +771,7 @@ class TestStudies:
             (61, np.arange(200, 2001, 200), (0.3, 0.4), BhtConfig(epsilon=5e-3)),
             (3, np.arange(1, 41), (0.1, 0.1), BhtConfig(10, 90, 0.02)),
         ):
-            counts = streams.two_arm_count_matrices(seed, 10, grid, *means)
+            counts = cumulative_counts(streams.two_arm_count_matrices(seed, 10, grid, *means), grid)
             reject = _bht_two_arm_reject(*counts, cfg)
             n0, n1, s0, s1 = counts
             for r in range(10):
