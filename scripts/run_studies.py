@@ -2,8 +2,9 @@
 
 Usage: python scripts/run_studies.py [--out DIR] [--only STUDY ...]
 
-The full battery at the bundled desk scales took 18-20 s on a 2-vCPU VM
-(Python 3.11, numpy 2.4.6, scipy 1.17.1); pass --only to run a subset.
+The full battery at the bundled desk scales took 14-17 s on a 2-vCPU VM
+(Python 3.11, numpy 2.4.6, scipy 1.17.1), mde-misspec 1.4-1.8 s of it;
+pass --only to run a subset.
 """
 
 import argparse

@@ -55,10 +55,10 @@ class BhtConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.prior_a <= 0.0 or self.prior_b <= 0.0:
-            raise ValueError("prior parameters must be positive")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.prior_a < math.inf and 0.0 < self.prior_b < math.inf):
+            raise ValueError(f"prior parameters must be finite and positive, got ({self.prior_a}, {self.prior_b})")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,10 @@ class BfConfig:
     odds_threshold: float = 20.0
 
     def __post_init__(self):
-        if self.prior_a <= 0.0 or self.prior_b <= 0.0:
-            raise ValueError("prior parameters must be positive")
-        if self.odds_threshold <= 1.0:
-            raise ValueError("odds threshold must exceed 1")
+        if not (0.0 < self.prior_a < math.inf and 0.0 < self.prior_b < math.inf):
+            raise ValueError(f"prior parameters must be finite and positive, got ({self.prior_a}, {self.prior_b})")
+        if not self.odds_threshold > 1.0:
+            raise ValueError(f"odds threshold must exceed 1, got {self.odds_threshold}")
 
 
 def beta_prob_greater(a1: float, b1: float, a0: float, b0: float) -> float:

@@ -204,8 +204,7 @@ def _cmd_simulate(args) -> int:
         elif args.study == "rho2-sweep":
             reports.extend(simlab.run_rho2_sweep(cfg, conf["rho2_grid"]))
         elif args.study == "mde-misspec":
-            for factor in conf.get("factors", [1.0]):
-                reports.append(simlab.run_mde_misspec_study(conf["effects"], factor, cfg))
+            reports.extend(simlab.run_mde_misspec_study(cfg, conf["effects"], **given("factors")))
         elif args.study == "stop-quality":
             reports.append(simlab.run_stop_quality_study(cfg, **given("num_peeks")))
     os.makedirs(args.out, exist_ok=True)

@@ -53,8 +53,8 @@ class ConfSeqParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha}")
-        if self.rho2 <= 0.0:
-            raise ValueError(f"rho2 must be positive, got {self.rho2}")
+        if not 0.0 < self.rho2 < np.inf:
+            raise ValueError(f"rho2 must be finite and positive, got {self.rho2}")
 
 
 def normal_quantile(p: float) -> float:

@@ -396,6 +396,8 @@ def analyze_snapshots(
     """
     if method not in ANALYZE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {ANALYZE_METHODS}")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
     snapshots = list(snapshots)
     if method == "ldm":
         if schedule is None:

@@ -10,14 +10,10 @@ time through ``blocked_first_crossing``; entries where a rule's
 preconditions fail never reject.
 
 Streams are stored as per-block increments in the narrowest unsigned
-type (``streams``), and ``cumulative_blocks`` turns them into cumulative
-count blocks as the crossing loop reads them, keeping each replication's
-running totals as integers (int32 up to 2^31 - 1). They become float64
-per evaluated block where they enter a kernel, and every cast is exact:
-``bernoulli_summaries`` casts the trial counts for the interval rules,
-``log_bayes_factor`` casts all four counts, and the expected-loss rules
-add them to float priors. So no kernel multiplies two integer counts,
-whose product can pass 2^31.
+type (``streams``), and ``cumulative_blocks`` turns them into float64
+cumulative count blocks as the crossing loop reads them, the engine's
+own count type (``bayes.binary_counts``). Every count is an integer
+below 2^53, so each sum is exact.
 """
 
 import numpy as np
@@ -35,12 +31,7 @@ def bernoulli_arm(n, s):
 
 
 def bernoulli_summaries(n0, n1, s0, s1):
-    """Per-arm (count, mean, biased variance) from count matrices, in kernel argument order.
-
-    The counts are returned as float64; the conversions enter only the
-    means, whose division casts them.
-    """
-    n0, n1 = np.asarray(n0, dtype=np.float64), np.asarray(n1, dtype=np.float64)
+    """Per-arm (count, mean, biased variance) from count matrices, in kernel argument order."""
     (mu0, v0), (mu1, v1) = bernoulli_arm(n0, s0), bernoulli_arm(n1, s1)
     return n0, n1, mu0, mu1, v0, v1
 
@@ -176,27 +167,27 @@ def blocked_first_crossing(rule, reps: int, peeks: int):
     return stop_idx, at_stop
 
 
-def cumulative_blocks(increments: np.ndarray, dtype: type):
-    """Reader of cumulative counts from per-block increments, for a ``blocked_first_crossing`` rule.
+def cumulative_blocks(increments: np.ndarray):
+    """Reader of float64 cumulative counts from per-block increments, for a ``blocked_first_crossing`` rule.
 
     ``increments`` is (..., reps, peeks). The returned ``block(rows, cols)``
     gives the cumulative counts of replications ``rows`` at peeks ``cols``,
-    shape (..., rows, cols), in ``dtype``: one gather and one cumsum over
-    the block, plus each replication's running total through the columns
-    before it. So it relies on the crossing loop's order: each call's
-    columns start where the previous call's stopped, and rows only drop,
-    so a row's total always ends where its next block starts. Integer
-    sums are exact, so every block holds the bits of a cumsum over the
-    whole matrix.
+    shape (..., rows, cols): one gather and one cumsum over the block, plus
+    each replication's running total through the columns before it. So it
+    relies on the crossing loop's order: each call's columns start where
+    the previous call's stopped, and rows only drop, so a row's total
+    always ends where its next block starts. Sums of integers below 2^53
+    are exact in float64, so every block holds the bits of a cumsum over
+    the whole matrix.
     """
-    totals = np.zeros(increments.shape[:-1], dtype=dtype)
+    totals = np.zeros(increments.shape[:-1])
     column = 0
 
     def block(rows, cols):
         nonlocal column
         if cols.start != column:
             raise ValueError(f"cumulative blocks are read in order: expected column {column}, got {cols.start}")
-        out = np.cumsum(increments[..., rows, cols], axis=-1, dtype=dtype)
+        out = np.cumsum(increments[..., rows, cols], axis=-1, dtype=np.float64)
         out += totals[..., rows, None]
         totals[..., rows] = out[..., -1]
         column = cols.stop

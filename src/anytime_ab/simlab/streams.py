@@ -9,14 +9,10 @@ the number of arm-1 assignments and the per-arm conversion counts, drawn
 in that fixed order. They are stored as per-block increments, not
 cumulative counts, in the narrowest unsigned type that holds the grid's
 largest block (``_increment_dtype``): a two-arm stream takes 3 bytes a
-cell where no block passes 255 events and 6 where none passes 65,535,
-against 16 for four int32 cumulative matrices; a single-arm stream takes
-2 bytes a cell on a grid whose blocks stay within 65,535, against 4.
-``methods.cumulative_blocks`` turns them into cumulative counts one
-evaluated block at a time, keeping each replication's running totals in
-``_count_dtype(grid)``: int32 unless the grid runs past 2^31 - 1, since
-no count exceeds the grid's last point. The rules cast each block they
-evaluate to float64.
+cell where no block passes 255 events, 6 where none passes 65,535 and
+12 where none passes 2^32 - 1; a single-arm stream takes a third of
+that. ``methods.cumulative_blocks`` turns them into float64 cumulative
+counts one evaluated block at a time.
 
 A single-arm stream is drawn in stages: ``SavedStreams`` keeps where
 each replication's generator stopped, so a later call extends only the
@@ -56,11 +52,6 @@ def _rekey(rng: np.random.Generator, master_seed: int, rep: int,
         "uinteger": 0,
     }
     return rng
-
-
-def _count_dtype(grid: np.ndarray) -> type:
-    """int32 when the grid's last point, the largest any count can be, fits in it; else int64."""
-    return np.int32 if grid[-1] <= np.iinfo(np.int32).max else np.int64
 
 
 def _blocks(grid: np.ndarray) -> np.ndarray:

@@ -92,6 +92,8 @@ class SimStudyConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 0 <= self.master_seed <= streams.MAX_SEED:
             raise ValueError(f"master_seed must be in [0, 2^64 - 1], got {self.master_seed}")
+        if not math.isfinite(self.theta0):
+            raise ValueError(f"theta0 must be finite, got {self.theta0}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.peek_every < 1:
@@ -131,8 +133,8 @@ def _cached_two_arm_counts(master_seed: int, reps: int, grid: tuple, p0: float, 
 def _two_arm_counts(cfg: SimStudyConfig, grid: np.ndarray, p0: float, p1: float) -> np.ndarray:
     """The read-only (3, reps, peeks) increments; consecutive studies on the same stream draw it once.
 
-    Each rule cumulates and casts only the blocks it evaluates, so the
-    shared stream keeps its narrowest type for the whole battery: 3
+    Each rule cumulates only the blocks it evaluates, into float64, so
+    the shared stream keeps its narrowest type for the whole battery: 3
     bytes a cell where no block passes 255 events.
     """
     return _cached_two_arm_counts(cfg.master_seed, cfg.replications, tuple(grid.tolist()), p0, p1)
@@ -206,9 +208,8 @@ def _stop_idx(cfg: SimStudyConfig, grid: np.ndarray, counts, fht_total: int | No
         rule = lambda block, cols: methods.bf_reject(*block, bf.prior_a, bf.prior_b, bf.odds_threshold)
     else:  # BHT-uninformed, BHT-matched
         rule = lambda block, cols: _bht_two_arm_reject(*block, cfg.params)
-    dtype = streams._count_dtype(grid)
-    cumulative = methods.cumulative_blocks(counts, dtype)
-    sizes = grid.astype(dtype)
+    cumulative = methods.cumulative_blocks(counts)
+    sizes = grid.astype(np.float64)
 
     def evaluate(rows, cols):
         n1, s0, s1 = cumulative(rows, cols)
@@ -235,13 +236,10 @@ def _bht_two_arm_reject(n0, n1, s0, s1, cfg: BhtConfig) -> np.ndarray:
     """
     reps, peeks = n0.shape
     reject = np.zeros((reps, peeks), dtype=bool)
-    # Float priors make each posterior parameter a float64, so the tail
-    # sum never multiplies two integer counts.
-    prior_a, prior_b = float(cfg.prior_a), float(cfg.prior_b)
     for r in range(reps):
         for j in range(peeks):
-            post0 = BetaPosterior(prior_a + s0[r, j], prior_b + n0[r, j] - s0[r, j])
-            post1 = BetaPosterior(prior_a + s1[r, j], prior_b + n1[r, j] - s1[r, j])
+            post0 = BetaPosterior(cfg.prior_a + s0[r, j], cfg.prior_b + n0[r, j] - s0[r, j])
+            post1 = BetaPosterior(cfg.prior_a + s1[r, j], cfg.prior_b + n1[r, j] - s1[r, j])
             loss0 = two_arm_expected_loss(post0, post1, "arm0")
             loss1 = max(loss0 - (post1.mean - post0.mean), 0.0)
             if min(loss0, loss1) < cfg.epsilon:
@@ -418,53 +416,56 @@ def run_rho2_sweep(cfg: SimStudyConfig, rho2_grid) -> list[SimReport]:
     return reports
 
 
-def run_mde_misspec_study(effect_distribution, factor: float, cfg: SimStudyConfig) -> SimReport:
-    """Stopping time of the anytime rule against a misspecified fixed horizon.
+def run_mde_misspec_study(cfg: SimStudyConfig, effect_distribution, factors=(1.0,)) -> list[SimReport]:
+    """Stopping time of the anytime rule against a misspecified fixed horizon, one report per factor.
 
-    For each true effect, simulates the anytime rule's stop times, takes
-    the 80th percentile, and divides by the fixed-horizon total sized
-    with MDE = factor * effect; factor < 1 models an analyst who
-    underestimated the effect.
+    For each true effect, simulates the anytime rule's stop times once and
+    takes their 80th percentile; each factor's report divides it by the
+    fixed-horizon total sized with MDE = factor * effect. A factor below 1
+    models an analyst who underestimated the effect.
     """
     if cfg.method != "AsympCS":
         raise ValueError(f"mde-misspec study runs AsympCS only, got {cfg.method!r}")
-    if factor <= 0.0:
-        raise ValueError("factor must be positive")
+    if not all(factor > 0.0 for factor in factors):
+        raise ValueError(f"factors must be positive, got {list(factors)}")
     if cfg.arm_means is None:
         raise ValueError("misspecification study needs arm_means (baseline rate first)")
     p0 = cfg.arm_means[0]
     p = cfg.params
-    ratios = []
-    per_effect = {}
+    q80_by_effect = []
     for theta in effect_distribution:
         per_arm_true = design.fixed_horizon_sample_size(p0, theta, p.alpha, DESIGN_POWER)
         horizon = int(math.ceil(MISSPEC_HORIZON_MULTIPLE * 2 * per_arm_true))
         step = max(1, horizon // MISSPEC_PEEKS)
         grid = np.arange(step, horizon + 1, step, dtype=np.int64)
         stop_idx = _stop_idx(cfg, grid, _two_arm_counts(cfg, grid, p0, p0 + theta))
-        q80 = float(np.quantile(_stop_n(stop_idx, grid), 0.8, method="lower"))
-        per_arm_assumed = design.fixed_horizon_sample_size(p0, factor * theta, p.alpha, DESIGN_POWER)
-        ratio = q80 / (2 * per_arm_assumed)
-        ratios.append((float(theta), float(ratio)))
-        per_effect[f"{theta}"] = {"q80": q80, "fht_total_assumed": 2 * per_arm_assumed}
-    finite = [r for _, r in ratios if math.isfinite(r)]
-    median = float(np.median(finite)) if finite else None
-    return SimReport(
-        study="mde-misspec",
-        method=cfg.method,
-        replications=cfg.replications,
-        horizon=0,
-        master_seed=cfg.master_seed,
-        peek_ns=[],
-        cumulative_rejection_by_peek=[],
-        stop_ratio_by_effect=ratios,
-        meta={
-            "factor": float(factor),
-            "median_ratio": median,
-            "per_effect": per_effect,
-            "scale": f"{cfg.replications} replications per effect",
-        },
-    )
+        q80_by_effect.append((theta, float(np.quantile(_stop_n(stop_idx, grid), 0.8, method="lower"))))
+    reports = []
+    for factor in factors:
+        ratios = []
+        per_effect = {}
+        for theta, q80 in q80_by_effect:
+            per_arm_assumed = design.fixed_horizon_sample_size(p0, factor * theta, p.alpha, DESIGN_POWER)
+            ratios.append((float(theta), float(q80 / (2 * per_arm_assumed))))
+            per_effect[f"{theta}"] = {"q80": q80, "fht_total_assumed": 2 * per_arm_assumed}
+        finite = [r for _, r in ratios if math.isfinite(r)]
+        reports.append(SimReport(
+            study="mde-misspec",
+            method=cfg.method,
+            replications=cfg.replications,
+            horizon=0,
+            master_seed=cfg.master_seed,
+            peek_ns=[],
+            cumulative_rejection_by_peek=[],
+            stop_ratio_by_effect=ratios,
+            meta={
+                "factor": float(factor),
+                "median_ratio": float(np.median(finite)) if finite else None,
+                "per_effect": per_effect,
+                "scale": f"{cfg.replications} replications per effect",
+            },
+        ))
+    return reports
 
 
 def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PEEKS) -> SimReport:
@@ -508,7 +509,7 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
     saved = streams.SavedStreams(cfg.replications)
     theta = saved.theta  # every replication's rate, from the first draw
     s = np.empty((cfg.replications, grid.size), dtype=streams._increment_dtype(streams._blocks(grid)), order="F")
-    cumulative = methods.cumulative_blocks(s, streams._count_dtype(grid))
+    cumulative = methods.cumulative_blocks(s)
     n_grid = grid.astype(float)
     theta0 = cfg.theta0
     mean_loss = None

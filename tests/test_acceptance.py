@@ -238,24 +238,26 @@ EFFECTS = (0.005, 0.0075, 0.01, 0.015, 0.02, 0.03)
 
 
 @pytest.fixture(scope="module")
-def cfg():
-    return SimStudyConfig(
+def misspec_reports():
+    """Reports at factors 1 and 0.5 from one simulation of every effect."""
+    cfg = SimStudyConfig(
         method="AsympCS", arm_means=(0.1, 0.1), design_mde=0.01,
         replications=1000, master_seed=20240506,
     )
+    return run_mde_misspec_study(cfg, EFFECTS, factors=(1.0, 0.5))
 
 
 class TestCriterion06MdeMisspecification:
 
-    def test_correctly_specified_mde(self, cfg):
-        report = run_mde_misspec_study(EFFECTS, 1.0, cfg)
+    def test_correctly_specified_mde(self, misspec_reports):
+        report = misspec_reports[0]
         median = report.meta["median_ratio"]
         ratios = [r for _, r in report.stop_ratio_by_effect]
         ok = 1.0 <= median <= 4.0 and all(r >= 1.0 for r in ratios)
         _line("6", ok, f"factor=1: median stop-time ratio {median:.2f} in [1, 4]")
 
-    def test_half_underestimated_mde(self, cfg):
-        report = run_mde_misspec_study(EFFECTS, 0.5, cfg)
+    def test_half_underestimated_mde(self, misspec_reports):
+        report = misspec_reports[1]
         median = report.meta["median_ratio"]
         _line("6", median <= 0.7, f"factor=0.5: median stop-time ratio {median:.2f} <= 0.7")
 

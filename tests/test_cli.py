@@ -212,6 +212,33 @@ class TestAnalyzeCommand:
         assert out == "" and not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--method", "asympcs", "--theta0", "nan"], "theta0 must be finite, got nan"),
+        (["analyze", "--method", "asympcs", "--theta0", "inf"], "theta0 must be finite, got inf"),
+        (["analyze", "--method", "asympcs", "--rho2", "nan"], "rho2 must be finite and positive, got nan"),
+        (["analyze", "--method", "asympcs", "--rho2", "inf"], "rho2 must be finite and positive, got inf"),
+        (["analyze", "--method", "bht", "--epsilon", "nan"], "epsilon must be positive, got nan"),
+        (["design", "--p0", "0.1", "--mde", "0.01", "--rho2", "nan"], "rho2 must be finite and positive, got nan"),
+        (["design", "--p0", "0.1", "--mde", "0.01", "--rho2", "inf"], "rho2 must be finite and positive, got inf"),
+    ],
+    ids=["analyze-theta0-nan", "analyze-theta0-inf", "analyze-rho2-nan", "analyze-rho2-inf", "analyze-epsilon-nan",
+         "design-rho2-nan", "design-rho2-inf"],
+)
+def test_bad_argument_rejected(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    if argv[0] == "analyze":
+        log = tmp_path / "log.jsonl"
+        write_log(log, np.random.default_rng(3), 300, 0.2, 0.35)
+        argv = [*argv, "--log", str(log), "--out", str(out_dir)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert out == "" and not out_dir.exists()
+
+
 TINY_TYPE1 = {"methods": ["AsympCS"], "arm_means": [0.1, 0.1], "design_mde": 0.01, "replications": 5}
 TINY_STOP_QUALITY = {"methods": ["AsympCS"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 2000,
                      "num_peeks": 20, "replications": 5}
@@ -400,12 +427,20 @@ class TestSimulateCommand:
             ("type1", {key: v for key, v in TINY_TYPE1.items() if key != "methods"},
              "error: type1 config needs method or a nonempty methods list"),
             ("type1", {**TINY_TYPE1, "methods": []}, "error: type1 config needs method or a nonempty methods list"),
+            # JSON's NaN and Infinity are numbers, but no setting may be either.
+            ("type1", {**TINY_TYPE1, "theta0": math.nan}, "error: theta0 must be finite, got nan"),
+            ("type1", {**TINY_TYPE1, "rho2": math.inf}, "error: rho2 must be finite and positive, got inf"),
+            ("stop-quality", {**TINY_STOP_QUALITY, "methods": ["BHT-uninformed"], "epsilon": math.nan},
+             "error: epsilon must be positive, got nan"),
+            ("type1", {**TINY_TYPE1, "methods": ["BHT-uninformed"], "prior": [math.inf, 1]},
+             "error: prior parameters must be finite and positive, got (inf, 1)"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
              "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero", "num_peeks-zero",
              "num_peeks-negative", "horizon-below-start", "grid-beyond-memory", "master_seed-negative",
-             "effects-missing", "rho2_grid-missing", "method-missing", "methods-empty"],
+             "effects-missing", "rho2_grid-missing", "method-missing", "methods-empty", "theta0-nan",
+             "rho2-infinite", "epsilon-nan", "prior-infinite"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"
@@ -448,7 +483,7 @@ GOLDEN_REPORTS = {
     "type1_fht_lift": ("type1", "ffa466ccd092911ab20a54c5af91de650a9bdbfbd6e51bff4e192ca3cdae50ee"),
     # Blocks of up to 300 events: two-arm increments in uint16.
     "type1_peek300": ("type1", "a78317017b18de9ee269b694696ad786a7952056db3efe2bcf99719f7e0cff67"),
-    # Blocks past 65,535 events and a grid past 2^31 - 1: uint32 increments, int64 running totals.
+    # Blocks past 65,535 events and a grid past 2^31 - 1: uint32 increments, counts past 2^31 - 1.
     "stop_quality_bht_wide": ("stop-quality", "7a96156aba4e5d02b8b8bb29ae61922964e42d004305dc7bce1a17b05715a914"),
 }
 INLINE_CONFIGS = {
@@ -691,9 +726,10 @@ def test_type1_battery_draws_one_stream(tmp_path, capsys, monkeypatch):
 
 
 def test_stop_quality_past_int32_keeps_its_counts(tmp_path, capsys, monkeypatch):
-    # A grid ending past 2^31 - 1 cumulates into int64 counts; at a true rate
-    # near 0.9 the last ones pass 2^31 - 1, where an int32 would have wrapped
-    # negative. Its blocks pass 65,535 events, so the increments are uint32.
+    # A grid ending past 2^31 - 1 cumulates into float64 counts, exact below
+    # 2^53; at a true rate near 0.9 the last ones pass 2^31 - 1, where an int32
+    # would have wrapped negative. Its blocks pass 65,535 events, so the
+    # increments are uint32.
     from anytime_ab.simlab import methods, streams
 
     drawn = []
@@ -711,9 +747,10 @@ def test_stop_quality_past_int32_keeps_its_counts(tmp_path, capsys, monkeypatch)
                             "--out", str(tmp_path / "out")], capsys)
     assert code == 0, err
     ((grid, (_, increments)),) = drawn
-    s = methods.cumulative_blocks(increments, streams._count_dtype(grid))(np.arange(2), slice(0, len(grid)))
-    assert grid[-1] == 3_000_000_000 and increments.dtype == np.uint32 and s.dtype == np.int64
-    assert (s >= 0).all() and (s <= grid).all() and (s[:, -1] > 2**31 - 1).all()
+    s = methods.cumulative_blocks(increments)(np.arange(2), slice(0, len(grid)))
+    assert grid[-1] == 3_000_000_000 and increments.dtype == np.uint32 and s.dtype == np.float64
+    np.testing.assert_array_equal(s, np.cumsum(increments, axis=1, dtype=np.int64))
+    assert (s <= grid).all() and (s[:, -1] > 2**31 - 1).all()
 
 
 def test_cli_import_and_stop_quality_leave_scipy_stats_unloaded(tmp_path):

@@ -57,10 +57,9 @@ def welford_summaries(rng, n0, n1, s0, s1):
 
 
 def cumulative_counts(increments, grid):
-    """Cumulative (n0, n1, s0, s1) of a two-arm stream's increments, each in ``streams._count_dtype(grid)``."""
-    dtype = streams._count_dtype(np.asarray(grid))
-    n1, s0, s1 = np.cumsum(increments, axis=-1, dtype=dtype)
-    return np.asarray(grid).astype(dtype) - n1, n1, s0, s1
+    """Cumulative (n0, n1, s0, s1) of a two-arm stream's increments, summed in int64 apart from the reader."""
+    n1, s0, s1 = np.cumsum(increments, axis=-1, dtype=np.int64)
+    return np.asarray(grid, dtype=np.int64) - n1, n1, s0, s1
 
 
 def random_counts(rng, size):
@@ -131,62 +130,100 @@ class TestStreams:
 
 
 class TestIntegerCounts:
-    """Cumulative counts are int32 up to a grid end of 2^31 - 1 and int64 past it; the rules read them exactly."""
+    """Cumulative count blocks are float64 and exact past 2^31 - 1; the public kernels cast integer counts."""
 
     @pytest.mark.parametrize("end, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
     def test_count_dtype_follows_grid_end(self, end, dtype):
+        # Either side of 2^31 - 1, the reader's float64 counts equal the
+        # Philox draws cumulated in the narrowest signed type that holds
+        # the grid end.
         grid = np.array([7, 1_000, end])
         blocks = np.diff(grid, prepend=0)
         increments = streams.two_arm_count_matrices(12, 3, grid, 0.3, 0.9)
         theta, s = streams.single_arm_count_matrices(12, np.arange(3), grid, (90, 10), streams.SavedStreams(3))
         assert increments.dtype == s.dtype == np.uint32 and theta.dtype == np.float64
-        counts = cumulative_counts(increments, grid)
-        s = methods.cumulative_blocks(s, streams._count_dtype(grid))(np.arange(3), slice(0, grid.size))
-        assert [m.dtype for m in counts] == [dtype] * 4 and s.dtype == dtype
-        n0, n1, s0, s1 = counts
+        whole = (np.arange(3), slice(0, grid.size))
+        n1, s0, s1 = methods.cumulative_blocks(increments)(*whole)
+        s = methods.cumulative_blocks(s)(*whole)
+        assert n1.dtype == s0.dtype == s1.dtype == s.dtype == np.float64
         for rep in range(3):
             rng = np.random.Generator(np.random.Philox(key=(12 << 64) | rep))
             m1 = rng.binomial(blocks, 0.5)
             c1 = rng.binomial(m1, 0.9)
             c0 = rng.binomial(blocks - m1, 0.3)
-            n1_f = np.cumsum(m1, dtype=np.float64)
-            for got, want in ((n0, grid - n1_f), (n1, n1_f), (s0, np.cumsum(c0, dtype=np.float64)),
-                              (s1, np.cumsum(c1, dtype=np.float64))):
-                np.testing.assert_array_equal(got[rep].astype(np.float64), want)
+            n1_want = np.cumsum(m1, dtype=dtype)
+            for got, want in ((grid - n1[rep], grid.astype(dtype) - n1_want), (n1[rep], n1_want),
+                              (s0[rep], np.cumsum(c0, dtype=dtype)), (s1[rep], np.cumsum(c1, dtype=dtype))):
+                np.testing.assert_array_equal(got, want.astype(np.float64))
             rng = np.random.Generator(np.random.Philox(key=(12 << 64) | rep))
             draws = rng.binomial(blocks, rng.beta(90, 10))
-            np.testing.assert_array_equal(s[rep].astype(np.float64), np.cumsum(draws, dtype=np.float64))
+            np.testing.assert_array_equal(s[rep], np.cumsum(draws, dtype=dtype).astype(np.float64))
 
     @pytest.mark.parametrize(
         "bht", [BhtConfig(1.0, 1.0, 1e-4), BhtConfig(1, 1, 1e-4)], ids=["float-prior", "int-prior"]
     )
     def test_int32_block_gives_float64_bits(self, bht):
-        # About 10^5 trials per arm from the first peek on, so n0 * n1 and
-        # the two-arm tail sum's (1 + s0)(1 + n1 - s1) pass 2^31 - 1 in every
-        # cell a rule evaluates: no rule may multiply int32 counts.
+        # About 10^5 trials per arm from the first peek on: the counts fit
+        # int32, but n0 * n1 and the two-arm tail sum's (1 + s0)(1 + n1 - s1)
+        # pass 2^31 - 1 in every cell a rule evaluates. Each rule reads the
+        # reader's float64 block with the bits of the exact int64 counts, and
+        # an integer prior gives the bits of a float one.
         grid = np.array([200_000, 240_000, 280_000, 320_000, 360_000, 400_000])
-        counts = cumulative_counts(streams.two_arm_count_matrices(29, 12, grid, 0.5, 0.505), grid)
-        assert counts[0].dtype == np.int32
-        n0, n1, s0, s1 = (m[:, 0].astype(np.int64) for m in counts)
-        assert (n0 * n1 > 2**31 - 1).all() and ((1 + s0) * (1 + n1 - s1) > 2**31 - 1).all()
-        as_float = [m.astype(np.float64) for m in counts]
+        increments = streams.two_arm_count_matrices(29, 12, grid, 0.5, 0.505)
+        n1, s0, s1 = methods.cumulative_blocks(increments)(np.arange(12), slice(0, grid.size))
+        counts = (grid - n1, n1, s0, s1)
+        assert all(m.dtype == np.float64 for m in counts)
+        exact = cumulative_counts(increments, grid)
+        assert max(m.max() for m in exact) <= 2**31 - 1
+        n0_0, n1_0, s0_0, s1_0 = (m[:, 0] for m in exact)
+        assert (n0_0 * n1_0 > 2**31 - 1).all() and ((1 + s0_0) * (1 + n1_0 - s1_0) > 2**31 - 1).all()
+        as_float = tuple(m.astype(np.float64) for m in exact)
+        float_prior = BhtConfig(float(bht.prior_a), float(bht.prior_b), bht.epsilon)
         rules = {
-            "ate": lambda *c: methods.ate_reject(*c, 0.05, 1e-3),
-            "lift": lambda *c: methods.lift_reject(*c, 0.05, 1e-3),
-            "msprt": lambda *c: methods.msprt_reject(*c, 0.05, 1e-3),
-            "z": lambda *c: methods.z_reject(*c, 0.05),
-            "z-stat": lambda *c: methods.z_statistic_arrays(*c, 0.001),
-            "bf": lambda *c: methods.bf_reject(*c, 1.0, 1.0, 20.0),
-            "bht-single": lambda n0, n1, s0, s1: methods.bht_single_losses(n1, s1, bht.prior_a, bht.prior_b, 0.45),
-            "bht-two-arm": lambda *c: studies._bht_two_arm_reject(*c, bht),
+            "ate": lambda c, b: methods.ate_reject(*c, 0.05, 1e-3),
+            "lift": lambda c, b: methods.lift_reject(*c, 0.05, 1e-3),
+            "msprt": lambda c, b: methods.msprt_reject(*c, 0.05, 1e-3),
+            "z": lambda c, b: methods.z_reject(*c, 0.05),
+            "z-stat": lambda c, b: methods.z_statistic_arrays(*c, 0.001),
+            "bf": lambda c, b: methods.bf_reject(*c, 1.0, 1.0, 20.0),
+            "bht-single": lambda c, b: methods.bht_single_losses(c[1], c[3], b.prior_a, b.prior_b, 0.45),
+            "bht-two-arm": lambda c, b: studies._bht_two_arm_reject(*c, b),
         }
         for name, rule in rules.items():
-            got, want = rule(*counts), rule(*as_float)
+            got, want = rule(counts, bht), rule(as_float, float_prior)
             if isinstance(got, np.ndarray):
                 got, want = (got,), (want,)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype, name
                 assert np.array_equal(g, w, equal_nan=g.dtype.kind == "f"), name
+
+    def test_wide_grid_blocks_match_int64_cumsum(self):
+        # The stop_quality_bht_wide grid: blocks past 65,535 events, so the
+        # increments are uint32, and single-arm counts near 0.9 of it pass
+        # 2^31 - 1, where an int32 total would have wrapped negative.
+        grid = np.unique(np.round(np.geomspace(studies.STOP_QUALITY_START, 3_000_000_000, 60)).astype(np.int64))
+        reps = 40
+        two_arm = streams.two_arm_count_matrices(12, reps, grid, 0.3, 0.9)
+        _, single = streams.single_arm_count_matrices(12, np.arange(reps), grid, (900, 100), streams.SavedStreams(reps))
+        assert (np.cumsum(single, axis=1, dtype=np.int64)[:, -1] > 2**31 - 1).all()
+        # Random rejects shrink the rows and reset the widths.
+        reject = np.random.default_rng(5).random((reps, grid.size)) < 0.02
+        for increments in (two_arm, single):
+            assert increments.dtype == np.uint32
+            full = np.cumsum(increments, axis=-1, dtype=np.int64)
+            cumulative = methods.cumulative_blocks(increments)
+            seen = []
+
+            def rule(rows, cols):
+                block = cumulative(rows, cols)
+                assert block.dtype == np.float64
+                np.testing.assert_array_equal(block, full[..., rows, cols])
+                seen.append((rows.size, cols.stop - cols.start))
+                return (reject[rows, cols],)
+
+            stop_idx, _ = methods.blocked_first_crossing(rule, reps, grid.size)
+            np.testing.assert_array_equal(stop_idx, methods.first_crossing(reject))
+            assert len({rows for rows, _ in seen}) > 1 and len({width for _, width in seen}) > 1
 
     def test_single_arm_losses_at_int32_limit(self):
         # A count at 2^31 - 1 plus an integer prior would wrap in int32.
@@ -223,16 +260,16 @@ class TestIncrementStreams:
         matrices = []
         cumulative_blocks = methods.cumulative_blocks
 
-        def recording(increments, dtype):
-            matrices.append((increments, dtype))
-            return cumulative_blocks(increments, dtype)
+        def recording(increments):
+            matrices.append(increments)
+            return cumulative_blocks(increments)
 
         monkeypatch.setattr(methods, "cumulative_blocks", recording)
         cfg = SimStudyConfig(method=conf["method"], truth_prior=tuple(conf["truth_prior"]), theta0=conf["theta0"],
                              horizon=conf["horizon"], replications=50, params=BhtConfig(epsilon=conf["epsilon"]))
         report = run_stop_quality_study(cfg, num_peeks=conf["num_peeks"])
-        ((increments, dtype),) = matrices
-        assert increments.dtype == np.uint16 and dtype == np.int32 and increments.flags.f_contiguous
+        (increments,) = matrices
+        assert increments.dtype == np.uint16 and increments.flags.f_contiguous
         assert increments.nbytes == 2 * cfg.replications * len(report.peek_ns)
 
     def test_blocks_match_full_cumsum_along_the_crossing_loop(self):
@@ -242,12 +279,12 @@ class TestIncrementStreams:
         increments = rng.integers(0, 256, size=(3, reps, peeks)).astype(np.uint8)
         reject = rng.random((reps, peeks)) < 0.01
         full = np.cumsum(increments, axis=-1, dtype=np.int64)
-        cumulative = methods.cumulative_blocks(increments, np.int32)
+        cumulative = methods.cumulative_blocks(increments)
         seen = []
 
         def rule(rows, cols):
             block = cumulative(rows, cols)
-            assert block.dtype == np.int32
+            assert block.dtype == np.float64
             np.testing.assert_array_equal(block, full[:, rows, cols])
             seen.append((rows.size, cols.stop - cols.start))
             return (reject[rows, cols],)
@@ -257,7 +294,7 @@ class TestIncrementStreams:
         assert len({rows for rows, _ in seen}) > 2 and len({width for _, width in seen}) > 1
 
     def test_blocks_read_out_of_order_raise(self):
-        cumulative = methods.cumulative_blocks(np.ones((4, 10), dtype=np.uint8), np.int32)
+        cumulative = methods.cumulative_blocks(np.ones((4, 10), dtype=np.uint8))
         cumulative(np.arange(4), slice(0, 8))
         with pytest.raises(ValueError, match="expected column 8, got 0"):
             cumulative(np.arange(4), slice(0, 8))
@@ -271,8 +308,8 @@ class TestIncrementStreams:
         blocks, stages = [], []
         cumulative_blocks, draw = methods.cumulative_blocks, streams.single_arm_count_matrices
 
-        def recording_blocks(increments, dtype):
-            cumulative = cumulative_blocks(increments, dtype)
+        def recording_blocks(increments):
+            cumulative = cumulative_blocks(increments)
 
             def block(rows, cols):
                 out = cumulative(rows, cols)
@@ -294,7 +331,7 @@ class TestIncrementStreams:
         _, s = draw(cfg.master_seed, np.arange(reps), grid, cfg.truth_prior, streams.SavedStreams(reps))
         full = np.cumsum(s, axis=1, dtype=np.int64)
         for rows, cols, out in blocks:
-            assert out.dtype == np.int32
+            assert out.dtype == np.float64
             np.testing.assert_array_equal(out, full[rows, cols])
         # A block straddles the second draw stage, and the rows shrink after it.
         assert any(cols.start < stage < cols.stop for _, cols, _ in blocks for stage in stages[1:])
@@ -846,8 +883,7 @@ class TestStudies:
 
     def test_misspec_factor_scaling(self):
         cfg = SimStudyConfig(method="AsympCS", arm_means=(0.1, 0.1), design_mde=0.01, replications=150, master_seed=37)
-        exact = run_mde_misspec_study([0.01, 0.02], 1.0, cfg)
-        under = run_mde_misspec_study([0.01, 0.02], 0.5, cfg)
+        exact, under = run_mde_misspec_study(cfg, [0.01, 0.02], factors=(1.0, 0.5))
         assert 1.0 <= exact.meta["median_ratio"] <= 4.0
         # Same stop times, four-times-larger assumed horizon.
         assert under.meta["median_ratio"] == pytest.approx(exact.meta["median_ratio"] / 4.0, rel=0.05)
