@@ -12,13 +12,13 @@ Each rule is one array kernel over per-arm (count, mean, biased variance)
 columns, which ``engine.analyze_snapshots`` forms from snapshot rows and
 ``simlab.methods.bernoulli_summaries`` from count matrices; ``analyze``
 and the studies call the same kernels. Every kernel is a pure map from
-those columns and its parameters to an interval or statistic with a
-validity mask: replaying a log reproduces a trajectory bit for bit, and
-evaluation cadence is immaterial to validity, so no schedule state is
-kept. By default intervals are *not* intersected across time; the
-stopping rule used throughout is "first n whose current interval
-excludes the null", and ``excludes`` is its one test. There is no
-per-state API: a single state is a one-entry column.
+those columns and its parameters to an interval's (lower, upper) bounds
+or a statistic, with a validity mask: replaying a log reproduces a
+trajectory bit for bit, and evaluation cadence is immaterial to
+validity, so no schedule state is kept. By default intervals are *not*
+intersected across time; the stopping rule used throughout is "first n
+whose current interval excludes the null", and ``excludes`` is its one
+test. There is no per-state API: a single state is a one-entry column.
 """
 
 from dataclasses import dataclass
@@ -86,11 +86,16 @@ def radius_beta(n, alpha: float, rho2: float):
 
 # Kernels: each rule once, over per-arm (count, mean, biased variance) arrays,
 # or Python floats where both arms are nonempty. Entries failing a rule's
-# preconditions are invalid, with infinite half-width or -inf log lambda.
+# preconditions are invalid, with bounds (-inf, +inf) or -inf log lambda.
+
+
+def _masked(lower, upper, valid):
+    """(lower, upper, valid) with (-inf, +inf) where invalid, so such an entry excludes no null even unmasked."""
+    return np.where(valid, lower, -np.inf), np.where(valid, upper, np.inf), valid
 
 
 def asympcs_ate(n0, n1, mu0, mu1, v0, v1, alpha: float, rho2: float):
-    """Center, half-width and validity of the AsympCS interval for the ATE mu1 - mu0.
+    """Lower bound, upper bound and validity of the AsympCS interval for the ATE mu1 - mu0.
 
     The bracket is the running variance of the allocation-weighted
     influence values. Float round-off on constant data can push it
@@ -106,16 +111,16 @@ def asympcs_ate(n0, n1, mu0, mu1, v0, v1, alpha: float, rho2: float):
         if np.any(valid & (bracket < -_VARIANCE_SLACK)):
             raise VarianceGuardError("variance bracket is negative; accumulators look corrupt")
         var_f = n / (n - 1.0) * np.maximum(bracket, 0.0)
-        hw = np.where(valid, radius_beta(np.maximum(n, 1.0), alpha, rho2) * np.sqrt(var_f), np.inf)
-    return center, hw, valid
+        hw = radius_beta(np.maximum(n, 1.0), alpha, rho2) * np.sqrt(var_f)
+        return _masked(center - hw, center + hw, valid)
 
 
 def mean_interval(n, mu, v, alpha: float, rho2: float):
-    """Center, half-width and validity (n >= 2) of the one-sample interval mu +/- sqrt(v) * radius."""
+    """Lower bound, upper bound and validity (n >= 2) of the one-sample interval mu +/- sqrt(v) * radius."""
     valid = n >= 2
     with np.errstate(invalid="ignore"):
-        hw = np.where(valid, np.sqrt(v) * radius_beta(np.maximum(n, 1.0), alpha, rho2), np.inf)
-    return mu, hw, valid
+        hw = np.sqrt(v) * radius_beta(np.maximum(n, 1.0), alpha, rho2)
+        return _masked(mu - hw, mu + hw, valid)
 
 
 def lift_interval(n0, n1, mu0, mu1, v0, v1, arm_level: float, rho2: float):
@@ -128,14 +133,12 @@ def lift_interval(n0, n1, mu0, mu1, v0, v1, arm_level: float, rho2: float):
     observations and positive finite means.
     """
     valid = (n0 >= 2) & (n1 >= 2) & (0.0 < mu0) & (mu0 < np.inf) & (0.0 < mu1) & (mu1 < np.inf)
-    _, hw0, _ = mean_interval(n0, mu0, v0, arm_level, rho2)
-    _, hw1, _ = mean_interval(n1, mu1, v1, arm_level, rho2)
-    l0, u0 = mu0 - hw0, mu0 + hw0
-    l1, u1 = mu1 - hw1, mu1 + hw1
+    l0, u0, _ = mean_interval(n0, mu0, v0, arm_level, rho2)
+    l1, u1, _ = mean_interval(n1, mu1, v1, arm_level, rho2)
     with np.errstate(divide="ignore", invalid="ignore"):
         lower = np.where(l1 > 0.0, l1 / u0 - 1.0, -1.0)
         upper = np.where(l0 > 0.0, u1 / l0 - 1.0, np.inf)
-    return lower, upper, valid
+    return _masked(lower, upper, valid)
 
 
 def two_sample_scale(n0, n1, mu0, mu1, v0, v1):
@@ -172,7 +175,7 @@ def msprt_log_lambda(n, estimate, sigma2, rho2: float, theta0=0.0):
 
 
 def msprt_interval(n, estimate, sigma2, alpha: float, rho2: float):
-    """Center, half-width and validity of the interval inverting lambda >= 1/alpha (inputs as ``msprt_log_lambda``).
+    """Lower bound, upper bound and validity of the interval inverting lambda >= 1/alpha (inputs as ``msprt_log_lambda``).
 
     A subnormal sigma2 overflows the half-width; such an entry is invalid.
     """
@@ -183,8 +186,7 @@ def msprt_interval(n, estimate, sigma2, alpha: float, rho2: float):
         nr = n * rho2
         inner = 0.5 * np.log((nr + s2) / s2) + np.log(1.0 / alpha)
         hw = np.sqrt(s2) * np.sqrt(2.0 * (nr + s2) / (n * n * rho2) * inner)
-    valid = valid & (hw < np.inf)
-    return estimate, np.where(valid, hw, np.inf), valid
+        return _masked(estimate - hw, estimate + hw, valid & (hw < np.inf))
 
 
 def excludes(lower, upper, valid, theta0):
@@ -215,6 +217,7 @@ def z_statistic(n0, n1, mu0, mu1, v0, v1, theta0=0.0):
 
 
 def z_interval(n0, n1, mu0, mu1, v0, v1, alpha: float):
-    """Center, half-width and validity of the fixed-horizon z interval for mu1 - mu0."""
+    """Lower bound, upper bound and validity of the fixed-horizon z interval for mu1 - mu0."""
     se, valid = _z_scale(n0, n1, v0, v1)
-    return mu1 - mu0, normal_quantile(1.0 - alpha / 2.0) * se, valid
+    hw = normal_quantile(1.0 - alpha / 2.0) * se
+    return _masked(mu1 - mu0 - hw, mu1 - mu0 + hw, valid)

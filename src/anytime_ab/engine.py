@@ -372,6 +372,16 @@ class TrajectoryRow:
     verdict: str
 
 
+def _check_settings(method: str, theta0: float, schedule: SpendingSchedule | None) -> None:
+    """Raise ValueError for an unknown method, a non-finite null or an ldm run without a schedule."""
+    if method not in ANALYZE_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {ANALYZE_METHODS}")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
+    if method == "ldm" and schedule is None:
+        raise ValueError("ldm analysis needs a spending schedule")
+
+
 # Log values near the float limits overflow a kernel's squares and sums;
 # each such entry is then invalid and never crosses (see the guards below),
 # so numpy's overflow and NaN warnings would only reach the user's stderr.
@@ -394,18 +404,10 @@ def analyze_snapshots(
     null is mu1 - mu0 = theta0, or for ``asympcs-lift`` a lift
     mu1 / mu0 - 1 = theta0.
     """
-    if method not in ANALYZE_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {ANALYZE_METHODS}")
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be finite, got {theta0}")
+    _check_settings(method, theta0, schedule)
     snapshots = list(snapshots)
-    if method == "ldm":
-        if schedule is None:
-            raise ValueError("ldm analysis needs a spending schedule")
-        if len(snapshots) != schedule.n_peeks:
-            raise ScheduleMismatchError(
-                f"log has {len(snapshots)} snapshots, schedule has {schedule.n_peeks} peeks"
-            )
+    if method == "ldm" and len(snapshots) != schedule.n_peeks:
+        raise ScheduleMismatchError(f"log has {len(snapshots)} snapshots, schedule has {schedule.n_peeks} peeks")
     _, n0, mu0, m2_0, n1, mu1, m2_1 = np.array(snapshots, dtype=float).reshape(-1, 7).T
     # The kernels' per-arm (count, mean, biased variance) columns; an empty arm has variance 0.
     arms = (n0, n1, mu0, mu1, m2_0 / np.maximum(n0, 1.0), m2_1 / np.maximum(n1, 1.0))
@@ -414,22 +416,22 @@ def analyze_snapshots(
     scale = np.maximum(np.abs(mu0) + np.sqrt(arms[4]), np.abs(mu1) + np.sqrt(arms[5]))
     underflow = (scale > 0.0) & (scale < 2.0**-511)
     center = np.where((n0 >= 1) & (n1 >= 1), mu1 - mu0, np.nan)
-    hw = lower = upper = stat = None
+    lower = upper = stat = None
     if method == "asympcs":
-        _, hw, valid = asympcs_ate(*arms, params.alpha, params.rho2)
+        lower, upper, valid = asympcs_ate(*arms, params.alpha, params.rho2)
     elif method == "asympcs-lift":
         lower, upper, valid = lift_interval(*arms, params.alpha, params.rho2)
         with np.errstate(divide="ignore", invalid="ignore"):
             center = np.where((n0 >= 1) & (n1 >= 1) & (mu0 > 0.0) & (mu1 > 0.0), mu1 / mu0 - 1.0, np.nan)
     elif method == "msprt":
         scale = two_sample_scale(*arms)
-        _, hw, valid = msprt_interval(*scale, params.alpha, params.rho2)
+        lower, upper, valid = msprt_interval(*scale, params.alpha, params.rho2)
         loglam, _ = msprt_log_lambda(*scale, params.rho2, theta0)
         # The always-valid p-process: running minimum of 1/lambda from p = 1.
         with np.errstate(over="ignore", divide="ignore"):
             stat = np.minimum.accumulate(np.where(valid, 1.0 / np.exp(loglam), 1.0))
     elif method == "fht-peeking":
-        _, hw, valid = z_interval(*arms, params.alpha)
+        lower, upper, valid = z_interval(*arms, params.alpha)
     elif method == "ldm":
         stat, valid = z_statistic(*arms, theta0)
         crossed = valid & ~underflow & (np.abs(stat) >= np.asarray(schedule.boundaries))
@@ -442,8 +444,6 @@ def analyze_snapshots(
         decisions = [bht_decide(*row, cfg) for row in zip(*(c.tolist() for c in counts))]
         stat = np.array([min(d.loss_arm0, d.loss_arm1) for d in decisions])
         crossed = np.array([d.stopped for d in decisions], dtype=bool)
-    if hw is not None:
-        lower, upper = center - hw, center + hw
     if lower is not None:
         # A bound that overflowed to NaN, or to infinity on its wrong side, never crosses.
         valid &= (lower < np.inf) & (upper > -np.inf) & ~underflow
@@ -492,8 +492,9 @@ def analyze(
     Writes ``trajectory.csv`` and ``decision.json`` under ``out_dir``
     when given. A log that ends without a crossing is verdict
     not-significant, or running when ``partial`` marks the log as still
-    collecting.
+    collecting. The settings are checked before the log is opened.
     """
+    _check_settings(method, theta0, schedule)
     result = ingest(parse_events(log_path), snapshot_every=snapshot_every, dedup=dedup)
     rows, crossed_at, statistic = analyze_snapshots(
         result.snapshots, method, params, theta0,

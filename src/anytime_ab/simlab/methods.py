@@ -37,8 +37,7 @@ def bernoulli_summaries(n0, n1, s0, s1):
 
 
 def ate_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
-    center, hw, valid = confseq.asympcs_ate(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2)
-    return confseq.excludes(center - hw, center + hw, valid, theta0)
+    return confseq.excludes(*confseq.asympcs_ate(*bernoulli_summaries(n0, n1, s0, s1), alpha, rho2), theta0)
 
 
 def lift_reject(n0, n1, s0, s1, arm_level, rho2, lift0=0.0):
@@ -47,8 +46,7 @@ def lift_reject(n0, n1, s0, s1, arm_level, rho2, lift0=0.0):
 
 def msprt_reject(n0, n1, s0, s1, alpha, rho2, theta0=0.0):
     scale = confseq.two_sample_scale(*bernoulli_summaries(n0, n1, s0, s1))
-    center, hw, valid = confseq.msprt_interval(*scale, alpha, rho2)
-    return confseq.excludes(center - hw, center + hw, valid, theta0)
+    return confseq.excludes(*confseq.msprt_interval(*scale, alpha, rho2), theta0)
 
 
 def z_statistic_arrays(n0, n1, s0, s1, theta0=0.0):
@@ -57,8 +55,7 @@ def z_statistic_arrays(n0, n1, s0, s1, theta0=0.0):
 
 
 def z_reject(n0, n1, s0, s1, alpha, theta0=0.0):
-    center, hw, valid = confseq.z_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha)
-    return confseq.excludes(center - hw, center + hw, valid, theta0)
+    return confseq.excludes(*confseq.z_interval(*bernoulli_summaries(n0, n1, s0, s1), alpha), theta0)
 
 
 def bf_reject(n0, n1, s0, s1, prior_a, prior_b, odds_threshold):

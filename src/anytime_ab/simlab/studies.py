@@ -94,6 +94,9 @@ class SimStudyConfig:
             raise ValueError(f"master_seed must be in [0, 2^64 - 1], got {self.master_seed}")
         if not math.isfinite(self.theta0):
             raise ValueError(f"theta0 must be finite, got {self.theta0}")
+        if self.truth_prior is not None and not (
+                len(self.truth_prior) == 2 and all(0.0 < x < math.inf for x in self.truth_prior)):
+            raise ValueError(f"truth_prior must be a pair of finite positive numbers, got {self.truth_prior}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.peek_every < 1:
@@ -346,6 +349,9 @@ def run_lift_power_study(
     if cfg.theta0 != 0.0:
         raise ValueError(f"lift study tests a lift and a difference of 0, got theta0={cfg.theta0}")
     p0, p1 = cfg.arm_means
+    for lift in lift_grid or ():
+        if not 0.0 <= p0 * (1.0 + lift) <= 1.0:  # so also where lift is NaN or infinite
+            raise ValueError(f"lift_grid needs finite lifts with p0 * (1 + lift) in [0, 1], got {lift} at p0 = {p0}")
     ate_cfg = replace(cfg, method="AsympCS")
     fht_total = _fht_total(cfg)
     horizon, grid, markers = _marker_grid(cfg, fht_total, horizon_multiples)
@@ -535,13 +541,13 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
 
         def rule(rows, cols):
             n_block, s_block = cells(rows, cols)
-            center, hw, valid = interval(n_block, *methods.bernoulli_arm(n_block, s_block), p.alpha, p.rho2)
-            lower, upper = center - hw, center + hw
-            return excludes(lower, upper, valid, theta0), center, lower, upper
+            mu, v = methods.bernoulli_arm(n_block, s_block)
+            lower, upper, valid = interval(n_block, mu, v, p.alpha, p.rho2)
+            return excludes(lower, upper, valid, theta0), mu, lower, upper
 
-        stop_idx, (center, lower, upper) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
+        stop_idx, (mu, lower, upper) = methods.blocked_first_crossing(rule, cfg.replications, grid.size)
         rows = np.flatnonzero(stop_idx >= 0)
-        lower, upper, inferred = lower[rows], upper[rows], center[rows]
+        lower, upper, inferred = lower[rows], upper[rows], mu[rows]
     elif cfg.method in ("BHT-uninformed", "BHT-matched"):
         bht = cfg.params
 

@@ -437,7 +437,7 @@ class TestCriterion10DeterminismAndProperties:
         columns = (n0, n1, c0 / n0, c1 / n1, (c0 - c0 * c0 / n0) / n0, (c1 - c1 * c1 / n1) / n1)
 
         def bits(*cols):
-            # (center, half-width, valid) rows of the kernel, as raw 64-bit words.
+            # (lower, upper, valid) rows of the kernel, as raw 64-bit words.
             return np.array(asympcs_ate(*cols, PARAMS.alpha, PARAMS.rho2), dtype=float).view(np.uint64)
 
         a, b = bits(*columns), bits(*columns)

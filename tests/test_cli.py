@@ -239,9 +239,30 @@ def test_bad_argument_rejected(tmp_path, capsys, argv, message):
     assert out == "" and not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method", "nope"], "unknown method 'nope'"),
+        (["--method", "asympcs", "--theta0", "nan"], "theta0 must be finite, got nan"),
+        (["--method", "ldm"], "ldm analysis needs a spending schedule"),
+    ],
+    ids=["method-unknown", "theta0-nan", "ldm-without-schedule"],
+)
+def test_bad_setting_named_before_log_is_read(tmp_path, capsys, argv, message):
+    # The log does not exist, so a setting's error shows it was checked first.
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["analyze", "--log", str(tmp_path / "missing.jsonl"), *argv, "--out", str(out_dir)],
+                             capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == "" and not out_dir.exists()
+
+
 TINY_TYPE1 = {"methods": ["AsympCS"], "arm_means": [0.1, 0.1], "design_mde": 0.01, "replications": 5}
 TINY_STOP_QUALITY = {"methods": ["AsympCS"], "truth_prior": [100, 100], "theta0": 0.5, "horizon": 2000,
                      "num_peeks": 20, "replications": 5}
+TINY_LIFT_POWER = {"methods": ["AsympCS-lift"], "arm_means": [0.1, 0.12], "horizon_multiples": [1.0],
+                   "replications": 5}
 
 
 class TestSimulateCommand:
@@ -434,13 +455,21 @@ class TestSimulateCommand:
              "error: epsilon must be positive, got nan"),
             ("type1", {**TINY_TYPE1, "methods": ["BHT-uninformed"], "prior": [math.inf, 1]},
              "error: prior parameters must be finite and positive, got (inf, 1)"),
+            # A stop-quality rate prior and each lift are named before any stream is drawn.
+            ("stop-quality", {**TINY_STOP_QUALITY, "truth_prior": [math.nan, 1]},
+             "error: truth_prior must be a pair of finite positive numbers, got (nan, 1)"),
+            ("stop-quality", {**TINY_STOP_QUALITY, "truth_prior": [math.inf, 1]},
+             "error: truth_prior must be a pair of finite positive numbers, got (inf, 1)"),
+            ("lift-power", {**TINY_LIFT_POWER, "lift_grid": [math.nan]},
+             "error: lift_grid needs finite lifts with p0 * (1 + lift) in [0, 1], got nan at p0 = 0.1"),
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
              "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero", "num_peeks-zero",
              "num_peeks-negative", "horizon-below-start", "grid-beyond-memory", "master_seed-negative",
              "effects-missing", "rho2_grid-missing", "method-missing", "methods-empty", "theta0-nan",
-             "rho2-infinite", "epsilon-nan", "prior-infinite"],
+             "rho2-infinite", "epsilon-nan", "prior-infinite", "truth_prior-nan", "truth_prior-infinite",
+             "lift_grid-nan"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, study, conf, message):
         config = tmp_path / "cfg.json"

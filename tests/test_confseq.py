@@ -10,6 +10,7 @@ from anytime_ab.confseq import (
     ConfSeqParams,
     VarianceGuardError,
     asympcs_ate,
+    excludes,
     lift_interval,
     mean_interval,
     msprt_interval,
@@ -17,6 +18,7 @@ from anytime_ab.confseq import (
     normal_quantile,
     radius_beta,
     two_sample_scale,
+    z_interval,
 )
 from anytime_ab.moments import welford_step
 from test_moments import EMPTY, fold
@@ -51,15 +53,15 @@ def one_state(state):
 
 def ate_bounds(state):
     """Lower and upper bounds of the AsympCS interval of one state at level 0.05."""
-    center, hw, valid = asympcs_ate(*one_state(state), 0.05, 1e-3)
+    lower, upper, valid = asympcs_ate(*one_state(state), 0.05, 1e-3)
     assert valid
-    return center - hw, center + hw
+    return lower, upper
 
 
 def arm_bounds(arm):
     """Lower and upper anytime bounds of one arm at level 0.05."""
-    mu, hw, _ = mean_interval(*arm_columns(arm), 0.05, 1e-3)
-    return mu - hw, mu + hw
+    lower, upper, _ = mean_interval(*arm_columns(arm), 0.05, 1e-3)
+    return lower, upper
 
 
 def log_lambda(state, theta0=0.0):
@@ -132,13 +134,15 @@ class TestAteInterval:
             oracle = np.mean(f**2) - theta**2
             arm0 = fold(ys[arms == 0])
             arm1 = fold(ys[arms == 1])
-            _, hw, valid = asympcs_ate(*one_state((arm0, arm1)), 0.05, 1e-3)
+            lower, upper, valid = asympcs_ate(*one_state((arm0, arm1)), 0.05, 1e-3)
             half_width = radius_beta(int(n), 0.05, 1e-3) * math.sqrt(n / (n - 1) * oracle)
-            assert valid and hw == pytest.approx(half_width, rel=1e-9, abs=1e-12)
+            assert valid
+            assert lower == pytest.approx(theta - half_width, rel=1e-9, abs=1e-12)
+            assert upper == pytest.approx(theta + half_width, rel=1e-9, abs=1e-12)
 
     def test_insufficient_data(self):
-        _, hw, valid = asympcs_ate(*one_state((EMPTY, fold([1.0]))), 0.05, 1e-3)
-        assert not valid and hw == math.inf
+        lower, upper, valid = asympcs_ate(*one_state((EMPTY, fold([1.0]))), 0.05, 1e-3)
+        assert not valid and (lower, upper) == (-math.inf, math.inf)
 
     def test_variance_guard(self):
         corrupt = (
@@ -199,8 +203,8 @@ class TestMeanInterval:
         assert upper == pytest.approx(0.5 + 0.5 * radius_beta(2, 0.05, 1e-3), rel=1e-12)
 
     def test_needs_two_observations(self):
-        _, hw, valid = mean_interval(*arm_columns(fold([1.0])), 0.05, 1e-3)
-        assert not valid and hw == math.inf
+        lower, upper, valid = mean_interval(*arm_columns(fold([1.0])), 0.05, 1e-3)
+        assert not valid and (lower, upper) == (-math.inf, math.inf)
 
 
 class TestLiftInterval:
@@ -304,9 +308,9 @@ class TestMsprt:
                 p = min(p, 1.0 / lam)
                 max_lam = max(max_lam, lam)
                 assert (p <= 0.05) == (max_lam >= 1.0 / 0.05)
-                center, hw, _ = msprt_interval(*scale, 0.05, 1e-3)
+                lower, upper, _ = msprt_interval(*scale, 0.05, 1e-3)
                 if abs(loglam - math.log(1.0 / 0.05)) > 1e-9:
-                    assert (abs(center) > hw) == (lam > 1.0 / 0.05)
+                    assert excludes(lower, upper, True, 0.0) == (lam > 1.0 / 0.05)
 
     def test_p_process_nonincreasing(self):
         rng = np.random.default_rng(77)
@@ -325,14 +329,14 @@ class TestMsprt:
     def test_zero_variance_invalid(self):
         loglam, valid = log_lambda(binary_state(0, 10, 0, 10))
         assert not valid and loglam == -math.inf
-        _, hw, valid = msprt_interval(*two_sample_scale(*one_state(binary_state(0, 10, 0, 10))), 0.05, 1e-3)
-        assert not valid and hw == math.inf
+        lower, upper, valid = msprt_interval(*two_sample_scale(*one_state(binary_state(0, 10, 0, 10))), 0.05, 1e-3)
+        assert not valid and (lower, upper) == (-math.inf, math.inf)
 
     def test_one_sample_interval(self):
         arm = fold([0.0, 1.0, 1.0, 0.0, 1.0])
-        center, hw, valid = msprt_interval(*arm_columns(arm), 0.05, 1e-3)
+        lower, upper, valid = msprt_interval(*arm_columns(arm), 0.05, 1e-3)
         assert valid
-        assert center - hw < arm[1] < center + hw
+        assert lower < arm[1] < upper
 
 
 counts = st.integers(min_value=2, max_value=500)
@@ -343,10 +347,37 @@ counts = st.integers(min_value=2, max_value=500)
 def test_ate_interval_symmetric_under_arm_swap(n0, n1, data):
     c0 = data.draw(st.integers(min_value=0, max_value=n0))
     c1 = data.draw(st.integers(min_value=0, max_value=n1))
+    # The swap negates the center exactly and leaves the half-width's bits.
     lower, upper = ate_bounds(binary_state(c0, n0, c1, n1))
     swapped_lower, swapped_upper = ate_bounds(binary_state(c1, n1, c0, n0))
-    assert lower == pytest.approx(-swapped_upper, rel=1e-12, abs=1e-12)
-    assert upper == pytest.approx(-swapped_lower, rel=1e-12, abs=1e-12)
+    assert (lower, upper) == (-swapped_upper, -swapped_lower)
+
+
+def kernel_grid():
+    """Kernel columns over every (count, mean) pair per arm: counts 0, 1, 2 and 5, means 0, 0.4 and 1."""
+    n0, n1, mu0, mu1 = (a.ravel() for a in np.meshgrid([0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 2.0, 5.0],
+                                                      [0.0, 0.4, 1.0], [0.0, 0.4, 1.0]))
+    return n0, n1, mu0, mu1, mu0 * (1.0 - mu0), mu1 * (1.0 - mu1)
+
+
+INTERVAL_KERNELS = {
+    "asympcs_ate": lambda cols: asympcs_ate(*cols, 0.05, 1e-3),
+    "mean_interval": lambda cols: mean_interval(cols[1], cols[3], cols[5], 0.05, 1e-3),
+    "lift_interval": lambda cols: lift_interval(*cols, 0.05, 1e-3),
+    "msprt_interval": lambda cols: msprt_interval(*two_sample_scale(*cols), 0.05, 1e-3),
+    "z_interval": lambda cols: z_interval(*cols, 0.05),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(INTERVAL_KERNELS))
+@pytest.mark.parametrize("theta0", [-2.0, -1.0, 0.0, 0.5])
+def test_invalid_entry_excludes_no_null(kernel, theta0):
+    # An invalid entry is bounded by (-inf, +inf), so even a caller that
+    # skips the validity mask sees no crossing there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower, upper, valid = INTERVAL_KERNELS[kernel](kernel_grid())
+    assert 0 < valid.sum() < valid.size
+    assert not excludes(lower[~valid], upper[~valid], True, theta0).any()
 
 
 def test_quantile_golden():

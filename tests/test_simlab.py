@@ -350,11 +350,11 @@ class TestVectorizedAgainstScalar:
     def test_ate(self):
         rng = np.random.default_rng(21)
         n0, n1, s0, s1 = random_counts(rng, 300)
-        center, hw, valid = asympcs_ate(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
-        w_center, w_hw, w_valid = asympcs_ate(*welford_summaries(rng, n0, n1, s0, s1), 0.05, 1e-3)
+        lower, upper, valid = asympcs_ate(*methods.bernoulli_summaries(n0, n1, s0, s1), 0.05, 1e-3)
+        w_lower, w_upper, w_valid = asympcs_ate(*welford_summaries(rng, n0, n1, s0, s1), 0.05, 1e-3)
         assert valid.all() and w_valid.all()
-        np.testing.assert_allclose(center - hw, w_center - w_hw, rtol=1e-11, atol=1e-12)
-        np.testing.assert_allclose(center + hw, w_center + w_hw, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(lower, w_lower, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(upper, w_upper, rtol=1e-11, atol=1e-12)
 
     def test_lift(self):
         rng = np.random.default_rng(22)
@@ -393,10 +393,11 @@ class TestVectorizedAgainstScalar:
         # Arm 1 of the Welford columns; arm 0 is an unused copy.
         _, w_n, _, w_mu, _, w_v = welford_summaries(rng, n, n, s, s)
         for kernel in (mean_interval, msprt_interval):
-            center, hw, valid = kernel(n, *arm, 0.05, 1e-3)
-            w_center, w_hw, w_valid = kernel(w_n, w_mu, w_v, 0.05, 1e-3)
+            lower, upper, valid = kernel(n, *arm, 0.05, 1e-3)
+            w_lower, w_upper, w_valid = kernel(w_n, w_mu, w_v, 0.05, 1e-3)
             assert valid.all() and w_valid.all()
-            np.testing.assert_allclose(center - hw, w_center - w_hw, rtol=1e-11, atol=1e-12)
+            np.testing.assert_allclose(lower, w_lower, rtol=1e-11, atol=1e-12)
+            np.testing.assert_allclose(upper, w_upper, rtol=1e-11, atol=1e-12)
 
 
 class TestFirstCrossing:
