@@ -14,10 +14,10 @@ cell where no block passes 255 events, 6 where none passes 65,535 and
 that. ``methods.cumulative_blocks`` turns them into float64 cumulative
 counts one evaluated block at a time.
 
-A single-arm stream is drawn in stages: ``SavedStreams`` keeps where
-each replication's generator stopped, so a later call extends only the
-replications a study still reads, with the bits one call over the whole
-grid would give.
+A single-arm stream depends only on its key, since Philox is
+counter-based: a call over a prefix of the grid draws the rates and the
+first columns of a call over the whole grid, so a study can draw its
+grid's prefixes in stages with nothing kept between calls.
 """
 
 import numpy as np
@@ -25,32 +25,20 @@ import numpy as np
 from . import threads
 
 MAX_SEED = 2**64 - 1  # a master seed is one 64-bit word of each replication's Philox key
+_START = np.random.Philox(key=0).state  # a keyed Philox before its first draw: counter 0, output buffer empty
 
 
-def _rekey(rng: np.random.Generator, master_seed: int, rep: int,
-           counter=None, buffer=None, buffer_pos: int = 4) -> np.random.Generator:
-    """Point ``rng``'s Philox at replication ``rep``'s stream, at its start or at a saved position.
+def _rekey(rng: np.random.Generator, master_seed: int, rep: int) -> np.random.Generator:
+    """Point ``rng``'s Philox at the start of replication ``rep``'s stream.
 
-    At the start, the stream is the one ``Philox(key=(master_seed << 64) | rep)``
-    gives: key words little-endian, (rep, master_seed); counter 0 and the
-    output buffer empty. Re-keying one generator per batch draws no OS
-    entropy, which each ``Philox(key=...)`` construction does before the
-    key replaces it. A saved position is the counter words, the buffer
-    words and the buffer position; the binomial and beta samplers draw
-    only 64-bit words, so no half-used 32-bit word is ever pending.
-    A master seed above ``MAX_SEED`` or below 0 raises OverflowError.
+    The stream is the one ``Philox(key=(master_seed << 64) | rep)`` gives:
+    ``_START`` with the key words (rep, master_seed), little-endian.
+    Re-keying one generator per batch draws no OS entropy, which each
+    ``Philox(key=...)`` construction does before the key replaces it. A
+    master seed above ``MAX_SEED`` or below 0 raises OverflowError.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64) if counter is None else counter,
-            "key": np.array([int(rep), int(master_seed)], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64) if buffer is None else buffer,
-        "buffer_pos": int(buffer_pos),
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    key = np.array([int(rep), int(master_seed)], dtype=np.uint64)
+    rng.bit_generator.state = {**_START, "state": {**_START["state"], "key": key}}
     return rng
 
 
@@ -107,66 +95,31 @@ def two_arm_count_matrices(master_seed: int, reps: int, grid: np.ndarray, p0: fl
     return counts
 
 
-class SavedStreams:
-    """Where each replication's single-arm stream stopped, so a later draw resumes it.
-
-    Per replication: its true rate and its Philox position as arrays (4
-    counter words, 4 buffer words and the buffer position; the key follows
-    from the master seed and the replication). ``column`` is the number of
-    grid columns drawn so far by the replications the last draw covered.
-    """
-
-    def __init__(self, reps: int):
-        self.column = 0
-        self.theta = np.full(reps, np.nan)
-        self.counter = np.zeros((reps, 4), dtype=np.uint64)
-        self.buffer = np.zeros((reps, 4), dtype=np.uint64)
-        self.buffer_pos = np.zeros(reps, dtype=np.int64)
-
-
 def single_arm_count_matrices(
     master_seed: int,
     rows: np.ndarray,
     grid: np.ndarray,
     truth_prior: tuple[float, float],
-    saved: SavedStreams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """True rates and per-block conversion counts of replications ``rows``, resumed from ``saved``.
+    """True rates and per-block conversion counts of replications ``rows`` over ``grid``.
 
-    Each replication draws its rate from Beta(truth_prior), then its
-    conversions at that rate, one binomial per grid block. The draw covers
-    columns ``saved.column`` to the end of ``grid``, resuming each
-    replication where the previous call left it (or starting it, at column
-    0), and saves where each stream stopped. So a study can draw its grid's
-    prefixes in stages, for fewer replications each time, and every drawn
-    cell holds the bits of one call over the whole grid.
+    Each replication is drawn from the start of its stream: its rate from
+    Beta(truth_prior), then its conversions at that rate, one binomial per
+    grid block. So a prefix of a grid gives the rates and the first
+    columns of the whole grid, bit for bit.
 
     Returns (theta, s): theta is float64 with one rate per row; s holds
-    the conversions in each drawn block, of ``_increment_dtype`` of the
-    grid's blocks, with one row per row of ``rows`` and one column per
-    drawn grid point.
+    the conversions in each block, of ``_increment_dtype`` of the grid's
+    blocks, with one row per row of ``rows`` and one column per grid
+    point.
     """
     blocks = _blocks(grid)
-    dtype = _increment_dtype(blocks)
     rows = np.asarray(rows)
-    resume = saved.column > 0
-    blocks = blocks[saved.column:]
     theta = np.empty(rows.size, dtype=np.float64)
-    s = np.empty((rows.size, blocks.size), dtype=dtype)
+    s = np.empty((rows.size, blocks.size), dtype=_increment_dtype(blocks))
     rng = np.random.Generator(np.random.Philox())
     for i, r in enumerate(rows):
-        if resume:
-            _rekey(rng, master_seed, r, saved.counter[r], saved.buffer[r], saved.buffer_pos[r])
-            th = saved.theta[r]
-        else:
-            _rekey(rng, master_seed, r)
-            th = rng.beta(truth_prior[0], truth_prior[1])
-        s[i] = rng.binomial(blocks, th)
-        theta[i] = th
-        state = rng.bit_generator.state
-        saved.counter[r] = state["state"]["counter"]
-        saved.buffer[r] = state["buffer"]
-        saved.buffer_pos[r] = state["buffer_pos"]
-        saved.theta[r] = th
-    saved.column += blocks.size
+        _rekey(rng, master_seed, r)
+        theta[i] = rng.beta(truth_prior[0], truth_prior[1])
+        s[i] = rng.binomial(blocks, theta[i])
     return theta, s

@@ -157,8 +157,7 @@ def _study_grid(cfg: SimStudyConfig, horizon: int, fht_total: int, markers=()) -
     if markers:
         mk = np.asarray(sorted(markers), dtype=np.int64)
         parts.append(mk[mk <= horizon])
-    grid = np.unique(np.concatenate(parts))
-    return grid[grid >= 1]
+    return np.unique(np.concatenate(parts))
 
 
 def _marker_grid(cfg: SimStudyConfig, fht_total: int, horizon_multiples):
@@ -486,10 +485,10 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
     replication's rate and its first ``STOP_QUALITY_FIRST_DRAW`` peeks,
     then, for the replications still alive, stages that double the drawn
     peeks (or reach the last while more than half are alive), each
-    resuming every replication's Philox stream where it stopped
-    (``streams.SavedStreams``). On the bench's 3000 x 500 BHT
-    study about 0.34M of the 1.5M cells are drawn, and the report holds
-    the bits of one full draw.
+    redrawing every stream from its start over the grid's prefix, since a
+    stream depends only on its key. On the bench's 3000 x 500 BHT study
+    about 0.48M of the 1.5M cells are drawn, and the report holds the
+    bits of one full draw.
     """
     if cfg.truth_prior is None:
         raise ValueError("stop-quality study needs truth_prior")
@@ -506,32 +505,35 @@ def run_stop_quality_study(cfg: SimStudyConfig, num_peeks: int = STOP_QUALITY_PE
     # s holds per-block increments; columns of s are drawn as the crossing
     # loop first reads them, for the replications it still reads. The first
     # draw covers STOP_QUALITY_FIRST_DRAW columns and each later one twice
-    # as many as drawn so far; but while more than half the replications
-    # are alive, a draw runs to the grid's end: a draw's fixed cost per
-    # replication is about that of 250 binomial cells, so a study where few
-    # cross draws each stream in two calls, not four. s is column-major, so
-    # while the large early loss blocks are alive only the columns drawn so
-    # far are resident.
-    saved = streams.SavedStreams(cfg.replications)
-    theta = saved.theta  # every replication's rate, from the first draw
+    # as many as drawn so far, redrawing that prefix: no more cells than it
+    # adds unless the grid's end cuts it short. But while more than half the
+    # replications are alive, a draw runs to the grid's end: a draw's fixed
+    # cost per replication is about that of 250 binomial cells, so a study
+    # where few cross draws each stream in two calls, not four. s is
+    # column-major, so while the large early loss blocks are alive only the
+    # columns drawn so far are resident.
+    theta = np.empty(cfg.replications)  # every replication's rate, from the first draw
     s = np.empty((cfg.replications, grid.size), dtype=streams._increment_dtype(streams._blocks(grid)), order="F")
     cumulative = methods.cumulative_blocks(s)
     n_grid = grid.astype(float)
     theta0 = cfg.theta0
     mean_loss = None
+    drawn = 0
 
     def cells(rows, cols):
-        if cols.stop > saved.column:
-            start = saved.column
-            if start == 0:
+        nonlocal drawn
+        if cols.stop > drawn:
+            if drawn == 0:
                 stop = STOP_QUALITY_FIRST_DRAW
             elif 2 * rows.size > cfg.replications:
                 stop = grid.size
             else:
-                stop = 2 * start
+                stop = 2 * drawn
             stop = min(max(stop, cols.stop), grid.size)
-            _, s[rows, start:stop] = streams.single_arm_count_matrices(
-                cfg.master_seed, rows, grid[:stop], cfg.truth_prior, saved)
+            theta[rows], block = streams.single_arm_count_matrices(
+                cfg.master_seed, rows, grid[:stop], cfg.truth_prior)
+            s[rows, drawn:stop] = block[:, drawn:]
+            drawn = stop
         s_block = cumulative(rows, cols)
         return np.broadcast_to(n_grid[cols], s_block.shape), s_block
 

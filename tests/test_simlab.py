@@ -101,8 +101,7 @@ class TestStreams:
         grid = np.array([3, 40, 1_000, 250_000])
         blocks = np.diff(grid, prepend=0)
         n0, n1, s0, s1 = cumulative_counts(streams.two_arm_count_matrices(master_seed, 3_000, grid, 0.1, 0.12), grid)
-        theta, s = streams.single_arm_count_matrices(
-            master_seed, np.arange(3_000), grid, (100, 100), streams.SavedStreams(3_000))
+        theta, s = streams.single_arm_count_matrices(master_seed, np.arange(3_000), grid, (100, 100))
         s = np.cumsum(s, axis=1)
         for rep in (0, 5, 2_999):
             def keyed():
@@ -122,7 +121,7 @@ class TestStreams:
 
     def test_single_arm_counts(self):
         grid = np.unique(np.round(np.geomspace(10, 10_000, 50)).astype(np.int64))
-        theta, s = streams.single_arm_count_matrices(5, np.arange(30), grid, (100, 100), streams.SavedStreams(30))
+        theta, s = streams.single_arm_count_matrices(5, np.arange(30), grid, (100, 100))
         s = np.cumsum(s, axis=1)
         assert theta.shape == (30,) and s.shape == (30, grid.size)
         assert np.all((theta > 0) & (theta < 1))
@@ -140,7 +139,7 @@ class TestIntegerCounts:
         grid = np.array([7, 1_000, end])
         blocks = np.diff(grid, prepend=0)
         increments = streams.two_arm_count_matrices(12, 3, grid, 0.3, 0.9)
-        theta, s = streams.single_arm_count_matrices(12, np.arange(3), grid, (90, 10), streams.SavedStreams(3))
+        theta, s = streams.single_arm_count_matrices(12, np.arange(3), grid, (90, 10))
         assert increments.dtype == s.dtype == np.uint32 and theta.dtype == np.float64
         whole = (np.arange(3), slice(0, grid.size))
         n1, s0, s1 = methods.cumulative_blocks(increments)(*whole)
@@ -204,7 +203,7 @@ class TestIntegerCounts:
         grid = np.unique(np.round(np.geomspace(studies.STOP_QUALITY_START, 3_000_000_000, 60)).astype(np.int64))
         reps = 40
         two_arm = streams.two_arm_count_matrices(12, reps, grid, 0.3, 0.9)
-        _, single = streams.single_arm_count_matrices(12, np.arange(reps), grid, (900, 100), streams.SavedStreams(reps))
+        _, single = streams.single_arm_count_matrices(12, np.arange(reps), grid, (900, 100))
         assert (np.cumsum(single, axis=1, dtype=np.int64)[:, -1] > 2**31 - 1).all()
         # Random rejects shrink the rows and reset the widths.
         reject = np.random.default_rng(5).random((reps, grid.size)) < 0.02
@@ -318,9 +317,9 @@ class TestIncrementStreams:
 
             return block
 
-        def recording_draw(seed, rows, grid, prior, saved):
-            stages.append(saved.column)
-            return draw(seed, rows, grid, prior, saved)
+        def recording_draw(seed, rows, grid, prior):
+            stages.append(len(grid))
+            return draw(seed, rows, grid, prior)
 
         with monkeypatch.context() as m:
             m.setattr(methods, "cumulative_blocks", recording_blocks)
@@ -328,13 +327,13 @@ class TestIncrementStreams:
             report = run_stop_quality_study(cfg, num_peeks=150)
         assert 0.0 < report.power < 1.0
         grid = np.asarray(report.peek_ns)
-        _, s = draw(cfg.master_seed, np.arange(reps), grid, cfg.truth_prior, streams.SavedStreams(reps))
+        _, s = draw(cfg.master_seed, np.arange(reps), grid, cfg.truth_prior)
         full = np.cumsum(s, axis=1, dtype=np.int64)
         for rows, cols, out in blocks:
             assert out.dtype == np.float64
             np.testing.assert_array_equal(out, full[rows, cols])
-        # A block straddles the second draw stage, and the rows shrink after it.
-        assert any(cols.start < stage < cols.stop for _, cols, _ in blocks for stage in stages[1:])
+        # A block straddles the end of a draw stage, and the rows shrink after it.
+        assert any(cols.start < stage < cols.stop for _, cols, _ in blocks for stage in stages[:-1])
         assert blocks[-1][0].size < reps
 
 
@@ -609,48 +608,61 @@ class TestStagedDraws:
     """Stop-quality streams are drawn in stages, only as far as the crossing loop reads."""
 
     def test_stages_match_one_call(self):
+        # Each stage draws a prefix of the grid from the start of its rows'
+        # streams, and gets the rates and columns of one call over the grid.
         grid = np.unique(np.round(np.geomspace(100, 200_000, 90)).astype(np.int64))
         reps, prior = 10, (50, 50)
-        theta, s = streams.single_arm_count_matrices(17, np.arange(reps), grid, prior, streams.SavedStreams(reps))
-        saved = streams.SavedStreams(reps)
-        # Replication 7 survives every stage: four stage boundaries.
+        theta, s = streams.single_arm_count_matrices(17, np.arange(reps), grid, prior)
         stages = [(np.arange(reps), 5), ([0, 2, 3, 7, 9], 11), ([2, 7, 9], 20), ([7, 9], 33), ([7], grid.size)]
-        start = 0
         for rows, stop in stages:
-            got_theta, got = streams.single_arm_count_matrices(17, rows, grid[:stop], prior, saved)
-            rows = np.arange(rows) if np.ndim(rows) == 0 else np.asarray(rows)
-            assert saved.column == stop and got.shape == (rows.size, stop - start)
+            got_theta, got = streams.single_arm_count_matrices(17, rows, grid[:stop], prior)
+            assert got.shape == (len(rows), stop)
             np.testing.assert_array_equal(got_theta, theta[rows])
-            np.testing.assert_array_equal(got, s[rows, start:stop])
-            start = stop
+            np.testing.assert_array_equal(got, s[rows, :stop])
+
+    def test_shuffled_and_repeated_rows_match_keyed_philox(self):
+        # Rows in any order, each as often as asked, give the draws of a Philox
+        # keyed (master_seed << 64) | rep over the whole grid, cut to the prefix.
+        master_seed, prior = 2**63 + 5, (20, 80)
+        grid = np.array([9, 1_000, 80_000, 500_000, 4_000_000])
+        blocks = np.diff(grid, prepend=0)
+        rows = [7, 2, 7, 0, 11, 2, 2]
+        assert streams.single_arm_count_matrices(master_seed, rows, grid, prior)[1].dtype == np.uint32
+        for stop in (1, 3, grid.size):
+            theta, s = streams.single_arm_count_matrices(master_seed, rows, grid[:stop], prior)
+            assert s.shape == (len(rows), stop)
+            for i, rep in enumerate(rows):
+                rng = np.random.Generator(np.random.Philox(key=(master_seed << 64) | rep))
+                th = rng.beta(*prior)
+                assert theta[i] == th
+                np.testing.assert_array_equal(s[i], rng.binomial(blocks, th)[:stop])
 
     @staticmethod
     def _drawn(monkeypatch, cfg, num_peeks):
-        """Times each (replication, peek) cell was drawn, and the report."""
+        """Times each (replication, peek) cell was drawn, the grid length of each draw, and the report."""
         draw = streams.single_arm_count_matrices
         hits = np.zeros((cfg.replications, num_peeks), dtype=int)
+        lengths = []
 
-        def recording(seed, reps, grid, prior, saved=None):
-            start = saved.column if saved is not None else 0
-            result = draw(seed, reps, grid, prior, saved)
-            rows = np.arange(reps) if np.ndim(reps) == 0 else np.asarray(reps)
-            hits[np.ix_(rows, np.arange(start, len(grid)))] += 1
-            assert result[1].size == rows.size * (len(grid) - start)
+        def recording(seed, rows, grid, prior):
+            result = draw(seed, rows, grid, prior)
+            hits[np.ix_(np.asarray(rows), np.arange(len(grid)))] += 1
+            lengths.append(len(grid))
+            assert result[1].size == len(rows) * len(grid)
             return result
 
         with monkeypatch.context() as m:
             m.setattr(streams, "single_arm_count_matrices", recording)
             report = run_stop_quality_study(cfg, num_peeks=num_peeks)
         assert len(report.peek_ns) == num_peeks
-        return hits, report
+        return hits, lengths, report
 
     def test_bht_study_draws_fewer_cells(self, monkeypatch):
         cfg = SimStudyConfig(
             method="BHT-uninformed", truth_prior=(100, 100), theta0=0.5, horizon=100_000,
             replications=500, master_seed=11, params=BhtConfig(1.0, 1.0, 1e-3),
         )
-        hits, report = self._drawn(monkeypatch, cfg, 200)
-        assert hits.max() == 1 and (hits[:, : studies.STOP_QUALITY_FIRST_DRAW] == 1).all()
+        hits, _, report = self._drawn(monkeypatch, cfg, 200)
         assert hits.sum() < cfg.replications * 200
         # The report is the full matrix's, and every cell up to and including
         # each replication's crossing was drawn.
@@ -662,14 +674,18 @@ class TestStagedDraws:
         last = np.where(crossed >= 0, crossed, 199)
         assert all(hits[r, : last[r] + 1].all() for r in range(cfg.replications))
 
-    def test_nothing_crosses_draws_each_cell_once(self, monkeypatch):
+    def test_nothing_crosses_draws_in_two_calls(self, monkeypatch):
+        # Every replication stays alive, so the first call draws the first
+        # peeks and the second the whole grid.
         cfg = SimStudyConfig(
             method="BHT-uninformed", truth_prior=(1e6, 1e6), theta0=0.5, horizon=20_000,
             replications=100, master_seed=5, params=BhtConfig(1.0, 1.0, 1e-12),
         )
-        hits, report = self._drawn(monkeypatch, cfg, 150)
+        hits, lengths, report = self._drawn(monkeypatch, cfg, 150)
         assert report.power == 0.0
-        assert (hits == 1).all()
+        first = studies.STOP_QUALITY_FIRST_DRAW
+        assert lengths == [first, 150]
+        assert (hits[:, :first] == 2).all() and (hits[:, first:] == 1).all()
 
 
 TWO_ARM_PARAMS = {
