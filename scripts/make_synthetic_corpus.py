@@ -1,6 +1,6 @@
 """Build a synthetic event-log corpus and run the decision pipeline on it.
 
-Generates logs hitting exact per-category verdict quotas (the generator
+Generates logs hitting exact per-cell verdict quotas (the generator
 knows the ground truth), analyzes each log with both the peeking z-test
 and the anytime interval, assembles the cross-tab, and checks it against
 the manifest.
@@ -25,16 +25,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args()
 
-    # Category mix mirroring the shape of real fixed-horizon vs anytime
+    # Cell mix mirroring the shape of real fixed-horizon vs anytime
     # disagreement: peeking inflates significance, the reverse is rare.
     total = args.total
-    counts = {
-        "both-sig": round(0.28 * total),
-        "fht-only-sig": round(0.15 * total),
-        "cs-only-sig": 0,
-        "neither-sig": 0,
-    }
-    counts["neither-sig"] = total - sum(counts.values())
+    counts = {"fht_sig_cs_sig": round(0.28 * total), "fht_sig_cs_not": round(0.15 * total), "fht_not_cs_sig": 0}
+    counts["fht_not_cs_not"] = total - sum(counts.values())
     out_dir = pathlib.Path(args.out)
     spec = CorpusSpec(counts=counts, seed=args.seed)
     manifest = generate_corpus(str(out_dir), spec)
@@ -51,12 +46,7 @@ def main() -> int:
     print(table.format_table())
 
     expected = manifest["expected_counts"]
-    got = {
-        "both-sig": table.fht_sig_cs_sig,
-        "fht-only-sig": table.fht_sig_cs_not,
-        "cs-only-sig": table.fht_not_cs_sig,
-        "neither-sig": table.fht_not_cs_not,
-    }
+    got = table.to_dict()["counts"]
     if got != expected:
         print(f"MISMATCH: expected {expected}, got {got}", file=sys.stderr)
         return 1

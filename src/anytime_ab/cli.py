@@ -127,7 +127,6 @@ def _cmd_design(args) -> int:
     spec = design.DesignSpec(
         theta_h1=args.mde,
         sigma2_guess=sigma2,
-        alpha=args.alpha,
         power=args.power,
         population_cap=args.population_cap,
     )
@@ -225,10 +224,8 @@ def _cmd_report_crosstab(args) -> int:
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
     table = crosstab(records)
-    payload = table.to_dict()
-    payload["table"] = table.format_table()
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(table.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
     print(table.format_table())
     return 0

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import CELLS, CrossTab
 from .simlab import methods
 
-CATEGORIES = ("both-sig", "fht-only-sig", "cs-only-sig", "neither-sig")
 MAX_CANDIDATES = 20000
 
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    counts: dict  # category -> number of logs
+    counts: dict  # CrossTab cell name -> number of logs
     p0: float = 0.3
     effect: float = 0.15
     events_per_log: int = 3000
@@ -32,15 +32,9 @@ class CorpusSpec:
 
 
 def _classify(n0, n1, s0, s1, spec: CorpusSpec) -> str:
-    fht = bool(methods.z_reject(n0, n1, s0, s1, spec.alpha).any())
-    cs = bool(methods.ate_reject(n0, n1, s0, s1, spec.alpha, spec.rho2).any())
-    if fht and cs:
-        return "both-sig"
-    if fht:
-        return "fht-only-sig"
-    if cs:
-        return "cs-only-sig"
-    return "neither-sig"
+    fht = methods.z_reject(n0, n1, s0, s1, spec.alpha).any()
+    cs = methods.ate_reject(n0, n1, s0, s1, spec.alpha, spec.rho2).any()
+    return CrossTab.cell(fht, cs)
 
 
 def _simulate_counts(rng, spec: CorpusSpec, effect: float):
@@ -74,35 +68,36 @@ def _write_log(path: str, blocks, m1, c1, c0) -> None:
 
 
 def generate_corpus(out_dir: str, spec: CorpusSpec) -> dict:
-    """Fill the per-category quotas and write logs plus a manifest.
+    """Fill the per-cell quotas and write logs plus a manifest.
 
-    Null experiments feed the fht-only / cs-only / neither buckets;
-    experiments with the configured effect feed the both-sig bucket.
-    Returns the manifest (category per log, expected crosstab counts).
+    Null experiments feed the cells where at most one rule rejects;
+    experiments with the configured effect feed ``fht_sig_cs_sig``.
+    Returns the manifest (cell per log, expected crosstab counts).
     """
-    unknown = set(spec.counts) - set(CATEGORIES)
+    unknown = set(spec.counts) - set(CELLS)
     if unknown:
-        raise ValueError(f"unknown categories: {sorted(unknown)}")
+        raise ValueError(f"unknown cells: {sorted(unknown)}")
     os.makedirs(out_dir, exist_ok=True)
-    remaining = {cat: int(spec.counts.get(cat, 0)) for cat in CATEGORIES}
+    expected = {cell: int(spec.counts.get(cell, 0)) for cell in CELLS}
+    remaining = dict(expected)
     assignments: dict[str, str] = {}
     log_index = 0
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     for candidate in range(MAX_CANDIDATES):
         if not any(remaining.values()):
             break
-        want_effect = remaining["both-sig"] > 0
+        want_effect = remaining["fht_sig_cs_sig"] > 0
         effect = spec.effect if want_effect else 0.0
         grid, blocks, m1, c1, c0, n0, n1, s0, s1 = _simulate_counts(rng, spec, effect)
-        category = _classify(n0, n1, s0, s1, spec)
-        if remaining.get(category, 0) <= 0:
+        cell = _classify(n0, n1, s0, s1, spec)
+        if remaining[cell] <= 0:
             continue
-        remaining[category] -= 1
+        remaining[cell] -= 1
         name = f"exp{log_index:04d}.jsonl"
         _write_log(os.path.join(out_dir, name), blocks, m1, c1, c0)
-        assignments[name] = category
+        assignments[name] = cell
         log_index += 1
-    unfilled = {cat: k for cat, k in remaining.items() if k > 0}
+    unfilled = {cell: k for cell, k in remaining.items() if k > 0}
     if unfilled:
         raise RuntimeError(f"could not fill quotas within {MAX_CANDIDATES} candidates: {unfilled}")
     manifest = {
@@ -116,7 +111,7 @@ def generate_corpus(out_dir: str, spec: CorpusSpec) -> dict:
             "seed": spec.seed,
         },
         "assignments": assignments,
-        "expected_counts": {cat: int(spec.counts.get(cat, 0)) for cat in CATEGORIES},
+        "expected_counts": expected,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)

@@ -35,7 +35,6 @@ class DesignSpec:
 
     theta_h1: float
     sigma2_guess: float
-    alpha: float = 0.05
     power: float = 0.8
     population_cap: int = DEFAULT_POPULATION_CAP
 
@@ -44,8 +43,8 @@ class DesignSpec:
             raise ValueError("alternative effect must differ from the null")
         if self.sigma2_guess <= 0.0:
             raise ValueError("variance guess must be positive")
-        if not 0.0 < self.alpha < self.power < 1.0:
-            raise ValueError(f"need 0 < alpha < power < 1, got alpha={self.alpha}, power={self.power}")
+        if not 0.0 < self.power < 1.0:
+            raise ValueError(f"power must be in (0, 1), got {self.power}")
         if self.population_cap < 1:
             raise ValueError("population cap must be at least 1")
 
@@ -54,14 +53,15 @@ def hypothesized_sample_size(spec: DesignSpec, params: ConfSeqParams) -> int | N
     """Smallest total n at which the anytime test rejects with the target power.
 
     Returns None when the crossing does not happen within the population
-    cap. Levels come from ``spec``; only the tuning ``rho2`` is read from
-    ``params``.
+    cap. The level alpha and the tuning ``rho2`` come from ``params``, the
+    power from ``spec``.
     """
+    alpha, rho2 = params.alpha, params.rho2
+    if not alpha < spec.power:
+        raise ValueError(f"need 0 < alpha < power < 1, got alpha={alpha}, power={spec.power}")
     effect = abs(spec.theta_h1)
     s = math.sqrt(spec.sigma2_guess)
-    alpha = spec.alpha
     beta_err = 1.0 - spec.power
-    rho2 = params.rho2
 
     def crosses(n: int) -> bool:
         return effect - s * radius_beta(n, beta_err, rho2) >= s * radius_beta(n, alpha, rho2)

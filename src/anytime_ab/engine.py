@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from itertools import chain
 from typing import NamedTuple
 
@@ -544,16 +544,26 @@ def format_trajectory_csv(rows) -> str:
 
 @dataclass(frozen=True)
 class CrossTab:
-    """2x2 agreement table between the fixed-horizon and anytime verdicts."""
+    """2x2 agreement table between the fixed-horizon and anytime verdicts.
+
+    The fields are the only names the cells have (``CELLS``), row by row:
+    the fixed-horizon verdict picks the row and the anytime verdict the
+    column, significant first. ``cell`` places a verdict pair.
+    """
 
     fht_sig_cs_sig: int
     fht_sig_cs_not: int
     fht_not_cs_sig: int
     fht_not_cs_not: int
 
+    @staticmethod
+    def cell(fht_sig: bool, cs_sig: bool) -> str:
+        """The field that counts an experiment with these two verdicts."""
+        return CELLS[2 * (not fht_sig) + (not cs_sig)]
+
     @property
     def total(self) -> int:
-        return self.fht_sig_cs_sig + self.fht_sig_cs_not + self.fht_not_cs_sig + self.fht_not_cs_not
+        return sum(astuple(self))
 
     @property
     def row_totals(self) -> tuple[int, int]:
@@ -564,10 +574,7 @@ class CrossTab:
         return (self.fht_sig_cs_sig + self.fht_not_cs_sig, self.fht_sig_cs_not + self.fht_not_cs_not)
 
     def percentages(self) -> tuple[str, str, str, str]:
-        return tuple(
-            _format_pct(c, self.total)
-            for c in (self.fht_sig_cs_sig, self.fht_sig_cs_not, self.fht_not_cs_sig, self.fht_not_cs_not)
-        )
+        return tuple(_format_pct(c, self.total) for c in astuple(self))
 
     def format_table(self) -> str:
         p = self.percentages()
@@ -591,24 +598,18 @@ class CrossTab:
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows)
 
     def to_dict(self) -> dict:
-        p = self.percentages()
+        """Counts and percentages keyed by cell name, the totals, and the formatted table."""
         return {
-            "counts": {
-                "fht_sig_cs_sig": self.fht_sig_cs_sig,
-                "fht_sig_cs_not": self.fht_sig_cs_not,
-                "fht_not_cs_sig": self.fht_not_cs_sig,
-                "fht_not_cs_not": self.fht_not_cs_not,
-            },
-            "percentages": {
-                "fht_sig_cs_sig": p[0],
-                "fht_sig_cs_not": p[1],
-                "fht_not_cs_sig": p[2],
-                "fht_not_cs_not": p[3],
-            },
+            "counts": asdict(self),
+            "percentages": dict(zip(CELLS, self.percentages())),
             "row_totals": list(self.row_totals),
             "col_totals": list(self.col_totals),
             "total": self.total,
+            "table": self.format_table(),
         }
+
+
+CELLS = tuple(f.name for f in fields(CrossTab))
 
 
 def _format_pct(count: int, total: int) -> str:
@@ -641,12 +642,9 @@ def crosstab(records) -> CrossTab:
         if side in slot:
             raise UnpairedRecordError(f"experiment {record.experiment_id!r} has duplicate {side} records")
         slot[side] = record.verdict
-    counts = {"ss": 0, "sn": 0, "ns": 0, "nn": 0}
+    counts = dict.fromkeys(CELLS, 0)
     for experiment_id, slot in by_experiment.items():
         if set(slot) != {"fht", "cs"}:
             raise UnpairedRecordError(f"experiment {experiment_id!r} is missing a record")
-        fht_sig = slot["fht"] == VERDICT_SIGNIFICANT
-        cs_sig = slot["cs"] == VERDICT_SIGNIFICANT
-        key = ("s" if fht_sig else "n") + ("s" if cs_sig else "n")
-        counts[key] += 1
-    return CrossTab(counts["ss"], counts["sn"], counts["ns"], counts["nn"])
+        counts[CrossTab.cell(slot["fht"] == VERDICT_SIGNIFICANT, slot["cs"] == VERDICT_SIGNIFICANT)] += 1
+    return CrossTab(**counts)

@@ -59,8 +59,8 @@ def z_reject(n0, n1, s0, s1, alpha, theta0=0.0):
 
 
 def bf_reject(n0, n1, s0, s1, prior_a, prior_b, odds_threshold):
-    valid = (n0 + n1) >= 1
-    return valid & (log_bayes_factor(s0, n0, s1, n1, BfConfig(prior_a, prior_b)) >= np.log(odds_threshold))
+    # With no data the log Bayes factor is exactly 0, below log(odds_threshold): BfConfig keeps it above 1.
+    return log_bayes_factor(s0, n0, s1, n1, BfConfig(prior_a, prior_b)) >= np.log(odds_threshold)
 
 
 def bht_single_losses(n, s, prior_a, prior_b, theta0):

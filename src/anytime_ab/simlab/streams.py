@@ -9,10 +9,10 @@ the number of arm-1 assignments and the per-arm conversion counts, drawn
 in that fixed order. They are stored as per-block increments, not
 cumulative counts, in the narrowest unsigned type that holds the grid's
 largest block (``_increment_dtype``): a two-arm stream takes 3 bytes a
-cell where no block passes 255 events, 6 where none passes 65,535 and
-12 where none passes 2^32 - 1; a single-arm stream takes a third of
-that. ``methods.cumulative_blocks`` turns them into float64 cumulative
-counts one evaluated block at a time.
+cell where no block passes 255 events, 6 where none passes 65,535, 12
+where none passes 2^32 - 1 and 24 past that; a single-arm stream takes
+a third of that. ``methods.cumulative_blocks`` turns them into float64
+cumulative counts one evaluated block at a time.
 
 A single-arm stream depends only on its key, since Philox is
 counter-based: a call over a prefix of the grid draws the rates and the
@@ -50,10 +50,9 @@ def _blocks(grid: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _increment_dtype(blocks: np.ndarray) -> type:
-    """The narrowest of uint8, uint16 and uint32 that holds the largest block, and so every increment; else int64."""
-    largest = blocks.max(initial=0)
-    return next((t for t in (np.uint8, np.uint16, np.uint32) if largest <= np.iinfo(t).max), np.int64)
+def _increment_dtype(blocks: np.ndarray) -> np.dtype:
+    """The narrowest unsigned type that holds the largest block, and so every increment."""
+    return np.min_scalar_type(blocks.max(initial=0))
 
 
 # Shortest grid whose two-arm draws are split across threads. A row's

@@ -94,6 +94,9 @@ class SimStudyConfig:
             raise ValueError(f"master_seed must be in [0, 2^64 - 1], got {self.master_seed}")
         if not math.isfinite(self.theta0):
             raise ValueError(f"theta0 must be finite, got {self.theta0}")
+        if self.arm_means is not None and not (
+                len(self.arm_means) == 2 and all(0.0 <= p <= 1.0 for p in self.arm_means)):
+            raise ValueError(f"arm_means must be a pair of rates in [0, 1], got {self.arm_means}")
         if self.truth_prior is not None and not (
                 len(self.truth_prior) == 2 and all(0.0 < x < math.inf for x in self.truth_prior)):
             raise ValueError(f"truth_prior must be a pair of finite positive numbers, got {self.truth_prior}")

@@ -461,7 +461,7 @@ class TestTable1AndCorpus:
 
     def test_synthetic_corpus_recovers_ground_truth(self, tmp_path):
         spec = CorpusSpec(
-            counts={"both-sig": 11, "fht-only-sig": 6, "cs-only-sig": 0, "neither-sig": 23},
+            counts={"fht_sig_cs_sig": 11, "fht_sig_cs_not": 6, "fht_not_cs_sig": 0, "fht_not_cs_not": 23},
             seed=4242,
         )
         manifest = generate_corpus(str(tmp_path), spec)
@@ -473,12 +473,6 @@ class TestTable1AndCorpus:
                     str(tmp_path / name), method, params, snapshot_every=spec.snapshot_every
                 )
                 records.append(record)
-        table = crosstab(records)
-        got = {
-            "both-sig": table.fht_sig_cs_sig,
-            "fht-only-sig": table.fht_sig_cs_not,
-            "cs-only-sig": table.fht_not_cs_sig,
-            "neither-sig": table.fht_not_cs_not,
-        }
+        got = crosstab(records).to_dict()["counts"]
         ok = got == manifest["expected_counts"]
         _line("corpus", ok, f"pipeline cross-tab equals generator ground truth {got}")

@@ -430,6 +430,11 @@ class TestSimulateCommand:
             ("type1", {**TINY_TYPE1, "theta0": 10**400}, "bad config values: theta0 must be a number, got 1000"),
             ("type1", {**TINY_TYPE1, "design_mde": 10**400},
              "bad config values: design_mde must be a number or null, got 1000"),
+            # Arm means are rates: one outside [0, 1], or NaN, is named before any stream is drawn.
+            ("power", {**TINY_TYPE1, "arm_means": [0.1, 1.5]},
+             "error: arm_means must be a pair of rates in [0, 1], got (0.1, 1.5)"),
+            ("power", {**TINY_TYPE1, "arm_means": [0.1, math.nan]},
+             "error: arm_means must be a pair of rates in [0, 1], got (0.1, nan)"),
             # BF's odds threshold is 1 / alpha.
             ("type1", {**TINY_TYPE1, "methods": ["BF-uninformed"], "alpha": 0}, "alpha must be in (0, 1), got 0"),
             # Stop-quality peeks are log spaced from 100 to the horizon.
@@ -465,7 +470,8 @@ class TestSimulateCommand:
         ],
         ids=["misspelt-key", "grid_start", "list", "theta0-above-1", "prior-scalar", "replications-text",
              "alpha-text", "arm_means-scalar", "methods-text", "rho2-bool", "peek_every-float",
-             "theta0-beyond-float", "design_mde-beyond-float", "BF-alpha-zero", "num_peeks-zero",
+             "theta0-beyond-float", "design_mde-beyond-float", "arm_means-above-1", "arm_means-nan",
+             "BF-alpha-zero", "num_peeks-zero",
              "num_peeks-negative", "horizon-below-start", "grid-beyond-memory", "master_seed-negative",
              "effects-missing", "rho2_grid-missing", "method-missing", "methods-empty", "theta0-nan",
              "rho2-infinite", "epsilon-nan", "prior-infinite", "truth_prior-nan", "truth_prior-infinite",

@@ -100,8 +100,11 @@ class TestHypothesizedSampleSize:
             DesignSpec(theta_h1=0.0, sigma2_guess=1.0)
         with pytest.raises(ValueError):
             DesignSpec(theta_h1=0.01, sigma2_guess=0.0)
-        with pytest.raises(ValueError):
-            DesignSpec(theta_h1=0.01, sigma2_guess=1.0, alpha=0.8, power=0.8)
+        with pytest.raises(ValueError, match="power must be in"):
+            DesignSpec(theta_h1=0.01, sigma2_guess=1.0, power=1.0)
+        # The level comes from the params alone, and must sit below the power.
+        with pytest.raises(ValueError, match="need 0 < alpha < power < 1"):
+            hypothesized_sample_size(DesignSpec(theta_h1=0.01, sigma2_guess=1.0, power=0.3), ConfSeqParams(0.3))
 
     def test_rejection_frequency_at_n_star(self):
         # Smaller-scale version of the full-grid acceptance check.

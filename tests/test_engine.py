@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -1068,6 +1069,22 @@ class TestCrossTab:
         table = crosstab(records)
         assert table.fht_not_cs_not == 7 and table.total == 7
         assert table.percentages()[3] == "100%"
+
+    def test_each_verdict_pair_counts_in_the_cell_it_names(self):
+        names = tuple(f.name for f in dataclasses.fields(CrossTab))
+        verdict = {True: "significant", False: "not-significant"}
+        cells = []
+        for fht_sig, cs_sig in ((True, True), (True, False), (False, True), (False, False)):
+            records = [
+                DecisionRecord("e0", "fht-peeking", verdict[fht_sig], 10, 5, 5, 1),
+                DecisionRecord("e0", "asympcs", verdict[cs_sig], 10, 5, 5, 1),
+            ]
+            cell = CrossTab.cell(fht_sig, cs_sig)
+            table = crosstab(records)
+            assert {name: getattr(table, name) for name in names} == {name: int(name == cell) for name in names}
+            cells.append(cell)
+        # Row by row, significant first: the four pairs fill the fields in order.
+        assert tuple(cells) == names == engine.CELLS
 
     def test_unpaired_records_rejected(self):
         records = [DecisionRecord("e1", "fht-peeking", "significant", 10, 5, 5, 1)]

@@ -961,6 +961,17 @@ class TestStudies:
         with pytest.raises(ValueError):
             SimStudyConfig(method="AsympCS", horizon=10, peek_every=100)
 
+    def test_two_arm_studies_need_arm_means(self):
+        for method, run in (
+            ("AsympCS", run_type1_study),
+            ("AsympCS", run_power_study),
+            ("AsympCS-lift", run_lift_power_study),
+            ("AsympCS", lambda cfg: run_rho2_sweep(cfg, [1e-3])),
+            ("AsympCS", lambda cfg: run_mde_misspec_study(cfg, [0.02])),
+        ):
+            with pytest.raises(ValueError, match="arm means|arm_means"):
+                run(SimStudyConfig(method=method, design_mde=0.01, replications=5))
+
     @pytest.mark.parametrize("method", studies.METHODS)
     def test_params_type_is_decided_by_method(self, method):
         # The study runs with exactly the params its report names: the
